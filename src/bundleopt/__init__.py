@@ -16,7 +16,7 @@ from .contact import (Contact1DParams, Contact1DState, Contact2DParams,
 from .errors import ConfigurationError, DivergedError, SingularRegressionError
 from .functions import TEST_FUNCTION_IDS, TestFunction, get_test_function
 from .irs_lqr import (GradientMode, MpcProblem, MpcResult, ResultRecord,
-                      TrajectoryIterate, assemble_mpc_qp, irs_lqr_run,
+                      TrajectoryIterate, irs_lqr_run,
                       linearize_trajectory, mpc_solve, rollout, run_comparison,
                       trajectory_cost)
 from .oracle import convolution_oracle

@@ -30,11 +30,11 @@ import logging
 import os
 import sys
 import time
-from importlib.metadata import version as _pkg_version
 
 import jsonschema
 import numpy as np
 
+from . import __version__
 from .contact import Contact2DParams, Contact2DState, step_2d_anitescu, step_2d_exact
 from .errors import ConfigurationError, DivergedError, SingularRegressionError
 from .functions import TEST_FUNCTION_IDS, get_test_function
@@ -210,7 +210,7 @@ def _write_manifest(out_dir: str, verb: str, config: dict, outputs) -> None:
         "schema": "bundleopt-manifest-v1",
         "command": verb,
         "config": config,
-        "package_version": _pkg_version("bundleopt"),
+        "package_version": __version__,
         "outputs": sorted(outputs),
     }
     with open(os.path.join(out_dir, "manifest.json"), "w", encoding="utf-8") as fh:

@@ -3,11 +3,24 @@
 The optimizer alternates two passes until the cost settles: linearize the
 dynamics at every knot of the current nominal trajectory (exactly, or with
 the first/zero-order Jacobian bundle at the scheduled sampling variance),
-then roll the true system forward, choosing each input by solving a
-shrinking-horizon MPC quadratic program on the linearized model from the
-state actually reached. There is no line search or trust region; smoothing
-itself is the stabilizer, the variance schedule anneals it away, and
-divergence is detected and reported rather than patched.
+then roll the true system forward, choosing each input as the first input
+of the shrinking-horizon MPC problem on the linearized model from the
+state actually reached. How that input is found depends on the problem's
+shape:
+
+* No inequalities (C_u and C_x both None): one backward affine-Riccati
+  pass per iteration gives the time-varying policy u_t = K_t x_t + k_t,
+  which by Bellman's principle is the first input of every window; the
+  rollout applies it with no per-window QP (iterative LQR).
+* Inequalities: each window is a condensed QP in its stacked inputs,
+  solved by the dual active-set method. The condensed data are assembled
+  once per iteration; by causality window j's Hessian and constraint rows
+  are trailing slices of window 0's, and only the gradient and the state
+  constraint offsets depend on the window's start state.
+
+There is no line search or trust region; smoothing itself is the
+stabilizer, the variance schedule anneals it away, and divergence is
+detected and reported rather than patched.
 
 Per-knot sample seeds derive deterministically from (run seed, iteration,
 knot index), so results are bit-identical regardless of how callers
@@ -20,11 +33,10 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import block_diag
 
 from . import qp as _qp
 from .errors import ConfigurationError
-from .qp import QpProblem, QpSolution
+from .qp import QpSolution
 from .smoothing import (SmoothingDistribution, jacobian_bundle_first_order,
                         jacobian_bundle_zero_order, variance_schedule)
 from .systems import DynamicalSystem, LinearizedDynamics, linearize_exact
@@ -39,7 +51,6 @@ __all__ = [
     "rollout",
     "derive_knot_seed",
     "linearize_trajectory",
-    "assemble_mpc_qp",
     "mpc_solve",
     "irs_lqr_run",
     "run_comparison",
@@ -48,7 +59,6 @@ __all__ = [
 GRADIENT_MODES = ("exact", "first_order_bundle", "zero_order_bundle")
 
 _SLACK_WEIGHT = 1e6
-_HESSIAN_RIDGE = 1e-8
 _CONVERGENCE_RTOL = 1e-6
 _CONVERGENCE_STREAK = 3
 _DIVERGENCE_STREAK = 5
@@ -282,175 +292,149 @@ def linearize_trajectory(sys: DynamicalSystem, xs, us, mode: GradientMode,
     return lins
 
 
-def assemble_mpc_qp(mpc: MpcProblem, linearizations, relax_state_constraints=False
-                    ) -> tuple[QpProblem, dict]:
-    """Stacked QP over (x_j..x_T, u_j..u_{T-1}) for the MPC window.
+class _CondensedHorizon:
+    """Condensed MPC data of one iteration's linear model, for every window.
 
-    Dynamics enter as equality constraints x_{t+1} = A_t x_t + B_t u_t + c_t
-    (one block per step of the window) along with the pinned initial state.
-    With relax_state_constraints, state inequalities get quadratically
-    penalized slack variables (weight 1e6) so an infeasible window still
-    produces a usable input. A tiny ridge (1e-8) keeps the stacked Hessian
-    positive definite when state costs are only PSD.
+    Eliminating the dynamics analytically (states are affine in the
+    inputs: x = F u + g) leaves a strictly convex QP in the stacked inputs
+    alone. Its Hessian is F'QF + R with Q and R the block-diagonal running
+    and terminal costs (times 2); R being positive definite makes it
+    positive definite with no ridge. By causality, window j's F, Hessian
+    and constraint rows are trailing slices of window 0's, so they are
+    built once. Only the free response g of the linear model from the
+    window's start state, and through it the gradient and the state
+    constraint offsets, changes from window to window.
     """
-    if mpc.initial_state is None:
-        raise ConfigurationError("MpcProblem.initial_state must be set for an MPC solve")
-    T, j = mpc.horizon, mpc.start_index
-    n, m = mpc.state_dim, mpc.input_dim
-    lins = list(linearizations)
-    if len(lins) != T:
-        raise ConfigurationError(f"need {T} knot linearizations, got {len(lins)}")
-    W = T - j                       # dynamics steps in the window
-    nx, nu = (W + 1) * n, W * m
-    n_sx = (mpc.C_x.shape[0] * (W + 1)) if (relax_state_constraints and mpc.C_x is not None) else 0
-    nz = nx + nu + n_sx
 
-    blocks = [mpc.Q[t] for t in range(j, T)] + [mpc.Q_terminal] \
-        + [mpc.R[t] for t in range(j, T)]
-    P = 2.0 * block_diag(*blocks)
-    P = block_diag(P, 2.0 * _SLACK_WEIGHT * np.eye(n_sx)) if n_sx else P
-    P[np.diag_indices_from(P)] += _HESSIAN_RIDGE
-    q = np.zeros(nz)
-    for t in range(j, T):
-        q[(t - j) * n:(t - j + 1) * n] = -2.0 * mpc.Q[t] @ mpc.x_desired[t]
-    q[W * n:(W + 1) * n] = -2.0 * mpc.Q_terminal @ mpc.x_desired[T]
+    def __init__(self, mpc: MpcProblem, lins):
+        T, n, m = mpc.horizon, mpc.state_dim, mpc.input_dim
+        self.mpc = mpc
+        self.A = np.stack([lin.A for lin in lins])
+        self.c = np.stack([lin.c for lin in lins])
+        F = np.zeros((T + 1, n, T * m))
+        for t in range(T):
+            F[t + 1] = self.A[t] @ F[t]
+            F[t + 1, :, t * m:(t + 1) * m] = lins[t].B
+        q_bar = 2.0 * np.concatenate([mpc.Q, mpc.Q_terminal[None]])
+        self.QF = (q_bar @ F).reshape((T + 1) * n, T * m)
+        P = F.reshape((T + 1) * n, T * m).T @ self.QF
+        for t in range(T):
+            P[t * m:(t + 1) * m, t * m:(t + 1) * m] += 2.0 * mpc.R[t]
+        self.P = 0.5 * (P + P.T)
+        if mpc.C_u is not None:
+            self.G_u = np.kron(np.eye(T), mpc.C_u)
+            self.h_u = np.tile(mpc.d_u, T)
+        if mpc.C_x is not None:
+            self.G_x = (mpc.C_x @ F).reshape(-1, T * m)
 
-    A_eq = np.zeros((n + W * n, nz))
-    b_eq = np.zeros(n + W * n)
-    A_eq[:n, :n] = np.eye(n)
-    b_eq[:n] = mpc.initial_state
-    for t in range(j, T):
-        r = n + (t - j) * n
-        lin = lins[t]
-        A_eq[r:r + n, (t - j + 1) * n:(t - j + 2) * n] = np.eye(n)
-        A_eq[r:r + n, (t - j) * n:(t - j + 1) * n] = -lin.A
-        A_eq[r:r + n, nx + (t - j) * m:nx + (t - j + 1) * m] = -lin.B
-        b_eq[r:r + n] = lin.c
+    def window_qp(self, j: int, x_j, relaxed: bool):
+        """(P, q, G, h) of the reduced QP for the window starting at knot j.
 
-    g_rows, h_vals = [], []
-    if mpc.C_u is not None:
+        With `relaxed`, state inequalities get quadratically penalized
+        slack variables (weight 1e6), so an infeasible window still
+        produces a usable input.
+        """
+        mpc = self.mpc
+        T, n, m = mpc.horizon, mpc.state_dim, mpc.input_dim
+        g = np.empty((T - j + 1, n))
+        g[0] = x_j
         for t in range(j, T):
-            row = np.zeros((mpc.C_u.shape[0], nz))
-            row[:, nx + (t - j) * m:nx + (t - j + 1) * m] = mpc.C_u
-            g_rows.append(row)
-            h_vals.append(mpc.d_u)
-    if mpc.C_x is not None:
-        px = mpc.C_x.shape[0]
-        for t in range(j, T + 1):
-            row = np.zeros((px, nz))
-            row[:, (t - j) * n:(t - j + 1) * n] = mpc.C_x
-            if n_sx:
-                s0 = nx + nu + (t - j) * px
-                row[:, s0:s0 + px] = -np.eye(px)
-            g_rows.append(row)
-            h_vals.append(mpc.d_x)
-        if n_sx:
-            nonneg = np.zeros((n_sx, nz))
-            nonneg[:, nx + nu:] = -np.eye(n_sx)
-            g_rows.append(nonneg)
-            h_vals.append(np.zeros(n_sx))
-    G = np.vstack(g_rows) if g_rows else None
-    h = np.concatenate(h_vals) if g_rows else None
+            g[t - j + 1] = self.A[t] @ g[t - j] + self.c[t]
+        P = self.P[j * m:, j * m:]
+        q = self.QF[j * n:, j * m:].T @ (g - mpc.x_desired[j:]).ravel()
+        rows, offsets = [], []
+        if mpc.C_u is not None:
+            p_u = mpc.C_u.shape[0]
+            rows.append(self.G_u[j * p_u:, j * m:])
+            offsets.append(self.h_u[j * p_u:])
+        if mpc.C_x is not None:
+            rows.append(self.G_x[j * mpc.C_x.shape[0]:, j * m:])
+            offsets.append((mpc.d_x - g @ mpc.C_x.T).ravel())
+        if not rows:
+            return P, q, np.zeros((0, q.shape[0])), np.zeros(0)
+        if not (relaxed and mpc.C_x is not None):
+            return P, q, np.vstack(rows), np.concatenate(offsets)
+        # Slack s >= 0 per state row: C_x x - s <= d_x, cost 1e6 |s|^2.
+        nu, n_sx = q.shape[0], rows[-1].shape[0]
+        P_s = np.zeros((nu + n_sx, nu + n_sx))
+        P_s[:nu, :nu] = P
+        P_s[nu:, nu:] = 2.0 * _SLACK_WEIGHT * np.eye(n_sx)
+        slack = np.zeros((sum(r.shape[0] for r in rows) + n_sx, n_sx))
+        slack[-2 * n_sx:-n_sx] = -np.eye(n_sx)
+        slack[-n_sx:] = -np.eye(n_sx)
+        G = np.hstack([np.vstack(rows + [np.zeros((n_sx, nu))]), slack])
+        return (P_s, np.concatenate([q, np.zeros(n_sx)]), G,
+                np.concatenate(offsets + [np.zeros(n_sx)]))
 
-    problem = QpProblem(P=P, q=q, G=G, h=h, A_eq=A_eq, b_eq=b_eq)
-    layout = {"window": W, "n": n, "m": m, "first_input": nx,
-              "dynamics_rows": W * n, "slack": n_sx}
-    return problem, layout
+    def solve(self, j: int, x_j) -> MpcResult:
+        """First optimal input of window j; relaxes and flags it if infeasible."""
+        opt = _qp.SolverOptions()
+        for relaxed in (False, True):
+            P, q, G, h = self.window_qp(j, x_j, relaxed)
+            y, lam, _, status, iters = _qp._dual_active_set(P, q, G, h, opt)
+            if status == "optimal":
+                sol = QpSolution(z=y, ineq_duals=lam, eq_duals=np.zeros(0),
+                                 status=status, kkt_residual=0.0, iterations=iters)
+                return MpcResult(u=y[:self.mpc.input_dim], relaxed=relaxed, qp=sol)
+            if status == "infeasible" and self.mpc.C_x is not None and not relaxed:
+                continue
+            raise RuntimeError(f"MPC subproblem failed with status {status!r}")
+        raise RuntimeError("MPC subproblem infeasible even with relaxed state constraints")
 
 
-def _condensed_window(mpc: MpcProblem, lins, relax_state_constraints: bool):
-    """Reduced QP over the window's stacked inputs.
+def _riccati_gains(mpc: MpcProblem, lins) -> tuple[np.ndarray, np.ndarray]:
+    """Affine policy u_t = K_t x_t + k_t optimal for every inequality-free window.
 
-    Eliminating the dynamics equalities of the stacked QP analytically
-    (states are affine in the inputs: x = F u + g) leaves a strictly
-    convex problem in the inputs alone; R being positive definite makes
-    the reduced Hessian positive definite with no ridge. Solutions agree
-    with solve_qp on the stacked assembly to solver precision.
+    One backward affine-Riccati pass over the knots, with value functions
+    V_t(x) = x'S_t x + 2 s_t'x + const. By Bellman's principle the window
+    starting at knot t from state x has first input K_t x + k_t.
     """
-    T, j = mpc.horizon, mpc.start_index
-    n, m = mpc.state_dim, mpc.input_dim
-    W = T - j
-    nu = W * m
-    F = np.zeros(((W + 1) * n, nu))
-    g = np.empty((W + 1) * n)
-    g[:n] = mpc.initial_state
-    for t in range(j, T):
-        r = (t - j) * n
-        lin = lins[t]
-        F[r + n:r + 2 * n, :] = lin.A @ F[r:r + n, :]
-        F[r + n:r + 2 * n, (t - j) * m:(t - j + 1) * m] = lin.B
-        g[r + n:r + 2 * n] = lin.A @ g[r:r + n] + lin.c
-    q_blocks = [2.0 * mpc.Q[t] for t in range(j, T)] + [2.0 * mpc.Q_terminal]
-    q_bar = block_diag(*q_blocks)
-    xd = mpc.x_desired[j:T + 1].ravel()
-    r_bar = block_diag(*[2.0 * mpc.R[t] for t in range(j, T)])
-    P_r = F.T @ q_bar @ F + r_bar
-    P_r = 0.5 * (P_r + P_r.T)
-    q_r = F.T @ (q_bar @ (g - xd))
-
-    n_sx = (mpc.C_x.shape[0] * (W + 1)) if (relax_state_constraints and mpc.C_x is not None) else 0
-    if n_sx:
-        P_r = block_diag(P_r, 2.0 * _SLACK_WEIGHT * np.eye(n_sx))
-        q_r = np.concatenate([q_r, np.zeros(n_sx)])
-    nz = nu + n_sx
-    g_rows, h_vals = [], []
-    if mpc.C_u is not None:
-        for t in range(j, T):
-            row = np.zeros((mpc.C_u.shape[0], nz))
-            row[:, (t - j) * m:(t - j + 1) * m] = mpc.C_u
-            g_rows.append(row)
-            h_vals.append(mpc.d_u)
-    if mpc.C_x is not None:
-        px = mpc.C_x.shape[0]
-        for t in range(j, T + 1):
-            row = np.zeros((px, nz))
-            row[:, :nu] = mpc.C_x @ F[(t - j) * n:(t - j + 1) * n, :]
-            if n_sx:
-                s0 = nu + (t - j) * px
-                row[:, s0:s0 + px] = -np.eye(px)
-            g_rows.append(row)
-            h_vals.append(mpc.d_x - mpc.C_x @ g[(t - j) * n:(t - j + 1) * n])
-        if n_sx:
-            nonneg = np.zeros((n_sx, nz))
-            nonneg[:, nu:] = -np.eye(n_sx)
-            g_rows.append(nonneg)
-            h_vals.append(np.zeros(n_sx))
-    G = np.vstack(g_rows) if g_rows else np.zeros((0, nz))
-    h = np.concatenate(h_vals) if g_rows else np.zeros(0)
-    return P_r, q_r, G, h
+    T, n, m = mpc.horizon, mpc.state_dim, mpc.input_dim
+    K = np.empty((T, m, n))
+    k = np.empty((T, m))
+    S = mpc.Q_terminal
+    s = -mpc.Q_terminal @ mpc.x_desired[T]
+    for t in reversed(range(T)):
+        A, B = lins[t].A, lins[t].B
+        SA = S @ A
+        v = S @ lins[t].c + s
+        Q_uu = mpc.R[t] + B.T @ S @ B
+        Q_ux = B.T @ SA
+        sol = np.linalg.solve(Q_uu, np.column_stack([Q_ux, B.T @ v]))
+        K[t], k[t] = -sol[:, :n], -sol[:, n]
+        S = mpc.Q[t] + A.T @ SA + Q_ux.T @ K[t]
+        S = 0.5 * (S + S.T)
+        s = -mpc.Q[t] @ mpc.x_desired[t] + A.T @ v + Q_ux.T @ k[t]
+    return K, k
 
 
 def mpc_solve(mpc: MpcProblem, linearizations) -> MpcResult:
     """First optimal input of the shrinking-horizon MPC window.
 
-    Solves the stacked MPC QP with its dynamics equalities eliminated in
-    closed form (see _condensed_window). Infeasible windows are re-solved
-    with penalized slack on the state inequalities and flagged.
+    Solves the window starting at `mpc.start_index` from
+    `mpc.initial_state` as a condensed QP in the window's stacked inputs,
+    whatever the problem's constraints: the same assembly irs_lqr_run uses
+    for problems with inequalities. An infeasible window is re-solved with
+    penalized slack on the state inequalities and flagged `relaxed`.
     """
     if mpc.initial_state is None:
         raise ConfigurationError("MpcProblem.initial_state must be set for an MPC solve")
     lins = list(linearizations)
     if len(lins) != mpc.horizon:
         raise ConfigurationError(f"need {mpc.horizon} knot linearizations, got {len(lins)}")
-    m = mpc.input_dim
-    opt = _qp.SolverOptions()
-    for relaxed in (False, True):
-        P_r, q_r, G, h = _condensed_window(mpc, lins, relaxed)
-        y, lam, _, status, iters = _qp._dual_active_set(P_r, q_r, G, h, opt)
-        if status == "optimal":
-            sol = QpSolution(z=y, ineq_duals=lam, eq_duals=np.zeros(0),
-                             status=status, kkt_residual=0.0, iterations=iters)
-            return MpcResult(u=y[:m], relaxed=relaxed, qp=sol)
-        if status == "infeasible" and mpc.C_x is not None and not relaxed:
-            continue
-        raise RuntimeError(f"MPC subproblem failed with status {status!r}")
-    raise RuntimeError("MPC subproblem infeasible even with relaxed state constraints")
+    return _CondensedHorizon(mpc, lins).solve(mpc.start_index, mpc.initial_state)
 
 
 def irs_lqr_run(sys: DynamicalSystem, mpc: MpcProblem, mode: GradientMode,
                 cov0, schedule=("geometric", 0.7), max_iters: int = 20,
                 seed: int = 0, u_init=None) -> list[TrajectoryIterate]:
     """Iterate bundle-linearization and MPC rollouts; returns all iterates.
+
+    Each iteration linearizes around the current trajectory and rolls the
+    true system out under the linear model's MPC inputs: from one Riccati
+    pass when the problem has no inequalities, otherwise from a condensed
+    QP per window (see the module docstring). Relaxed windows are counted
+    in each iterate's `infeasible_steps`.
 
     `cov0` is the initial sampling covariance (scalar variance or joint
     matrix, see joint_covariance); `schedule` a (policy, gamma) pair fed to
@@ -471,6 +455,7 @@ def irs_lqr_run(sys: DynamicalSystem, mpc: MpcProblem, mode: GradientMode,
             f"zero-order mode needs at least dim(x)+dim(u)={n + m} samples")
     policy, gamma = (schedule[0], schedule[1]) if len(schedule) > 1 else (schedule[0], 0.5)
     cov_joint0 = joint_covariance(cov0, mode, n, m)
+    unconstrained = mpc.C_u is None and mpc.C_x is None
 
     xs = rollout(sys, mpc.initial_state, us)
     history = [TrajectoryIterate(xs=xs, us=us.copy(),
@@ -484,11 +469,17 @@ def irs_lqr_run(sys: DynamicalSystem, mpc: MpcProblem, mode: GradientMode,
         new_us = np.empty_like(us)
         new_xs[0] = xs[0]
         infeasible = 0
+        if unconstrained:
+            K, k_ff = _riccati_gains(mpc, lins)
+        else:
+            windows = _CondensedHorizon(mpc, lins)
         for t in range(T):
-            window = mpc.window(t, new_xs[t])
-            res = mpc_solve(window, lins)
-            infeasible += int(res.relaxed)
-            new_us[t] = res.u
+            if unconstrained:
+                new_us[t] = K[t] @ new_xs[t] + k_ff[t]
+            else:
+                res = windows.solve(t, new_xs[t])
+                infeasible += int(res.relaxed)
+                new_us[t] = res.u
             new_xs[t + 1] = sys.step(new_xs[t], new_us[t])
         xs, us = new_xs, new_us
         cost = trajectory_cost((xs, us), mpc)

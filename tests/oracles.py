@@ -2,15 +2,19 @@
 
 Everything here deliberately avoids the code paths under test: closed-form
 Gaussian-smoothing identities, brute-force active-set enumeration for QPs,
-an affine Riccati recursion for finite-horizon tracking LQR, and a
-complementarity-enumeration solver for the 1D contact step.
+an affine Riccati recursion for finite-horizon tracking LQR, the stacked
+(uncondensed) MPC window QP, and a complementarity-enumeration solver for
+the 1D contact step.
 """
 
 import itertools
 import math
 
 import numpy as np
+from scipy.linalg import block_diag
 from scipy.stats import norm
+
+from bundleopt.qp import QpProblem
 
 
 # ---------------------------------------------------------------------------
@@ -138,6 +142,81 @@ def riccati_tracking(A, B, c, Q, R, Q_terminal, x_desired, x0):
             first_u = -np.linalg.solve(M, B.T @ (S @ (A @ x0 + c) + s))
         S, s, k = S_new, s_new, k_new
     return float(x0 @ S @ x0 + 2 * s @ x0 + k), first_u
+
+
+# ---------------------------------------------------------------------------
+# stacked MPC window QP (dynamics kept as equality constraints)
+
+SLACK_WEIGHT = 1e6        # the planner's penalty on relaxed state-constraint slack
+HESSIAN_RIDGE = 1e-8
+
+
+def assemble_mpc_qp(mpc, linearizations, relax_state_constraints=False):
+    """Stacked QP over (x_j..x_T, u_j..u_{T-1}) for the MPC window.
+
+    Dynamics enter as equality constraints x_{t+1} = A_t x_t + B_t u_t + c_t
+    (one block per step of the window) along with the pinned initial state.
+    With relax_state_constraints, state inequalities get quadratically
+    penalized slack variables so an infeasible window still produces a
+    usable input. A tiny ridge keeps the stacked Hessian positive definite
+    when state costs are only PSD. Returns (QpProblem, index of u_j in z).
+    """
+    T, j = mpc.horizon, mpc.start_index
+    n, m = mpc.state_dim, mpc.input_dim
+    lins = list(linearizations)
+    W = T - j
+    nx, nu = (W + 1) * n, W * m
+    relax = relax_state_constraints and mpc.C_x is not None
+    n_sx = mpc.C_x.shape[0] * (W + 1) if relax else 0
+    nz = nx + nu + n_sx
+
+    blocks = [mpc.Q[t] for t in range(j, T)] + [mpc.Q_terminal] \
+        + [mpc.R[t] for t in range(j, T)]
+    P = 2.0 * block_diag(*blocks)
+    P = block_diag(P, 2.0 * SLACK_WEIGHT * np.eye(n_sx)) if n_sx else P
+    P[np.diag_indices_from(P)] += HESSIAN_RIDGE
+    q = np.zeros(nz)
+    for t in range(j, T):
+        q[(t - j) * n:(t - j + 1) * n] = -2.0 * mpc.Q[t] @ mpc.x_desired[t]
+    q[W * n:(W + 1) * n] = -2.0 * mpc.Q_terminal @ mpc.x_desired[T]
+
+    A_eq = np.zeros((n + W * n, nz))
+    b_eq = np.zeros(n + W * n)
+    A_eq[:n, :n] = np.eye(n)
+    b_eq[:n] = mpc.initial_state
+    for t in range(j, T):
+        r = n + (t - j) * n
+        lin = lins[t]
+        A_eq[r:r + n, (t - j + 1) * n:(t - j + 2) * n] = np.eye(n)
+        A_eq[r:r + n, (t - j) * n:(t - j + 1) * n] = -lin.A
+        A_eq[r:r + n, nx + (t - j) * m:nx + (t - j + 1) * m] = -lin.B
+        b_eq[r:r + n] = lin.c
+
+    g_rows, h_vals = [], []
+    if mpc.C_u is not None:
+        for t in range(j, T):
+            row = np.zeros((mpc.C_u.shape[0], nz))
+            row[:, nx + (t - j) * m:nx + (t - j + 1) * m] = mpc.C_u
+            g_rows.append(row)
+            h_vals.append(mpc.d_u)
+    if mpc.C_x is not None:
+        px = mpc.C_x.shape[0]
+        for t in range(j, T + 1):
+            row = np.zeros((px, nz))
+            row[:, (t - j) * n:(t - j + 1) * n] = mpc.C_x
+            if n_sx:
+                s0 = nx + nu + (t - j) * px
+                row[:, s0:s0 + px] = -np.eye(px)
+            g_rows.append(row)
+            h_vals.append(mpc.d_x)
+        if n_sx:
+            nonneg = np.zeros((n_sx, nz))
+            nonneg[:, nx + nu:] = -np.eye(n_sx)
+            g_rows.append(nonneg)
+            h_vals.append(np.zeros(n_sx))
+    G = np.vstack(g_rows) if g_rows else None
+    h = np.concatenate(h_vals) if g_rows else None
+    return QpProblem(P=P, q=q, G=G, h=h, A_eq=A_eq, b_eq=b_eq), nx
 
 
 # ---------------------------------------------------------------------------

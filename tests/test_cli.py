@@ -1,0 +1,43 @@
+"""Exit-code contract of the command-line runner: 0 success, 2 config, 3 numerical."""
+
+import json
+
+import bundleopt
+from bundleopt import cli
+
+PLAN = {"task": "push_1d", "modes": ["exact"], "sigma0": 0.25, "seeds": [0],
+        "max_iters": 2}
+
+
+def _plan(tmp_path, config):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    out = tmp_path / "out"
+    return cli.main(["plan", "--config", str(path), "--out", str(out)]), out
+
+
+def test_plan_succeeds_and_writes_manifest(tmp_path):
+    code, out = _plan(tmp_path, PLAN)
+    assert code == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["package_version"] == bundleopt.__version__
+    assert manifest["outputs"] == ["results.csv", "trajectory.csv"]
+    assert (out / "results.csv").is_file()
+
+
+def test_unknown_config_key_exits_2(tmp_path, capsys):
+    code, out = _plan(tmp_path, {**PLAN, "bogus": 1})
+    assert code == 2
+    assert "config error" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_planner_runtime_error_exits_3(tmp_path, monkeypatch, capsys):
+    def fail(*args, **kwargs):
+        raise RuntimeError("MPC subproblem failed")
+
+    monkeypatch.setattr(cli, "irs_lqr_run", fail)
+    code, out = _plan(tmp_path, PLAN)
+    assert code == 3
+    assert "numerical failure" in capsys.readouterr().err
+    assert not (out / "manifest.json").exists()

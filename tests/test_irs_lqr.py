@@ -1,0 +1,209 @@
+"""Tests for the bundle-linearized iterative LQR/MPC planner."""
+
+import numpy as np
+import pytest
+
+from bundleopt import irs_lqr
+from bundleopt.irs_lqr import (GradientMode, MpcProblem, derive_knot_seed, irs_lqr_run,
+                               linearize_trajectory, mpc_solve)
+from bundleopt.qp import solve_qp
+from bundleopt.smoothing import SmoothingDistribution, jacobian_bundle_first_order
+from bundleopt.systems import LinearizedDynamics, LinearSystem
+from bundleopt.tasks import build_task
+
+from oracles import assemble_mpc_qp, riccati_tracking
+
+# Inputs from the stacked oracle carry its 1e-8 Hessian ridge.
+STACKED_ATOL = 1e-6
+
+
+def _random_lins(rng, T, n, m):
+    """Time-varying affine models, some steps unstable."""
+    lins = []
+    for _ in range(T):
+        a = rng.standard_normal((n, n))
+        a *= 1.05 / max(abs(np.linalg.eigvals(a)))
+        lins.append(LinearizedDynamics(A=a, B=rng.standard_normal((n, m)),
+                                       c=0.1 * rng.standard_normal(n),
+                                       x_nominal=np.zeros(n), u_nominal=np.zeros(m)))
+    return lins
+
+
+def _random_mpc(rng, T, n, m, **constraints):
+    x_desired = rng.standard_normal((T + 1, n))
+    q = np.diag(rng.uniform(0.0, 2.0, n))
+    q[0, 0] = 0.0                                   # PSD, not PD
+    return MpcProblem(horizon=T, Q=q, R=np.diag(rng.uniform(0.1, 1.0, m)),
+                      Q_terminal=5.0 * np.eye(n), x_desired=x_desired,
+                      initial_state=rng.standard_normal(n), **constraints)
+
+
+def _stacked_first_input(window, lins, relaxed=False):
+    problem, first = assemble_mpc_qp(window, lins, relax_state_constraints=relaxed)
+    sol = solve_qp(problem)
+    assert sol.status == "optimal"
+    return sol.z[first:first + window.input_dim]
+
+
+def _box(bound, dim):
+    return np.vstack([np.eye(dim), -np.eye(dim)]), np.full(2 * dim, bound)
+
+
+class TestRiccatiPath:
+    def test_one_iteration_on_affine_system_matches_riccati_oracle(self):
+        rng = np.random.default_rng(0)
+        n, m, T = 4, 2, 12
+        a = rng.standard_normal((n, n))
+        a *= 1.1 / max(abs(np.linalg.eigvals(a)))
+        b, c = rng.standard_normal((n, m)), 0.2 * rng.standard_normal(n)
+        mpc = _random_mpc(rng, T, n, m)
+        history = irs_lqr_run(LinearSystem(a, b, c), mpc, GradientMode(), 0.0, max_iters=1)
+        xs, us = history[1].xs, history[1].us
+        cost, _ = riccati_tracking(a, b, c, mpc.Q[0], mpc.R[0], mpc.Q_terminal,
+                                   mpc.x_desired, mpc.initial_state)
+        assert history[1].cost == pytest.approx(cost, rel=1e-10)
+        # Bellman: every applied input is the first input of its own window.
+        for t in range(T):
+            _, first_u = riccati_tracking(a, b, c, mpc.Q[0], mpc.R[0], mpc.Q_terminal,
+                                          mpc.x_desired[t:], xs[t])
+            np.testing.assert_allclose(us[t], first_u, rtol=1e-9, atol=1e-10)
+
+    def test_gains_match_stacked_oracle_on_time_varying_model(self):
+        rng = np.random.default_rng(1)
+        n, m, T = 3, 2, 10
+        lins = _random_lins(rng, T, n, m)
+        mpc = _random_mpc(rng, T, n, m)
+        K, k = irs_lqr._riccati_gains(mpc, lins)
+        for j in (0, 4, T - 1):
+            x = rng.standard_normal(n)
+            np.testing.assert_allclose(K[j] @ x + k[j],
+                                       _stacked_first_input(mpc.window(j, x), lins),
+                                       atol=STACKED_ATOL)
+
+    @pytest.mark.parametrize("task", ["lti", "quadrotor_hover"])
+    def test_rollout_inputs_equal_mpc_solve(self, task):
+        setup = build_task(task)
+        history = irs_lqr_run(setup.system, setup.mpc, GradientMode(), 0.0, max_iters=1,
+                              u_init=setup.u_init)
+        final = history[1]
+        for t in range(setup.mpc.horizon):
+            res = mpc_solve(setup.mpc.window(t, final.xs[t]), final.linearizations)
+            np.testing.assert_allclose(res.u, final.us[t], rtol=1e-9, atol=1e-9)
+
+
+class TestCondensedPath:
+    @pytest.mark.parametrize("kind", ["C_u", "C_x", "both"])
+    def test_mpc_solve_matches_stacked_oracle(self, kind):
+        rng = np.random.default_rng(2)
+        n, m, T = 3, 2, 8
+        lins = _random_lins(rng, T, n, m)
+        constraints = {}
+        if kind in ("C_u", "both"):
+            constraints["C_u"], constraints["d_u"] = _box(0.3, m)
+        if kind in ("C_x", "both"):
+            constraints["C_x"], constraints["d_x"] = _box(1.0, n)
+        mpc = _random_mpc(rng, T, n, m, **constraints)
+        active = False
+        for j in (0, 3, T - 1):
+            x = rng.uniform(-0.8, 0.8, n)
+            res = mpc_solve(mpc.window(j, x), lins)
+            assert not res.relaxed
+            active |= bool(np.max(res.qp.ineq_duals) > 1e-6)
+            np.testing.assert_allclose(res.u, _stacked_first_input(mpc.window(j, x), lins),
+                                       atol=STACKED_ATOL)
+        assert active, "no inequality was active; the case tests nothing"
+
+    def test_infeasible_state_constraint_is_relaxed_and_counted(self):
+        n, m, T = 2, 1, 6
+        a = np.array([[1.0, 0.1], [0.0, 1.0]])
+        b = np.array([[0.0], [0.1]])
+        c_x = np.array([[1.0, 0.0]])
+        mpc = MpcProblem(horizon=T, Q=np.eye(n), R=np.eye(m), Q_terminal=np.eye(n),
+                         x_desired=np.zeros((T + 1, n)), C_x=c_x, d_x=np.array([0.5]),
+                         initial_state=np.array([2.0, 0.0]))
+        sys = LinearSystem(a, b)
+        lins = [irs_lqr.linearize_exact(sys, np.zeros(n), np.zeros(m))] * T
+        # The start state already breaks x0 <= 0.5: no input can repair that.
+        res = mpc_solve(mpc, lins)
+        assert res.relaxed
+        np.testing.assert_allclose(res.u, _stacked_first_input(mpc, lins, relaxed=True),
+                                   atol=STACKED_ATOL)
+        history = irs_lqr_run(sys, mpc, GradientMode(), 0.0, max_iters=1)
+        final = history[1]
+        replay = [mpc_solve(mpc.window(t, final.xs[t]), lins).relaxed for t in range(T)]
+        assert final.infeasible_steps == sum(replay) >= 1
+
+    @pytest.mark.parametrize("task", ["dubins_parking", "push_2d"])
+    def test_in_loop_inputs_equal_mpc_solve(self, task):
+        setup = build_task(task)
+        history = irs_lqr_run(setup.system, setup.mpc, GradientMode(), 0.0, max_iters=1,
+                              u_init=setup.u_init)
+        final = history[1]
+        for t in range(setup.mpc.horizon):
+            res = mpc_solve(setup.mpc.window(t, final.xs[t]), final.linearizations)
+            np.testing.assert_array_equal(res.u, final.us[t])
+
+
+# Settings of demos/configs/plan_push_1d.json.
+PUSH_SETTINGS = {"cov0": 0.25, "schedule": ("geometric", 0.8), "max_iters": 20}
+BUNDLES = ("first_order_bundle", "zero_order_bundle")
+
+
+def _final_cost(setup, kind, seed):
+    history = irs_lqr_run(setup.system, setup.mpc, GradientMode(kind=kind, samples=100),
+                          seed=seed, u_init=setup.u_init, **PUSH_SETTINGS)
+    return history[-1].cost
+
+
+class TestHeadline:
+    """Exact gradients stall on the contact push tasks; bundles escape."""
+
+    def test_push_1d_exact_stalls_and_bundles_escape(self):
+        setup = build_task("push_1d")
+        exact = _final_cost(setup, "exact", 0)
+        assert exact == pytest.approx(70.0, abs=1e-9)
+        # A tenth of exact's cost: bundles usually reach 1.0009, and rarely
+        # settle at 2.0009, reaching the goal one step later.
+        for seed in range(3):
+            for kind in BUNDLES:
+                assert _final_cost(setup, kind, seed) <= 0.1 * exact
+
+    def test_push_2d_bundles_end_below_exact(self):
+        setup = build_task("push_2d")
+        exact = _final_cost(setup, "exact", 0)
+        for kind in BUNDLES:
+            assert _final_cost(setup, kind, 0) < exact
+
+
+class TestDeterminism:
+    @pytest.mark.parametrize("task", ["push_2d", "pendulum_swingup"])
+    def test_zero_covariance_makes_all_modes_identical(self, task):
+        setup = build_task(task)
+        runs = [irs_lqr_run(setup.system, setup.mpc, GradientMode(kind=kind, samples=20),
+                            0.0, max_iters=3, seed=5, u_init=setup.u_init)
+                for kind in irs_lqr.GRADIENT_MODES]
+        for other in runs[1:]:
+            assert [it.cost for it in other] == [it.cost for it in runs[0]]
+            for a, b in zip(other, runs[0]):
+                np.testing.assert_array_equal(a.xs, b.xs)
+                np.testing.assert_array_equal(a.us, b.us)
+
+    def test_knot_seed_does_not_depend_on_evaluation_order(self):
+        keys = [(seed, it, knot) for seed in (0, 7) for it in range(3) for knot in range(5)]
+        forward = {key: derive_knot_seed(*key) for key in keys}
+        backward = {key: derive_knot_seed(*key) for key in reversed(keys)}
+        assert forward == backward
+        assert len(set(forward.values())) == len(keys)
+
+    def test_each_knot_linearization_can_be_computed_alone(self):
+        setup = build_task("push_1d")
+        xs = irs_lqr.rollout(setup.system, setup.mpc.initial_state, setup.u_init)
+        mode = GradientMode(kind="first_order_bundle", samples=30)
+        cov = irs_lqr.joint_covariance(0.25, mode, 2, 1)
+        lins = linearize_trajectory(setup.system, xs, setup.u_init, mode, cov, 11, 2)
+        for t in (7, 0, 13):
+            a, b = jacobian_bundle_first_order(setup.system, xs[t], setup.u_init[t],
+                                               SmoothingDistribution(cov), 30,
+                                               derive_knot_seed(11, 2, t))
+            np.testing.assert_array_equal(a, lins[t].A)
+            np.testing.assert_array_equal(b, lins[t].B)
