@@ -16,7 +16,11 @@ shape:
   solved by the dual active-set method. The condensed data are assembled
   once per iteration; by causality window j's Hessian and constraint rows
   are trailing slices of window 0's, and only the gradient and the state
-  constraint offsets depend on the window's start state.
+  constraint offsets depend on the window's start state. The windows of
+  one iteration share one linear model, so their optimal active sets
+  barely move: each window is warm-started from the previous window's
+  active set, renumbered (the first window, and the one after a relaxed
+  window, start empty).
 
 There is no line search or trust region; smoothing itself is the
 stabilizer, the variance schedule anneals it away, and divergence is
@@ -197,9 +201,16 @@ class ResultRecord:
 
 @dataclass(frozen=True)
 class MpcResult:
+    """First input of an MPC window, with the QP it came from.
+
+    `active` lists the window QP's final active rows, sorted; it is empty
+    for a relaxed window, whose QP has slack variables and another layout.
+    """
+
     u: np.ndarray
     relaxed: bool
     qp: QpSolution
+    active: tuple[int, ...] = ()
 
 
 def trajectory_cost(iterate, mpc: MpcProblem) -> float:
@@ -366,20 +377,41 @@ class _CondensedHorizon:
         return (P_s, np.concatenate([q, np.zeros(n_sx)]), G,
                 np.concatenate(offsets + [np.zeros(n_sx)]))
 
-    def solve(self, j: int, x_j) -> MpcResult:
-        """First optimal input of window j; relaxes and flags it if infeasible."""
+    def solve(self, j: int, x_j, start=()) -> MpcResult:
+        """First optimal input of window j; relaxes and flags it if infeasible.
+
+        `start` is the active set the QP starts from (see next_start); a
+        relaxed re-solve starts empty.
+        """
         opt = _qp.SolverOptions()
         for relaxed in (False, True):
             P, q, G, h = self.window_qp(j, x_j, relaxed)
-            y, lam, _, status, iters = _qp._dual_active_set(P, q, G, h, opt)
+            y, lam, active, status, iters = _qp._dual_active_set(
+                P, q, G, h, opt, start=() if relaxed else start)
             if status == "optimal":
                 sol = QpSolution(z=y, ineq_duals=lam, eq_duals=np.zeros(0),
                                  status=status, kkt_residual=0.0, iterations=iters)
-                return MpcResult(u=y[:self.mpc.input_dim], relaxed=relaxed, qp=sol)
+                return MpcResult(u=y[:self.mpc.input_dim], relaxed=relaxed, qp=sol,
+                                 active=() if relaxed else tuple(active))
             if status == "infeasible" and self.mpc.C_x is not None and not relaxed:
                 continue
             raise RuntimeError(f"MPC subproblem failed with status {status!r}")
         raise RuntimeError("MPC subproblem infeasible even with relaxed state constraints")
+
+    def next_start(self, j: int, active) -> tuple[int, ...]:
+        """Window j's active rows renumbered for window j+1.
+
+        Window j+1 loses step j's input rows. It also loses the state rows
+        of knots j and j+1: no input of window j+1 moves knot j+1, so those
+        rows are constant there and would make the start set singular.
+        """
+        mpc = self.mpc
+        p_u = 0 if mpc.C_u is None else mpc.C_u.shape[0]
+        p_x = 0 if mpc.C_x is None else mpc.C_x.shape[0]
+        n_u = (mpc.horizon - j) * p_u          # input rows of window j
+        return tuple(i - p_u if i < n_u else i - p_u - p_x
+                     for i in active
+                     if p_u <= i < n_u or i >= n_u + 2 * p_x)
 
 
 def _riccati_gains(mpc: MpcProblem, lins) -> tuple[np.ndarray, np.ndarray]:
@@ -473,13 +505,15 @@ def irs_lqr_run(sys: DynamicalSystem, mpc: MpcProblem, mode: GradientMode,
             K, k_ff = _riccati_gains(mpc, lins)
         else:
             windows = _CondensedHorizon(mpc, lins)
+        start = ()
         for t in range(T):
             if unconstrained:
                 new_us[t] = K[t] @ new_xs[t] + k_ff[t]
             else:
-                res = windows.solve(t, new_xs[t])
+                res = windows.solve(t, new_xs[t], start)
                 infeasible += int(res.relaxed)
                 new_us[t] = res.u
+                start = windows.next_start(t, res.active)
             new_xs[t + 1] = sys.step(new_xs[t], new_us[t])
         xs, us = new_xs, new_us
         cost = trajectory_cost((xs, us), mpc)

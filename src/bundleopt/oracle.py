@@ -75,7 +75,12 @@ def convolution_oracle(f, x, dist: SmoothingDistribution,
 def gauss_hermite_expectation(f, x, dist: SmoothingDistribution, points: int,
                               output_dim: int | None = None,
                               weight_by_offset: bool = False):
-    """Tensor Gauss-Hermite approximation of E_w[f(x+w)] (or E[f(x+w) w])."""
+    """Tensor Gauss-Hermite approximation of E_w[f(x+w)] (or E[f(x+w) w]).
+
+    With `output_dim`, f is vector-valued with that many outputs and the
+    expectation is a vector of that length; ConfigurationError if f gives
+    another number of outputs.
+    """
     x = np.atleast_1d(np.asarray(x, dtype=float))
     d = x.shape[0]
     nodes, weights = np.polynomial.hermite.hermgauss(points)
@@ -88,7 +93,7 @@ def gauss_hermite_expectation(f, x, dist: SmoothingDistribution, points: int,
     offsets = math.sqrt(2.0) * xi @ dist._factor.T
     pts = x[None, :] + offsets
     if output_dim is not None:
-        vals = _grad_batch(f, pts)                          # (q, d)
+        vals = _grad_batch(f, pts, output_dim)              # (q, output_dim)
         return vals.T @ wgt
     vals = _eval_batch(f, pts)
     if weight_by_offset:

@@ -3,15 +3,21 @@
 Solves  min 1/2 z'Pz + q'z  s.t.  Gz <= h,  A_eq z = b_eq  for small dense
 problems with a positive-definite P. Equality constraints are eliminated
 through a QR nullspace basis, and the reduced inequality-constrained
-problem is solved with a dual active-set method: start at the
-unconstrained optimum, repeatedly add the most violated inequality, taking
-partial steps that drop constraints whose multipliers would go negative.
-Step directions come from a cached Cholesky factor of the Hessian and the
-Gram matrix of constraint normals, so each active-set iteration costs only
-a small solve in the active set's dimension. Finite termination and
+problem is solved with a dual active-set method (Goldfarb-Idnani): start at
+the unconstrained optimum, or at the optimum with a given start set of rows
+held as equalities (a warm start, e.g. from the previous MPC window), then
+repeatedly add the most violated inequality, taking partial steps that
+drop constraints whose multipliers would go negative. Step directions come
+from a cached Cholesky factor of the Hessian and the columns P^{-1} g_i of
+the constraint normals, formed only for rows in the start set or entering
+the active set (one batched Cholesky solve per fill); the Gram entries
+of the active rows come from those columns, so each active-set iteration
+costs only a small solve in the active set's dimension and no work is
+spent on rows that never become active. Finite termination and
 nonnegative multipliers are properties of the method; a final re-solve on
-the optimal active set polishes primal and dual values to linear-algebra
-precision.
+the optimal active set, in sorted row order, polishes primal and dual
+values to linear-algebra precision, so they depend on that set and not on
+the path that reached it.
 
 Infeasibility is reported through the solution status, not an exception,
 so model-predictive callers can degrade gracefully.
@@ -22,7 +28,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, solve_triangular
+from scipy.linalg import solve_triangular
+from scipy.linalg.lapack import dpotrf, dpotrs
 
 from .errors import ConfigurationError
 
@@ -172,49 +179,84 @@ def kkt_residual(problem: QpProblem, sol: QpSolution) -> float:
     return max(parts)
 
 
-def _dual_active_set(P, q, G, h, opt: SolverOptions):
+def _dual_active_set(P, q, G, h, opt: SolverOptions, start=()):
     """Active-set loop on an inequality-only strictly convex QP.
 
-    Returns (z, ineq_duals, active, status, iterations); z and the duals
-    are polished by a final KKT re-solve on the optimal active set.
+    `start` names rows to begin with as equalities (a warm start from a
+    nearby problem's active set); the empty default starts from the
+    unconstrained optimum. If the start rows' normals are linearly
+    dependent the whole start set is ignored; otherwise rows with negative
+    multipliers are dropped one at a time, most negative first, each drop
+    counting as an iteration, before the add loop runs.
+
+    Returns (z, ineq_duals, active, status, iterations), active sorted;
+    z and the duals are polished by a final KKT re-solve on the optimal
+    active set, so they depend on that set, not on the path to it.
     """
     n, m = q.shape[0], G.shape[0]
     max_iter = opt.max_iter or (25 + 10 * (m + 1))
-    cho = cho_factor(P, check_finite=False)
-    z_free = -cho_solve(cho, q, check_finite=False)
-    z = z_free
+    chol = _cholesky(P)
+    z_free = -_cho_solve(chol, q)
     if m == 0:
-        return z, np.zeros(0), [], "optimal", 1
-    pig = gram = None                  # built lazily on the first violation
-    active: list[int] = []
-    lam_active: list[float] = []
+        return z_free, np.zeros(0), [], "optimal", 1
+    pig = np.empty((n, m))             # P^{-1} g_i, formed only for rows used
+    formed = np.zeros(m, dtype=bool)
+    active = list(start)
     iters = 0
+    z = z_free
+    gram = np.zeros((0, 0))            # Gram block of the active normals
+    lam_active: list[float] = []
+    if active:
+        pig[:, active] = _cho_solve(chol, G[active].T)
+        formed[active] = True
+        gram = G[active] @ pig[:, active]
+        try:
+            while active:
+                factor = _cholesky(gram)
+                # The add loop's independence test: each pivot is the step
+                # denominator of adding that row after the ones before it.
+                if np.any(np.diag(factor) ** 2
+                          <= opt.step_tol * np.maximum(1.0, np.diag(gram))):
+                    raise np.linalg.LinAlgError("start rows are linearly dependent")
+                lam = _cho_solve(factor, G[active] @ z_free - h[active])
+                k = int(np.argmin(lam))
+                if lam[k] >= 0.0:
+                    z = z_free - pig[:, active] @ lam
+                    lam_active = list(lam)
+                    break
+                iters += 1
+                del active[k]
+                gram = np.delete(np.delete(gram, k, 0), k, 1)
+        except np.linalg.LinAlgError:
+            active, gram = [], np.zeros((0, 0))
 
     while iters < max_iter:
         iters += 1
         resid = G @ z - h
         if active:
-            resid[np.array(active)] = 0.0     # kept exactly active
+            resid[active] = 0.0        # kept exactly active
         worst = int(np.argmax(resid))
         if resid[worst] <= opt.feas_tol:
-            return _polish(G, h, z_free, pig, gram, active, "optimal", iters)
-        if pig is None:
-            pig = cho_solve(cho, G.T, check_finite=False)  # P^{-1} G'
-            gram = G @ pig             # Gram matrix of normals in P^{-1} metric
+            return _polish(G, h, z_free, chol, active, "optimal", iters)
+        if not formed[worst]:
+            pig[:, worst] = _cho_solve(chol, G[worst])
+            formed[worst] = True
+        col = pig[:, worst]
+        g_ww = float(G[worst] @ col)
+        g_aw = G[active] @ col
         violation = resid[worst]
-        denom_tol = opt.step_tol * max(1.0, float(gram[worst, worst]))
+        denom_tol = opt.step_tol * max(1.0, g_ww)
         lam_new = 0.0                     # accumulates over partial steps
 
         while True:
             if active:
-                idx = np.array(active)
-                r = np.linalg.solve(gram[np.ix_(idx, idx)], gram[idx, worst])
-                u = pig[:, worst] - pig[:, idx] @ r
-                denom = float(gram[worst, worst] - gram[idx, worst] @ r)
+                r = np.linalg.solve(gram, g_aw)
+                u = col - pig[:, active] @ r
+                denom = g_ww - float(g_aw @ r)
             else:
                 r = np.zeros(0)
-                u = pig[:, worst]
-                denom = float(gram[worst, worst])
+                u = col
+                denom = g_ww
             t_primal = violation / denom if denom > denom_tol else np.inf
             t_dual = np.inf
             blocker = -1
@@ -224,33 +266,63 @@ def _dual_active_set(P, q, G, h, opt: SolverOptions):
                     blocker = k
             t = min(t_primal, t_dual)
             if not np.isfinite(t):
-                return None, None, active, "infeasible", iters
+                return None, None, sorted(active), "infeasible", iters
             z = z - t * u
             lam_active = [li - t * ri for li, ri in zip(lam_active, r)]
             lam_new += t
             violation -= t * denom
             if t_dual < t_primal:
                 del active[blocker], lam_active[blocker]
+                gram = np.delete(np.delete(gram, blocker, 0), blocker, 1)
+                g_aw = np.delete(g_aw, blocker)
                 continue
+            gram = _border(gram, g_aw, g_ww)
             active.append(worst)
             lam_active.append(lam_new)
             break
 
-    return _polish(G, h, z_free, pig, gram, active, "max_iter", iters)
+    return _polish(G, h, z_free, chol, active, "max_iter", iters)
 
 
-def _polish(G, h, z_free, pig, gram, active, status, iters):
-    """Exact re-solve on the final active set (from the cached factors)."""
+def _polish(G, h, z_free, chol, active, status, iters):
+    """Exact re-solve on the final active set, taken in sorted order."""
     m = G.shape[0]
+    active = sorted(active)
     if not active:
         return z_free, np.zeros(m), active, status, iters
-    idx = np.array(active)
-    s_act = gram[np.ix_(idx, idx)]
-    lam_act = np.linalg.solve(s_act, G[idx] @ z_free - h[idx])
-    z = z_free - pig[:, idx] @ lam_act
+    g_act = G[active]
+    cols = _cho_solve(chol, g_act.T)
+    lam_act = np.linalg.solve(g_act @ cols, g_act @ z_free - h[active])
+    z = z_free - cols @ lam_act
     lam = np.zeros(m)
-    lam[idx] = lam_act
+    lam[active] = lam_act
     return z, lam, active, status, iters
+
+
+def _border(gram, g_aw, g_ww):
+    """Gram block with one more row and column (g_aw, g_ww), kept symmetric."""
+    k = gram.shape[0]
+    out = np.empty((k + 1, k + 1))
+    out[:k, :k] = gram
+    out[:k, k] = out[k, :k] = g_aw
+    out[k, k] = g_ww
+    return out
+
+
+def _cholesky(a):
+    """Upper Cholesky factor by LAPACK dpotrf; LinAlgError unless a is positive definite."""
+    c, info = dpotrf(a, lower=0, clean=0)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"dpotrf info={info}: not positive definite")
+    return c
+
+
+def _cho_solve(c, b):
+    """Solve with a factor from `_cholesky` (LAPACK dpotrs)."""
+    x, info = dpotrs(c, b, lower=0)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"dpotrs failed with info={info}")
+    return x
 
 
 def _package(problem: QpProblem, z, lam, nu, status, iters) -> QpSolution:

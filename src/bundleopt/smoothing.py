@@ -285,12 +285,19 @@ def _eval_point(f, x: np.ndarray) -> float:
     return float(f(x))
 
 
-def _grad_batch(grad_f, points: np.ndarray) -> np.ndarray:
+def _grad_batch(grad_f, points: np.ndarray, dim: int | None = None) -> np.ndarray:
+    """Vector values of grad_f on (n, d) points as an (n, dim) array (dim d by default)."""
+    n = points.shape[0]
+    dim = points.shape[1] if dim is None else dim
     if getattr(grad_f, "vectorized", False):
         arg = points[:, 0] if points.shape[1] == 1 else points
         out = np.asarray(grad_f(arg), dtype=float)
-        return out.reshape(points.shape[0], points.shape[1])
-    return np.array([np.atleast_1d(np.asarray(grad_f(p), dtype=float)) for p in points])
+    else:
+        out = np.array([np.atleast_1d(np.asarray(grad_f(p), dtype=float)) for p in points])
+    if out.size != n * dim:
+        raise ConfigurationError(
+            f"function gives {out.size} values on {n} points, expected {dim} per point")
+    return out.reshape(n, dim)
 
 
 def _variance(summands: np.ndarray) -> np.ndarray:

@@ -41,3 +41,19 @@ def test_planner_runtime_error_exits_3(tmp_path, monkeypatch, capsys):
     assert code == 3
     assert "numerical failure" in capsys.readouterr().err
     assert not (out / "manifest.json").exists()
+
+
+def test_plan_outputs_do_not_depend_on_jobs(tmp_path):
+    # Warm-started MPC windows carry state within a run, never across runs.
+    config = {"task": "dubins_parking", "modes": ["exact", "first_order_bundle"],
+              "sigma0": 0.25, "seeds": [0, 1], "max_iters": 2}
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    outputs = {}
+    for jobs in (1, 2):
+        out = tmp_path / f"jobs{jobs}"
+        assert cli.main(["plan", "--config", str(path), "--out", str(out),
+                         "--jobs", str(jobs)]) == 0
+        outputs[jobs] = [(out / name).read_bytes()
+                         for name in ("results.csv", "trajectory.csv")]
+    assert outputs[1] == outputs[2]

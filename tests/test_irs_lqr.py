@@ -1,9 +1,11 @@
 """Tests for the bundle-linearized iterative LQR/MPC planner."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
-from bundleopt import irs_lqr
+from bundleopt import irs_lqr, qp
 from bundleopt.irs_lqr import (GradientMode, MpcProblem, derive_knot_seed, irs_lqr_run,
                                linearize_trajectory, mpc_solve)
 from bundleopt.qp import solve_qp
@@ -133,15 +135,82 @@ class TestCondensedPath:
         replay = [mpc_solve(mpc.window(t, final.xs[t]), lins).relaxed for t in range(T)]
         assert final.infeasible_steps == sum(replay) >= 1
 
-    @pytest.mark.parametrize("task", ["dubins_parking", "push_2d"])
+    @pytest.mark.parametrize("task", ["dubins_parking", "push_2d", "lti_state_box"])
     def test_in_loop_inputs_equal_mpc_solve(self, task):
-        setup = build_task(task)
-        history = irs_lqr_run(setup.system, setup.mpc, GradientMode(), 0.0, max_iters=1,
-                              u_init=setup.u_init)
-        final = history[1]
+        # In-loop windows start from the previous window's active set,
+        # mpc_solve from none: the final active set alone fixes the bits.
+        if task == "lti_state_box":
+            setup, max_iters = _lti_state_box(), 3
+        else:
+            setup, max_iters = build_task(task), 1
+        history = irs_lqr_run(setup.system, setup.mpc, GradientMode(), 0.0,
+                              max_iters=max_iters, u_init=setup.u_init)
+        if task == "lti_state_box":
+            np.testing.assert_allclose([it.cost for it in history],
+                                       [37.0517, 21.2018, 21.2018, 21.2018], atol=1e-4)
+        final = history[-1]
         for t in range(setup.mpc.horizon):
             res = mpc_solve(setup.mpc.window(t, final.xs[t]), final.linearizations)
             np.testing.assert_array_equal(res.u, final.us[t])
+
+    def test_next_start_maps_rows_onto_the_same_constraints(self):
+        setup = _lti_state_box()
+        mpc, m = setup.mpc, setup.mpc.input_dim
+        xs = irs_lqr.rollout(setup.system, mpc.initial_state, setup.u_init)
+        lins = linearize_trajectory(setup.system, xs, setup.u_init, GradientMode(), 0.0, 0, 0)
+        windows = irs_lqr._CondensedHorizon(mpc, lins)
+        for j in (0, 5, mpc.horizon - 2):
+            _, _, g_j, _ = windows.window_qp(j, xs[j], relaxed=False)
+            _, _, g_next, _ = windows.window_qp(j + 1, xs[j + 1], relaxed=False)
+            targets = []
+            for i in range(g_j.shape[0]):
+                moved = windows.next_start(j, [i])
+                # Dropped exactly when no input of window j+1 moves the row.
+                assert (not moved) == (not np.any(g_j[i, m:])), (j, i)
+                if moved:
+                    np.testing.assert_array_equal(g_next[moved[0]], g_j[i, m:])
+                    targets.append(moved[0])
+            assert targets == sorted(set(targets))
+            assert len(targets) == np.count_nonzero(np.any(g_next, axis=1))
+
+    def test_warm_start_cuts_active_set_iterations(self, monkeypatch):
+        setup = build_task("dubins_parking")
+        mode = GradientMode(kind="first_order_bundle", samples=100)
+        original = qp._dual_active_set
+
+        def total_iterations(cold):
+            total = 0
+
+            def spy(P, q, G, h, opt, start=()):
+                nonlocal total
+                out = original(P, q, G, h, opt, start=() if cold else start)
+                total += out[4]
+                return out
+
+            monkeypatch.setattr(qp, "_dual_active_set", spy)
+            irs_lqr_run(setup.system, setup.mpc, mode, 0.25, ("geometric", 0.8),
+                        max_iters=2, seed=0, u_init=setup.u_init)
+            return total
+
+        warm, cold = total_iterations(False), total_iterations(True)
+        assert warm <= cold / 3, (warm, cold)
+
+
+def _lti_state_box():
+    """lti task with x0 held in [-0.3, 0.3] while its target sits at +1,
+    inputs boxed to +-2: state rows of many knots are active at once."""
+    setup = build_task("lti")
+    mpc = setup.mpc
+    m = mpc.input_dim
+    x_desired = mpc.x_desired.copy()
+    x_desired[:, 0] += 1.0
+    x0 = mpc.initial_state.copy()
+    x0[0] = 0.25
+    e0 = np.eye(mpc.state_dim)[:1]
+    mpc = dataclasses.replace(mpc, C_x=np.vstack([e0, -e0]), d_x=np.full(2, 0.3),
+                              C_u=np.vstack([np.eye(m), -np.eye(m)]), d_u=np.full(2 * m, 2.0),
+                              x_desired=x_desired, initial_state=x0)
+    return dataclasses.replace(setup, mpc=mpc)
 
 
 # Settings of demos/configs/plan_push_1d.json.

@@ -73,3 +73,28 @@ class TestConvolutionOracle:
         gh = gauss_hermite_expectation(f, np.array([0.2]), dist, 201)
         value, _ = convolution_oracle(f, [0.2], dist)
         assert gh == pytest.approx(value, rel=1e-9)
+
+
+class TestGaussHermiteVectorOutput:
+    @staticmethod
+    def _three_outputs(vectorized):
+        def f(p):
+            p = np.asarray(p)
+            return np.stack([p[..., 0], p[..., 1], p[..., 0] * p[..., 1]], axis=-1)
+        f.vectorized = vectorized
+        return f
+
+    @pytest.mark.parametrize("vectorized", [False, True])
+    def test_output_dim_sets_the_result_length(self, vectorized):
+        # E[x+w] = x, and E[(x0+w0)(x1+w1)] = x0 x1 for independent w
+        dist = SmoothingDistribution.isotropic(2, 0.3)
+        value = gauss_hermite_expectation(self._three_outputs(vectorized),
+                                          np.array([0.5, -0.2]), dist, 5, output_dim=3)
+        np.testing.assert_allclose(value, [0.5, -0.2, -0.1], atol=1e-12)
+
+    @pytest.mark.parametrize("vectorized", [False, True])
+    def test_output_dim_mismatch_rejected(self, vectorized):
+        dist = SmoothingDistribution.isotropic(2, 0.3)
+        with pytest.raises(ConfigurationError):
+            gauss_hermite_expectation(self._three_outputs(vectorized),
+                                      np.array([0.5, -0.2]), dist, 5, output_dim=7)

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from bundleopt.errors import ConfigurationError
-from bundleopt.qp import QpProblem, QpSolution, SolverOptions, kkt_residual, solve_qp
+from bundleopt.qp import (QpProblem, QpSolution, SolverOptions, _dual_active_set,
+                          kkt_residual, solve_qp)
 
 from oracles import enumerate_qp, random_qp
 
@@ -114,3 +115,73 @@ class TestOracleEquivalence:
         P, q, G, h, _, _ = random_qp(rng, n_max=5, m_max=8)
         sol = solve_qp(QpProblem(P=P, q=q, G=G, h=h), SolverOptions(max_iter=1))
         assert sol.status in ("optimal", "max_iter", "infeasible")
+
+
+def _box_and_general_qp(rng):
+    """Strictly convex QP with a box |z| <= 0.5, general rows, and a
+    duplicate of the first general row; feasible by construction."""
+    n = int(rng.integers(3, 7))
+    M = rng.standard_normal((n, n))
+    P = M.T @ M + np.eye(n)
+    q = 3.0 * rng.standard_normal(n)
+    general = rng.standard_normal((4, n))
+    G = np.vstack([np.eye(n), -np.eye(n), general, general[:1]])
+    h_general = general @ rng.uniform(-0.4, 0.4, n) + rng.uniform(0.0, 0.5, 4)
+    h = np.concatenate([np.full(2 * n, 0.5), h_general, h_general[:1]])
+    return P, q, G, h
+
+
+def _start_multipliers(P, q, G, h, rows):
+    """Multipliers of the QP with `rows` held as equalities."""
+    pig = np.linalg.solve(P, G[rows].T)
+    return np.linalg.solve(G[rows] @ pig, G[rows] @ np.linalg.solve(P, -q) - h[rows])
+
+
+class TestWarmStart:
+    """From any start set, the dual active set reaches the cold-start optimum."""
+
+    def test_start_sets_reach_cold_start_solution(self):
+        rng = np.random.default_rng(11)
+        opt = SolverOptions()
+        kinds = dict.fromkeys(["optimal", "superset", "subset", "singular", "empty"], 0)
+        for _ in range(60):
+            P, q, G, h = _box_and_general_qp(rng)
+            n, m = q.shape[0], G.shape[0]
+            z0, lam0, optimal, status, _ = _dual_active_set(P, q, G, h, opt)
+            assert status == "optimal"
+            ref = solve_qp(QpProblem(P=P, q=q, G=G, h=h))
+            np.testing.assert_allclose(z0, ref.z, rtol=0.0, atol=1e-10)
+            np.testing.assert_allclose(lam0, ref.ineq_duals, rtol=0.0, atol=1e-10)
+            # The polish re-solves on the sorted final set: same set, same bits.
+            z, lam, _, _, _ = _dual_active_set(P, q, G, h, opt, start=optimal)
+            np.testing.assert_array_equal(z, z0)
+            np.testing.assert_array_equal(lam, lam0)
+            starts = {"optimal": optimal, "empty": []}
+            # Add inactive rows other than the duplicate, never both sides
+            # of one box coordinate, until a start multiplier is negative.
+            boxed = {i % n for i in optimal if i < 2 * n}
+            superset = list(optimal)
+            for i in map(int, rng.permutation(m - 1)):
+                if i in superset or (i < 2 * n and i % n in boxed) or len(superset) >= n:
+                    continue
+                superset.append(i)
+                if i < 2 * n:
+                    boxed.add(i % n)
+                if np.min(_start_multipliers(P, q, G, h, sorted(superset))) < 0.0:
+                    starts["superset"] = superset
+                    break
+            if optimal:
+                starts["subset"] = optimal[:-1]
+            starts["singular"] = [2 * n, m - 1]          # a row and its duplicate
+            for kind, start in starts.items():
+                z, lam, active, status, _ = _dual_active_set(P, q, G, h, opt, start=start)
+                assert status == "optimal", kind
+                np.testing.assert_allclose(z, z0, rtol=0.0, atol=1e-10, err_msg=kind)
+                np.testing.assert_allclose(lam, lam0, rtol=0.0, atol=1e-10, err_msg=kind)
+                kinds[kind] += 1
+        assert min(kinds.values()) >= 10, kinds
+
+    def test_indefinite_hessian_raises(self):
+        with pytest.raises(np.linalg.LinAlgError):
+            _dual_active_set(np.diag([1.0, -1.0]), np.zeros(2), np.eye(2), np.ones(2),
+                             SolverOptions())
