@@ -21,14 +21,13 @@ from .irs_lqr import (GradientMode, MpcProblem, MpcResult, ResultRecord,
                       trajectory_cost)
 from .oracle import convolution_oracle
 from .qp import QpProblem, QpSolution, SolverOptions, kkt_residual, solve_qp
-from .smoothing import (BundleEstimate, PerturbationBatch, SmoothingDistribution,
+from .smoothing import (BundleEstimate, SmoothingDistribution,
                         bundled_objective_estimate, first_order_gradient_bundle,
                         jacobian_bundle_first_order, jacobian_bundle_zero_order,
                         sample_perturbations, variance_schedule,
                         zero_order_gradient_bundle)
 from .systems import (DubinsCar, DynamicalSystem, LinearizedDynamics, LinearSystem,
-                      Pendulum, Quadrotor, dubins_step, linearize_exact,
-                      pendulum_step, quadrotor_step)
+                      Pendulum, Quadrotor, linearize_exact)
 from .tasks import TaskSetup, build_task
 
 __version__ = "0.1.0"

@@ -357,8 +357,8 @@ def smoothed_penalty_forces(phi: float, psi: float, params: PenaltyParams,
     """
     if dist.dimension != 2:
         raise ConfigurationError("smoothed penalty forces need a 2D (phi, psi) distribution")
-    batch = sample_perturbations(dist, n, seed)
-    f_n, f_t = penalty_forces(phi + batch.samples[:, 0], psi + batch.samples[:, 1], params)
+    w = sample_perturbations(dist, n, seed)
+    f_n, f_t = penalty_forces(phi + w[:, 0], psi + w[:, 1], params)
     f_n = np.atleast_1d(f_n)
     f_t = np.atleast_1d(f_t)
     return (BundleEstimate(value=float(np.mean(f_n)), sample_count=n,
@@ -404,18 +404,20 @@ class PenaltyStep1DParams:
 
 
 class ContactPush1D(DynamicalSystem):
-    """1D pusher as a (xu, xa) system with the commanded position as input."""
+    """1D pusher as a (xu, xa) system with the commanded position as input.
+
+    The same two pieces as step_1d. At the boundary the Jacobians follow
+    the right-sided convention: the contact piece applies exactly when
+    the command reaches the box.
+    """
 
     state_dim = 2
     input_dim = 1
+    step = DynamicalSystem.step
+    jacobians = DynamicalSystem.jacobians
 
     def __init__(self, params: Contact1DParams = Contact1DParams()):
         self.params = params
-
-    def step(self, x, u):
-        nxt, _ = step_1d(Contact1DState(float(x[0]), float(x[1]), float(u[0])),
-                         self.params)
-        return np.array([nxt.xu, nxt.xa])
 
     def step_batch(self, xs, us):
         c = self.params.c_ratio
@@ -426,25 +428,27 @@ class ContactPush1D(DynamicalSystem):
         return np.stack([np.where(contact, pos, xu),
                          np.where(contact, pos, cmd)], axis=1)
 
-    def jacobians(self, x, u):
-        # Right-sided convention at the boundary: the contact piece applies
-        # exactly when the command reaches the box.
+    def jacobians_batch(self, xs, us):
         c = self.params.c_ratio
-        if float(u[0]) >= float(x[0]):
-            s = 1.0 / (1.0 + c)
-            a = np.array([[c * s, 0.0], [c * s, 0.0]])
-            b = np.array([[s], [s]])
-        else:
-            a = np.array([[1.0, 0.0], [0.0, 0.0]])
-            b = np.array([[0.0], [1.0]])
+        s = 1.0 / (1.0 + c)
+        contact = (us[:, 0] >= xs[:, 0])[:, None, None]
+        a = np.where(contact, [[c * s, 0.0], [c * s, 0.0]], [[1.0, 0.0], [0.0, 0.0]])
+        b = np.where(contact, [[s], [s]], [[0.0], [1.0]])
         return a, b
 
 
 class ContactPush2D(DynamicalSystem):
-    """2D frictional pusher as a (xu, xa, ya) system with command inputs."""
+    """2D frictional pusher as a (xu, xa, ya) system with command inputs.
+
+    Batches run the model's scalar stepper once per row. The exact
+    model's Jacobians are those of each row's contact mode; the Anitescu
+    model's are the inherited batched central differences.
+    """
 
     state_dim = 3
     input_dim = 2
+    step = DynamicalSystem.step
+    jacobians = DynamicalSystem.jacobians
 
     def __init__(self, params: Contact2DParams = Contact2DParams(),
                  model: str = "exact"):
@@ -454,17 +458,20 @@ class ContactPush2D(DynamicalSystem):
         self.model = model
         self._stepper = step_2d_exact if model == "exact" else step_2d_anitescu
 
-    def step(self, x, u):
-        nxt, _ = self._stepper(Contact2DState(float(x[0]), float(x[1]), float(x[2])),
-                               (float(u[0]), float(u[1])), self.params)
-        return np.array([nxt.xu, nxt.xa, nxt.ya])
+    def _step_rows(self, xs, us):
+        return [self._stepper(Contact2DState(float(x[0]), float(x[1]), float(x[2])),
+                              (float(u[0]), float(u[1])), self.params)
+                for x, u in zip(xs, us)]
 
-    def jacobians(self, x, u):
+    def step_batch(self, xs, us):
+        return np.array([(nxt.xu, nxt.xa, nxt.ya) for nxt, _ in self._step_rows(xs, us)])
+
+    def jacobians_batch(self, xs, us):
         if self.model == "anitescu":
-            return super().jacobians(x, u)
-        _, diag = self._stepper(Contact2DState(float(x[0]), float(x[1]), float(x[2])),
-                                (float(u[0]), float(u[1])), self.params)
-        return _exact_2d_mode_jacobians(diag.mode, self.params)
+            return super().jacobians_batch(xs, us)
+        pairs = [_exact_2d_mode_jacobians(diag.mode, self.params)
+                 for _, diag in self._step_rows(xs, us)]
+        return np.array([a for a, _ in pairs]), np.array([b for _, b in pairs])
 
 
 def _exact_2d_mode_jacobians(mode: str, params: Contact2DParams):

@@ -28,7 +28,9 @@ detected and reported rather than patched.
 
 Per-knot sample seeds derive deterministically from (run seed, iteration,
 knot index), so results are bit-identical regardless of how callers
-parallelize the per-knot work.
+parallelize the per-knot work. Each knot's bundle draws its own samples
+and evaluates them in one batched call on the dynamics, so a knot's
+linearization does not depend on which other knots share the iteration.
 """
 
 from __future__ import annotations
@@ -150,12 +152,11 @@ class GradientMode:
     averages Jacobians over sampled (state, input) perturbations;
     "zero_order_bundle" fits them by least squares on sampled steps.
     Bundle modes use `samples` draws per knot; per-knot seeds derive from
-    the run seed (the only seed policy shipped).
+    the run seed.
     """
 
     kind: str = "exact"
     samples: int = 100
-    seed_policy: str = "per_knot"
 
     def __post_init__(self):
         if self.kind not in GRADIENT_MODES:
@@ -163,8 +164,6 @@ class GradientMode:
                 f"gradient mode must be one of {GRADIENT_MODES}, got {self.kind!r}")
         if self.samples < 1:
             raise ConfigurationError("sample count must be >= 1")
-        if self.seed_policy != "per_knot":
-            raise ConfigurationError("only the per_knot seed policy is implemented")
 
 
 @dataclass(frozen=True)
@@ -277,8 +276,10 @@ def linearize_trajectory(sys: DynamicalSystem, xs, us, mode: GradientMode,
     """Per-knot linear models around a nominal trajectory.
 
     `covariance` is the joint (state, input) sampling covariance for the
-    bundle modes. A zero covariance makes every mode take the exact path,
-    so degenerate-variance runs of all modes are bit-identical.
+    bundle modes. Each knot's bundle uses that knot's own seed and one
+    batched call on the dynamics. A zero covariance makes every mode take
+    the exact path, so degenerate-variance runs of all modes are
+    bit-identical.
     """
     xs = np.asarray(xs, dtype=float)
     us = np.asarray(us, dtype=float)

@@ -7,6 +7,11 @@ bundle (least-squares regression on sampled function deviations), and the
 analogous Jacobian bundles for discrete-time dynamics. Also provides the
 variance schedule used by the iterative optimizer.
 
+The Jacobian bundles make one batched call on the dynamics per knot: the
+first-order bundle one jacobians_batch call on its n perturbed points,
+the zero-order bundle one step_batch call (see systems.py for the batch
+protocol).
+
 Determinism contract: every estimator is a pure function of its inputs and
 the 64-bit seed. Samples come from numpy's PCG64 generator, and reductions
 run in a fixed order over the sample axis, so results are bit-identical
@@ -27,7 +32,6 @@ from .errors import ConfigurationError, SingularRegressionError
 
 __all__ = [
     "SmoothingDistribution",
-    "PerturbationBatch",
     "BundleEstimate",
     "sample_perturbations",
     "bundled_objective_estimate",
@@ -95,15 +99,6 @@ class SmoothingDistribution:
 
 
 @dataclass(frozen=True)
-class PerturbationBatch:
-    """A seeded batch of perturbation samples, shape (count, dimension)."""
-
-    samples: np.ndarray
-    seed: int
-    count: int
-
-
-@dataclass(frozen=True)
 class BundleEstimate:
     """A Monte-Carlo estimate together with the per-entry summand variance.
 
@@ -117,11 +112,11 @@ class BundleEstimate:
     empirical_variance: np.ndarray
 
 
-def sample_perturbations(dist: SmoothingDistribution, n: int, seed: int) -> PerturbationBatch:
-    """Draw a reproducible batch of n perturbations from the distribution."""
+def sample_perturbations(dist: SmoothingDistribution, n: int, seed: int) -> np.ndarray:
+    """Draw a reproducible batch of n perturbations, shape (n, dimension)."""
     if n < 1:
         raise ConfigurationError(f"sample count must be >= 1, got {n}")
-    return PerturbationBatch(samples=dist.sample(n, seed), seed=seed, count=n)
+    return dist.sample(n, seed)
 
 
 def bundled_objective_estimate(f, x, dist: SmoothingDistribution, n: int,
@@ -132,8 +127,8 @@ def bundled_objective_estimate(f, x, dist: SmoothingDistribution, n: int,
     perturbation density) at x.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    batch = sample_perturbations(dist, n, seed)
-    values = _eval_batch(f, x[None, :] + batch.samples)
+    w = sample_perturbations(dist, n, seed)
+    values = _eval_batch(f, x[None, :] + w)
     return BundleEstimate(value=np.mean(values, axis=0), sample_count=n,
                           empirical_variance=_variance(values))
 
@@ -150,8 +145,8 @@ def first_order_gradient_bundle(f, grad_f, x, dist: SmoothingDistribution, n: in
     x = np.atleast_1d(np.asarray(x, dtype=float))
     if grad_f is None:
         grad_f = f.gradient
-    batch = sample_perturbations(dist, n, seed)
-    grads = _grad_batch(grad_f, x[None, :] + batch.samples)
+    w = sample_perturbations(dist, n, seed)
+    grads = _grad_batch(grad_f, x[None, :] + w)
     return BundleEstimate(value=np.mean(grads, axis=0), sample_count=n,
                           empirical_variance=_variance(grads))
 
@@ -180,8 +175,7 @@ def zero_order_gradient_bundle(f, x, dist: SmoothingDistribution, n: int,
     if n < d:
         raise ConfigurationError(
             f"zero-order estimate needs at least dim(x)={d} samples, got {n}")
-    batch = sample_perturbations(dist, n, seed)
-    w = batch.samples
+    w = sample_perturbations(dist, n, seed)
     f0 = _eval_point(f, x)
     dev = _eval_batch(f, x[None, :] + w) - f0
     gram = w.T @ w
@@ -199,21 +193,16 @@ def jacobian_bundle_first_order(dynamics, x_nom, u_nom, dist: SmoothingDistribut
 
     `dist` is over the stacked (state, input) perturbation of dimension
     n_x + n_u; zero covariance blocks freeze the corresponding variables.
-    Returns (A_hat, B_hat).
+    One jacobians_batch call evaluates all n points; the sum runs over the
+    samples in order. Returns (A_hat, B_hat).
     """
     x_nom = np.asarray(x_nom, dtype=float)
     u_nom = np.asarray(u_nom, dtype=float)
     nx, nu = x_nom.shape[0], u_nom.shape[0]
     _check_joint_dim(dist, nx, nu)
-    batch = sample_perturbations(dist, n, seed)
-    a_sum = np.zeros((nx, nx))
-    b_sum = np.zeros((nx, nu))
-    for i in range(n):
-        a_i, b_i = dynamics.jacobians(x_nom + batch.samples[i, :nx],
-                                      u_nom + batch.samples[i, nx:])
-        a_sum += a_i
-        b_sum += b_i
-    return a_sum / n, b_sum / n
+    z = sample_perturbations(dist, n, seed)
+    a, b = dynamics.jacobians_batch(x_nom + z[:, :nx], u_nom + z[:, nx:])
+    return np.sum(a, axis=0) / n, np.sum(b, axis=0) / n
 
 
 def jacobian_bundle_zero_order(dynamics, x_nom, u_nom, dist: SmoothingDistribution,
@@ -221,7 +210,8 @@ def jacobian_bundle_zero_order(dynamics, x_nom, u_nom, dist: SmoothingDistributi
     """Least-squares fit of the local dynamics from sampled deviations.
 
     Regresses f(x+w_i, u+v_i) - f(x, u) onto the stacked perturbations
-    (w_i, v_i), giving the zero-order Jacobian bundle (A_hat, B_hat).
+    (w_i, v_i), giving the zero-order Jacobian bundle (A_hat, B_hat); one
+    step_batch call evaluates all n sampled steps.
     Requires n >= dim(x)+dim(u) samples and perturbation variance in every
     direction. With an exactly-zero covariance the fit degenerates and the
     dynamics' own Jacobians at the nominal point are returned instead.
@@ -241,10 +231,10 @@ def jacobian_bundle_zero_order(dynamics, x_nom, u_nom, dist: SmoothingDistributi
     if n < d:
         raise ConfigurationError(
             f"zero-order Jacobian bundle needs at least dim(x)+dim(u)={d} samples, got {n}")
-    batch = sample_perturbations(dist, n, seed)
-    z = batch.samples
+    z = sample_perturbations(dist, n, seed)
     f0 = np.asarray(dynamics.step(x_nom, u_nom), dtype=float)
-    dev = _step_batch(dynamics, x_nom[None, :] + z[:, :nx], u_nom[None, :] + z[:, nx:]) - f0
+    dev = np.asarray(dynamics.step_batch(x_nom + z[:, :nx], u_nom + z[:, nx:]),
+                     dtype=float) - f0
     gram = z.T @ z
     _require_full_rank(gram, d)
     coef = np.linalg.solve(gram, z.T @ dev).T
@@ -317,11 +307,3 @@ def _check_joint_dim(dist: SmoothingDistribution, nx: int, nu: int):
     if dist.dimension != nx + nu:
         raise ConfigurationError(
             f"distribution dimension {dist.dimension} != dim(x)+dim(u) = {nx + nu}")
-
-
-def _step_batch(dynamics, xs: np.ndarray, us: np.ndarray) -> np.ndarray:
-    step_batch = getattr(dynamics, "step_batch", None)
-    if step_batch is not None:
-        return np.asarray(step_batch(xs, us), dtype=float)
-    return np.array([np.asarray(dynamics.step(x, u), dtype=float)
-                     for x, u in zip(xs, us)])

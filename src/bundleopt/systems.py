@@ -2,9 +2,21 @@
 
 Ships the three smooth benchmark systems (pendulum, Dubins car, 12-state
 quadrotor) plus a generic linear system, all behind a small stateless
-DynamicalSystem interface: step(x, u) and jacobians(x, u). Jacobians fall
-back to central finite differences (absolute step 1e-6) when a system does
-not provide analytic ones.
+DynamicalSystem interface.
+
+Batch protocol: a system's primitives are step_batch(xs, us), the next
+states of N (state, input) rows, shape (N, n), and jacobians_batch(xs,
+us), the Jacobians (d step/dx, d step/du) at each row, shapes (N, n, n)
+and (N, n, m). The physics of each system is written once, in batch form;
+step(x, u) and jacobians(x, u) are their batch of one. A system without
+analytic Jacobians inherits batched central differences (absolute step
+1e-6): one step_batch call on all 2(n+m)N perturbed rows.
+
+Determinism rule: row i of a batch equals the batch-of-one result for
+that row bit for bit, whatever the batch size. So the physics uses
+elementwise arithmetic only, never a BLAS matrix product, whose
+summation order can change with the number of rows (a one-row product
+takes the matrix-vector path).
 """
 
 from __future__ import annotations
@@ -18,9 +30,6 @@ __all__ = [
     "LinearizedDynamics",
     "finite_difference_jacobians",
     "linearize_exact",
-    "pendulum_step",
-    "dubins_step",
-    "quadrotor_step",
     "Pendulum",
     "DubinsCar",
     "Quadrotor",
@@ -31,35 +40,58 @@ FD_STEP = 1e-6
 
 
 class DynamicalSystem:
-    """Deterministic discrete-time dynamics x_{t+1} = step(x_t, u_t)."""
+    """Deterministic discrete-time dynamics x_{t+1} = step(x_t, u_t).
+
+    Subclasses implement step_batch and, when they have analytic
+    Jacobians, jacobians_batch (see the module docstring). step and
+    jacobians are defined here once, but every subclass also binds them
+    in its own class body: the benchmark's tracer (perfbench/spans.py)
+    wraps the step, step_batch and jacobians that each class defines.
+    """
 
     state_dim: int
     input_dim: int
 
-    def step(self, x: np.ndarray, u: np.ndarray) -> np.ndarray:
+    def step_batch(self, xs: np.ndarray, us: np.ndarray) -> np.ndarray:
+        """Next states of the rows of xs (N, n) under us (N, m), shape (N, n)."""
         raise NotImplementedError
 
+    def jacobians_batch(self, xs: np.ndarray, us: np.ndarray
+                        ) -> tuple[np.ndarray, np.ndarray]:
+        """(d step/dx, d step/du) at each row; default batched central differences."""
+        return finite_difference_jacobians(self.step_batch, xs, us)
+
+    def step(self, x: np.ndarray, u: np.ndarray) -> np.ndarray:
+        """step_batch on a batch of one."""
+        return self.step_batch(_one_row(x), _one_row(u))[0]
+
     def jacobians(self, x: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(d step/dx, d step/du); default central finite differences."""
-        return finite_difference_jacobians(self.step, x, u)
+        """jacobians_batch on a batch of one."""
+        a, b = self.jacobians_batch(_one_row(x), _one_row(u))
+        return a[0], b[0]
 
 
-def finite_difference_jacobians(step, x, u, delta: float = FD_STEP):
-    x = np.asarray(x, dtype=float)
-    u = np.asarray(u, dtype=float)
-    n, m = x.shape[0], u.shape[0]
-    fx = np.asarray(step(x, u), dtype=float)
-    a = np.empty((fx.shape[0], n))
-    b = np.empty((fx.shape[0], m))
-    for i in range(n):
-        e = np.zeros(n)
-        e[i] = delta
-        a[:, i] = (np.asarray(step(x + e, u)) - np.asarray(step(x - e, u))) / (2 * delta)
-    for i in range(m):
-        e = np.zeros(m)
-        e[i] = delta
-        b[:, i] = (np.asarray(step(x, u + e)) - np.asarray(step(x, u - e))) / (2 * delta)
-    return a, b
+def _one_row(v) -> np.ndarray:
+    return np.asarray(v, dtype=float)[None, :]
+
+
+def finite_difference_jacobians(step_batch, xs, us, delta: float = FD_STEP):
+    """Central-difference Jacobians of a batched step at each row of (xs, us).
+
+    Makes one step_batch call on all 2(n+m)N perturbed rows and returns
+    (A, B) with shapes (N, n', n) and (N, n', m), n' the output size.
+    """
+    xs = np.asarray(xs, dtype=float)
+    us = np.asarray(us, dtype=float)
+    n = xs.shape[1]
+    z = np.concatenate([xs, us], axis=1)
+    rows, d = z.shape
+    e = delta * np.eye(d)
+    probes = np.concatenate([z[:, None, :] + e, z[:, None, :] - e], axis=1).reshape(-1, d)
+    f = np.asarray(step_batch(probes[:, :n], probes[:, n:]), dtype=float)
+    f = f.reshape(rows, 2, d, -1)
+    jac = ((f[:, 0] - f[:, 1]) / (2 * delta)).transpose(0, 2, 1)
+    return jac[:, :, :n], jac[:, :, n:]
 
 
 @dataclass(frozen=True)
@@ -100,25 +132,18 @@ def linearize_exact(sys: DynamicalSystem, x_nom, u_nom) -> LinearizedDynamics:
 # pendulum
 
 
-def pendulum_step(x, u, mass=1.0, length=1.0, gravity=9.81, damping=0.0, h=0.01):
+class Pendulum(DynamicalSystem):
     """Semi-implicit Euler step of a damped torque-driven pendulum.
 
     State (theta, omega), input torque. theta = 0 hangs down, theta = pi is
     upright. Acceleration (u - damping*omega - m g l sin(theta)) / (m l^2);
     the new velocity is used to advance the angle.
     """
-    theta, omega = float(x[0]), float(x[1])
-    torque = float(u[0])
-    inertia = mass * length**2
-    accel = (torque - damping * omega - mass * gravity * length * np.sin(theta)) / inertia
-    omega_next = omega + h * accel
-    theta_next = theta + h * omega_next
-    return np.array([theta_next, omega_next])
 
-
-class Pendulum(DynamicalSystem):
     state_dim = 2
     input_dim = 1
+    step = DynamicalSystem.step
+    jacobians = DynamicalSystem.jacobians
 
     def __init__(self, mass=1.0, length=1.0, gravity=9.81, damping=0.0, h=0.01):
         self.mass = mass
@@ -126,10 +151,6 @@ class Pendulum(DynamicalSystem):
         self.gravity = gravity
         self.damping = damping
         self.h = h
-
-    def step(self, x, u):
-        return pendulum_step(x, u, self.mass, self.length, self.gravity,
-                             self.damping, self.h)
 
     def step_batch(self, xs, us):
         theta, omega = xs[:, 0], xs[:, 1]
@@ -139,17 +160,18 @@ class Pendulum(DynamicalSystem):
         omega_next = omega + self.h * accel
         return np.stack([theta + self.h * omega_next, omega_next], axis=1)
 
-    def jacobians(self, x, u):
+    def jacobians_batch(self, xs, us):
         h = self.h
         inertia = self.mass * self.length**2
-        da_dth = -self.mass * self.gravity * self.length * np.cos(float(x[0])) / inertia
+        da_dth = -self.mass * self.gravity * self.length * np.cos(xs[:, 0]) / inertia
         da_dom = -self.damping / inertia
         # omega' = omega + h*accel; theta' = theta + h*omega'
-        a = np.array([
-            [1.0 + h * h * da_dth, h * (1.0 + h * da_dom)],
-            [h * da_dth, 1.0 + h * da_dom],
-        ])
-        b = np.array([[h * h / inertia], [h / inertia]])
+        a = np.empty((xs.shape[0], 2, 2))
+        a[:, 0, 0] = 1.0 + h * h * da_dth
+        a[:, 0, 1] = h * (1.0 + h * da_dom)
+        a[:, 1, 0] = h * da_dth
+        a[:, 1, 1] = 1.0 + h * da_dom
+        b = np.tile([[h * h / inertia], [h / inertia]], (xs.shape[0], 1, 1))
         return a, b
 
     def energy(self, x) -> float:
@@ -162,24 +184,16 @@ class Pendulum(DynamicalSystem):
 # Dubins car
 
 
-def dubins_step(x, u, h=0.1):
-    """Explicit Euler step of the unicycle (px, py, heading) with input (v, w)."""
-    px, py, psi = float(x[0]), float(x[1]), float(x[2])
-    v, w = float(u[0]), float(u[1])
-    return np.array([px + h * v * np.cos(psi),
-                     py + h * v * np.sin(psi),
-                     psi + h * w])
-
-
 class DubinsCar(DynamicalSystem):
+    """Explicit Euler step of the unicycle (px, py, heading) with input (v, w)."""
+
     state_dim = 3
     input_dim = 2
+    step = DynamicalSystem.step
+    jacobians = DynamicalSystem.jacobians
 
     def __init__(self, h=0.1):
         self.h = h
-
-    def step(self, x, u):
-        return dubins_step(x, u, self.h)
 
     def step_batch(self, xs, us):
         psi = xs[:, 2]
@@ -187,20 +201,17 @@ class DubinsCar(DynamicalSystem):
                          xs[:, 1] + self.h * us[:, 0] * np.sin(psi),
                          psi + self.h * us[:, 1]], axis=1)
 
-    def jacobians(self, x, u):
-        psi = float(x[2])
-        v = float(u[0])
+    def jacobians_batch(self, xs, us):
+        psi = xs[:, 2]
+        v = us[:, 0]
         h = self.h
-        a = np.array([
-            [1.0, 0.0, -h * v * np.sin(psi)],
-            [0.0, 1.0, h * v * np.cos(psi)],
-            [0.0, 0.0, 1.0],
-        ])
-        b = np.array([
-            [h * np.cos(psi), 0.0],
-            [h * np.sin(psi), 0.0],
-            [0.0, h],
-        ])
+        a = np.tile(np.eye(3), (xs.shape[0], 1, 1))
+        a[:, 0, 2] = -h * v * np.sin(psi)
+        a[:, 1, 2] = h * v * np.cos(psi)
+        b = np.zeros((xs.shape[0], 3, 2))
+        b[:, 0, 0] = h * np.cos(psi)
+        b[:, 1, 0] = h * np.sin(psi)
+        b[:, 2, 1] = h
         return a, b
 
 
@@ -217,34 +228,17 @@ class QuadrotorParams:
     gravity: float = 9.81
 
 
-def _euler_rate_matrix(roll, pitch):
-    """Body angular velocity -> ZYX Euler angle rates."""
-    sr, cr = np.sin(roll), np.cos(roll)
-    tp = np.tan(pitch)
-    cp = np.cos(pitch)
-    return np.array([
-        [1.0, sr * tp, cr * tp],
-        [0.0, cr, -sr],
-        [0.0, sr / cp, cr / cp],
-    ])
+def _euler_trig(xs):
+    """sin and cos of roll, pitch and yaw (state columns 3-5)."""
+    roll, pitch, yaw = xs[:, 3], xs[:, 4], xs[:, 5]
+    return np.sin(roll), np.cos(roll), np.sin(pitch), np.cos(pitch), np.sin(yaw), np.cos(yaw)
 
 
-def _body_z_in_world(roll, pitch, yaw):
-    sr, cr = np.sin(roll), np.cos(roll)
-    sp, cp = np.sin(pitch), np.cos(pitch)
-    sy, cy = np.sin(yaw), np.cos(yaw)
-    return np.array([cr * sp * cy + sr * sy,
-                     cr * sp * sy - sr * cy,
-                     cr * cp])
+def _body_z_in_world(sr, cr, sp, cp, sy, cy):
+    return np.stack([cr * sp * cy + sr * sy, cr * sp * sy - sr * cy, cr * cp], axis=1)
 
 
-def _skew(a):
-    return np.array([[0.0, -a[2], a[1]],
-                     [a[2], 0.0, -a[0]],
-                     [-a[1], a[0], 0.0]])
-
-
-def quadrotor_step(x, u, params: QuadrotorParams = QuadrotorParams(), h=0.01):
+class Quadrotor(DynamicalSystem):
     """Explicit Euler step of a 12-state rigid-body quadrotor.
 
     State: position (3), ZYX Euler angles (roll, pitch, yaw), world-frame
@@ -253,40 +247,15 @@ def quadrotor_step(x, u, params: QuadrotorParams = QuadrotorParams(), h=0.01):
     angles hit a coordinate singularity at pitch = +-pi/2; that is a
     documented domain boundary, not a handled case.
     """
-    x = np.asarray(x, dtype=float)
-    u = np.asarray(u, dtype=float)
-    pos, euler, vel, omega = x[0:3], x[3:6], x[6:9], x[9:12]
-    roll, pitch, yaw = euler
-    thrust = float(np.sum(u))
-    larm = params.arm_length
-    torque = np.array([
-        larm * (u[1] - u[3]),
-        larm * (u[2] - u[0]),
-        params.drag_to_thrust * (u[0] - u[1] + u[2] - u[3]),
-    ])
-    inertia = np.asarray(params.inertia)
-    accel = (thrust / params.mass) * _body_z_in_world(roll, pitch, yaw) \
-        - np.array([0.0, 0.0, params.gravity])
-    omega_dot = (torque - np.cross(omega, inertia * omega)) / inertia
-    euler_dot = _euler_rate_matrix(roll, pitch) @ omega
-    return np.concatenate([
-        pos + h * vel,
-        euler + h * euler_dot,
-        vel + h * accel,
-        omega + h * omega_dot,
-    ])
 
-
-class Quadrotor(DynamicalSystem):
     state_dim = 12
     input_dim = 4
+    step = DynamicalSystem.step
+    jacobians = DynamicalSystem.jacobians
 
     def __init__(self, params: QuadrotorParams = QuadrotorParams(), h=0.01):
         self.params = params
         self.h = h
-
-    def step(self, x, u):
-        return quadrotor_step(x, u, self.params, self.h)
 
     def hover_thrusts(self) -> np.ndarray:
         return np.full(4, self.params.mass * self.params.gravity / 4.0)
@@ -298,54 +267,68 @@ class Quadrotor(DynamicalSystem):
                          [-larm, 0.0, larm, 0.0],
                          [kappa, -kappa, kappa, -kappa]])
 
-    def jacobians(self, x, u):
-        x = np.asarray(x, dtype=float)
-        u = np.asarray(u, dtype=float)
-        h = self.h
-        pr = self.params
-        roll, pitch, yaw = x[3:6]
-        omega = x[9:12]
-        thrust = float(np.sum(u))
+    def step_batch(self, xs, us):
+        pr, h = self.params, self.h
+        trig = _euler_trig(xs)
+        sr, cr, sp, cp, sy, cy = trig
+        tp = np.tan(xs[:, 4])
+        w = xs[:, 9:12]
+        w0, w1, w2 = w[:, 0], w[:, 1], w[:, 2]
+        u0, u1, u2, u3 = us[:, 0], us[:, 1], us[:, 2], us[:, 3]
         inertia = np.asarray(pr.inertia)
-        sr, cr = np.sin(roll), np.cos(roll)
-        sp, cp = np.sin(pitch), np.cos(pitch)
-        sy, cy = np.sin(yaw), np.cos(yaw)
-        tp = sp / cp
+        torque = np.stack([pr.arm_length * (u1 - u3),
+                           pr.arm_length * (u2 - u0),
+                           pr.drag_to_thrust * (u0 - u1 + u2 - u3)], axis=1)
+        # body angular velocity -> ZYX Euler angle rates
+        euler_dot = np.stack([w0 + sr * tp * w1 + cr * tp * w2,
+                              cr * w1 - sr * w2,
+                              sr / cp * w1 + cr / cp * w2], axis=1)
+        accel = ((u0 + u1 + u2 + u3) / pr.mass)[:, None] * _body_z_in_world(*trig) \
+            - np.array([0.0, 0.0, pr.gravity])
+        omega_dot = (torque - np.cross(w, inertia * w)) / inertia
+        return np.concatenate([xs[:, 0:3] + h * xs[:, 6:9],
+                               xs[:, 3:6] + h * euler_dot,
+                               xs[:, 6:9] + h * accel,
+                               w + h * omega_dot], axis=1)
 
-        a = np.eye(12)
-        b = np.zeros((12, 4))
-        a[0:3, 6:9] = h * np.eye(3)
+    def jacobians_batch(self, xs, us):
+        pr, h = self.params, self.h
+        rows = xs.shape[0]
+        trig = _euler_trig(xs)
+        sr, cr, sp, cp, sy, cy = trig
+        tp = sp / cp
+        w0, w1, w2 = xs[:, 9], xs[:, 10], xs[:, 11]
+        a = np.tile(np.eye(12), (rows, 1, 1))
+        b = np.zeros((rows, 12, 4))
+        a[:, 0:3, 6:9] = h * np.eye(3)
 
         # Euler kinematics block: e+ = e + h E(roll, pitch) omega
-        de_droll = np.array([
-            [0.0, cr * tp, -sr * tp],
-            [0.0, -sr, -cr],
-            [0.0, cr / cp, -sr / cp],
-        ]) @ omega
-        de_dpitch = np.array([
-            [0.0, sr / cp**2, cr / cp**2],
-            [0.0, 0.0, 0.0],
-            [0.0, sr * sp / cp**2, cr * sp / cp**2],
-        ]) @ omega
-        a[3:6, 3] += h * de_droll
-        a[3:6, 4] += h * de_dpitch
-        a[3:6, 9:12] = h * _euler_rate_matrix(roll, pitch)
+        pitch_rate = sr * w1 + cr * w2
+        roll_rate = cr * w1 - sr * w2
+        a[:, 3, 3] += h * tp * roll_rate
+        a[:, 4, 3] = -h * pitch_rate
+        a[:, 5, 3] = h * roll_rate / cp
+        a[:, 3, 4] = h * pitch_rate / cp**2
+        a[:, 5, 4] = h * sp * pitch_rate / cp**2
+        a[:, 3, 9:12] = h * np.stack([np.ones(rows), sr * tp, cr * tp], axis=1)
+        a[:, 4, 10:12] = h * np.stack([cr, -sr], axis=1)
+        a[:, 5, 10:12] = h * np.stack([sr / cp, cr / cp], axis=1)
 
         # translational block: v+ = v + h (thrust/m) z_world(e) - h g z
-        z_world = _body_z_in_world(roll, pitch, yaw)
-        dz_droll = np.array([-sr * sp * cy + cr * sy, -sr * sp * sy - cr * cy, -sr * cp])
-        dz_dpitch = np.array([cr * cp * cy, cr * cp * sy, -cr * sp])
-        dz_dyaw = np.array([-cr * sp * sy + sr * cy, cr * sp * cy + sr * sy, 0.0])
-        scale = h * thrust / pr.mass
-        a[6:9, 3] = scale * dz_droll
-        a[6:9, 4] = scale * dz_dpitch
-        a[6:9, 5] = scale * dz_dyaw
-        b[6:9, :] = (h / pr.mass) * z_world[:, None]
+        scale = (h * (us[:, 0] + us[:, 1] + us[:, 2] + us[:, 3]) / pr.mass)[:, None]
+        a[:, 6:9, 3] = scale * np.stack([-sr * sp * cy + cr * sy, -sr * sp * sy - cr * cy,
+                                         -sr * cp], axis=1)
+        a[:, 6:9, 4] = scale * np.stack([cr * cp * cy, cr * cp * sy, -cr * sp], axis=1)
+        a[:, 6:8, 5] = scale * np.stack([-cr * sp * sy + sr * cy, cr * sp * cy + sr * sy],
+                                        axis=1)
+        b[:, 6:9, :] = (h / pr.mass) * _body_z_in_world(*trig)[:, :, None]
 
         # rotational block: w+ = w + h I^{-1} (tau(u) - w x (I w))
-        gyro_jac = _skew(omega) @ np.diag(inertia) - _skew(inertia * omega)
-        a[9:12, 9:12] = np.eye(3) - h * (gyro_jac / inertia[:, None])
-        b[9:12, :] = h * self._mixing_matrix() / inertia[:, None]
+        i0, i1, i2 = pr.inertia
+        a[:, 9, 10:12] = -h * (i2 - i1) / i0 * np.stack([w2, w1], axis=1)
+        a[:, 10, [9, 11]] = -h * (i0 - i2) / i1 * np.stack([w2, w0], axis=1)
+        a[:, 11, 9:11] = -h * (i1 - i0) / i2 * np.stack([w1, w0], axis=1)
+        b[:, 9:12, :] = h * self._mixing_matrix() / np.asarray(pr.inertia)[:, None]
         return a, b
 
 
@@ -356,6 +339,9 @@ class Quadrotor(DynamicalSystem):
 class LinearSystem(DynamicalSystem):
     """x_{t+1} = A x + B u + c; its own exact linearization everywhere."""
 
+    step = DynamicalSystem.step
+    jacobians = DynamicalSystem.jacobians
+
     def __init__(self, A, B, c=None):
         self.A = np.asarray(A, dtype=float)
         self.B = np.asarray(B, dtype=float)
@@ -363,11 +349,12 @@ class LinearSystem(DynamicalSystem):
         self.state_dim = self.A.shape[0]
         self.input_dim = self.B.shape[1]
 
-    def step(self, x, u):
-        return self.A @ np.asarray(x, dtype=float) + self.B @ np.asarray(u, dtype=float) + self.c
-
     def step_batch(self, xs, us):
-        return xs @ self.A.T + us @ self.B.T + self.c[None, :]
+        # Elementwise products summed along each row: the same arithmetic
+        # for every row whatever the batch size (see the module docstring).
+        return (np.sum(xs[:, None, :] * self.A, axis=2)
+                + np.sum(us[:, None, :] * self.B, axis=2) + self.c)
 
-    def jacobians(self, x, u):
-        return self.A.copy(), self.B.copy()
+    def jacobians_batch(self, xs, us):
+        rows = xs.shape[0]
+        return np.tile(self.A, (rows, 1, 1)), np.tile(self.B, (rows, 1, 1))

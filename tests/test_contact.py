@@ -14,6 +14,7 @@ from bundleopt.smoothing import SmoothingDistribution
 from bundleopt.systems import finite_difference_jacobians
 
 from oracles import lcp_oracle_1d
+from test_systems import assert_batch_rows_match
 
 P1 = Contact1DParams(m=1.0, h=0.1, k=100.0)        # c_ratio = 1
 P2 = Contact2DParams(m=1.0, h=0.1, k=100.0, mu=0.5,
@@ -375,9 +376,9 @@ class TestAdapters:
         sys = ContactPush1D(P1)
         for x, u in (([1.0, 0.0], [0.2]), ([1.0, 0.0], [1.7])):
             a, b = sys.jacobians(np.array(x), np.array(u))
-            a_fd, b_fd = finite_difference_jacobians(sys.step, np.array(x), np.array(u))
-            np.testing.assert_allclose(a, a_fd, atol=1e-6)
-            np.testing.assert_allclose(b, b_fd, atol=1e-6)
+            a_fd, b_fd = finite_difference_jacobians(sys.step_batch, [x], [u])
+            np.testing.assert_allclose(a, a_fd[0], atol=1e-6)
+            np.testing.assert_allclose(b, b_fd[0], atol=1e-6)
 
     def test_push_1d_batch_matches_scalar(self):
         sys = ContactPush1D(P1)
@@ -395,10 +396,39 @@ class TestAdapters:
                   ([0.0, 0.0, 0.7], [0.4, 0.5])]    # sliding
         for x, u in probes:
             a, b = sys.jacobians(np.array(x), np.array(u))
-            a_fd, b_fd = finite_difference_jacobians(sys.step, np.array(x), np.array(u))
-            np.testing.assert_allclose(a, a_fd, atol=1e-6)
-            np.testing.assert_allclose(b, b_fd, atol=1e-6)
+            a_fd, b_fd = finite_difference_jacobians(sys.step_batch, [x], [u])
+            np.testing.assert_allclose(a, a_fd[0], atol=1e-6)
+            np.testing.assert_allclose(b, b_fd[0], atol=1e-6)
 
     def test_unknown_model_rejected(self):
         with pytest.raises(ConfigurationError):
             ContactPush2D(P2, model="smooth")
+
+    @pytest.mark.parametrize("rows", [1, 7, 100])
+    def test_push_1d_batch_rows_equal_batch_of_one(self, rows):
+        sys = ContactPush1D(P1)
+        rng = np.random.default_rng(rows)
+        xs = rng.uniform(-1, 2, (rows, 2))
+        us = rng.uniform(-1, 3, (rows, 1))
+        us[::3, 0] = xs[::3, 0]            # commands exactly at the box
+        assert_batch_rows_match(sys, xs, us)
+        a, b = sys.jacobians_batch(xs[::3], us[::3])
+        contact_a, contact_b = sys.jacobians(np.array([0.0, 0.0]), np.array([1.0]))
+        np.testing.assert_array_equal(a, np.broadcast_to(contact_a, a.shape))
+        np.testing.assert_array_equal(b, np.broadcast_to(contact_b, b.shape))
+
+    @pytest.mark.parametrize("model", ["exact", "anitescu"])
+    @pytest.mark.parametrize("rows", [1, 7, 100])
+    def test_push_2d_batch_rows_equal_batch_of_one(self, model, rows):
+        sys = ContactPush2D(P2, model=model)
+        rng = np.random.default_rng(rows)
+        xs = np.column_stack([rng.uniform(-0.2, 0.2, rows), rng.uniform(-0.2, 0.2, rows),
+                              rng.uniform(0.55, 0.8, rows)])
+        us = np.column_stack([rng.uniform(-0.6, 0.6, rows), rng.uniform(0.4, 0.9, rows)])
+        # one row on each mode: separation, sticking, sliding up, sliding down
+        lead = min(rows, 4)
+        xs[:lead] = [0.0, 0.0, 0.7]
+        us[:lead] = [[0.3, 0.9], [0.02, 0.5], [0.4, 0.5], [-0.4, 0.5]][:lead]
+        assert_batch_rows_match(sys, xs, us)
+        modes = [sys._stepper(Contact2DState(*x), u, P2)[1].mode for x, u in zip(xs, us)]
+        assert modes[:lead] == ["separation", "sticking", "sliding_up", "sliding_down"][:lead]

@@ -9,7 +9,9 @@ from bundleopt import irs_lqr, qp
 from bundleopt.irs_lqr import (GradientMode, MpcProblem, derive_knot_seed, irs_lqr_run,
                                linearize_trajectory, mpc_solve)
 from bundleopt.qp import solve_qp
-from bundleopt.smoothing import SmoothingDistribution, jacobian_bundle_first_order
+from bundleopt.errors import ConfigurationError
+from bundleopt.smoothing import (SmoothingDistribution, jacobian_bundle_first_order,
+                                 jacobian_bundle_zero_order)
 from bundleopt.systems import LinearizedDynamics, LinearSystem
 from bundleopt.tasks import build_task
 
@@ -265,14 +267,27 @@ class TestDeterminism:
         assert len(set(forward.values())) == len(keys)
 
     def test_each_knot_linearization_can_be_computed_alone(self):
-        setup = build_task("push_1d")
-        xs = irs_lqr.rollout(setup.system, setup.mpc.initial_state, setup.u_init)
-        mode = GradientMode(kind="first_order_bundle", samples=30)
-        cov = irs_lqr.joint_covariance(0.25, mode, 2, 1)
-        lins = linearize_trajectory(setup.system, xs, setup.u_init, mode, cov, 11, 2)
-        for t in (7, 0, 13):
-            a, b = jacobian_bundle_first_order(setup.system, xs[t], setup.u_init[t],
-                                               SmoothingDistribution(cov), 30,
-                                               derive_knot_seed(11, 2, t))
-            np.testing.assert_array_equal(a, lins[t].A)
-            np.testing.assert_array_equal(b, lins[t].B)
+        bundles = {"first_order_bundle": jacobian_bundle_first_order,
+                   "zero_order_bundle": jacobian_bundle_zero_order}
+        for task, variance in (("push_1d", 0.25), ("pendulum_swingup", 0.25),
+                               ("quadrotor_hover", 0.01)):
+            setup = build_task(task)
+            xs = irs_lqr.rollout(setup.system, setup.mpc.initial_state, setup.u_init)
+            n, m = setup.mpc.state_dim, setup.mpc.input_dim
+            for kind, bundle in bundles.items():
+                mode = GradientMode(kind=kind, samples=30)
+                cov = irs_lqr.joint_covariance(variance, mode, n, m)
+                lins = linearize_trajectory(setup.system, xs, setup.u_init, mode, cov, 11, 2)
+                for t in (7, 0, 13):
+                    a, b = bundle(setup.system, xs[t], setup.u_init[t],
+                                  SmoothingDistribution(cov), 30, derive_knot_seed(11, 2, t))
+                    np.testing.assert_array_equal(a, lins[t].A)
+                    np.testing.assert_array_equal(b, lins[t].B)
+
+
+class TestTasks:
+    def test_build_task_rejects_unknown_params_and_tasks(self):
+        with pytest.raises(ConfigurationError, match="allowed: .*'model'"):
+            build_task("push_2d", {"modle": "exact"})
+        with pytest.raises(ConfigurationError, match="known: .*'push_2d'"):
+            build_task("nope")

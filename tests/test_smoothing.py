@@ -11,7 +11,9 @@ from bundleopt.smoothing import (SmoothingDistribution, bundled_objective_estima
                                  jacobian_bundle_first_order,
                                  jacobian_bundle_zero_order, sample_perturbations,
                                  variance_schedule, zero_order_gradient_bundle)
-from bundleopt.systems import LinearSystem
+from bundleopt.irs_lqr import GradientMode, joint_covariance, linearize_trajectory, rollout
+from bundleopt.systems import LinearSystem, Quadrotor
+from bundleopt.tasks import build_task
 
 from oracles import CLOSED_FORMS, blended_jacobian_1d
 
@@ -37,17 +39,17 @@ class TestSmoothingDistribution:
         assert np.all(np.abs(samples.mean(axis=0)) < 4.0 / np.sqrt(n))
 
     def test_zero_covariance_samples_are_zero(self):
-        batch = sample_perturbations(SmoothingDistribution(np.zeros((2, 2))), 5, seed=9)
-        assert batch.samples.shape == (5, 2)
-        assert np.all(batch.samples == 0.0)
+        samples = sample_perturbations(SmoothingDistribution(np.zeros((2, 2))), 5, seed=9)
+        assert samples.shape == (5, 2)
+        assert np.all(samples == 0.0)
 
     def test_deterministic_in_seed(self):
         dist = SmoothingDistribution.isotropic(2, 0.3)
         a = sample_perturbations(dist, 64, seed=7)
         b = sample_perturbations(dist, 64, seed=7)
-        assert np.array_equal(a.samples, b.samples)
+        assert np.array_equal(a, b)
         c = sample_perturbations(dist, 64, seed=8)
-        assert not np.array_equal(a.samples, c.samples)
+        assert not np.array_equal(a, c)
 
     def test_frozen_coordinates_stay_zero(self):
         cov = np.diag([0.0, 0.04])
@@ -184,8 +186,11 @@ class TestJacobianBundles:
             def step(self, x, u):
                 return np.array([1.0 if u[0] >= 0.0 else 0.0])
 
-            def jacobians(self, x, u):
-                return np.zeros((1, 1)), np.zeros((1, 1))
+            def step_batch(self, xs, us):
+                return (us >= 0.0).astype(float)
+
+            def jacobians_batch(self, xs, us):
+                return np.zeros((len(xs), 1, 1)), np.zeros((len(xs), 1, 1))
 
         sigma = 0.5
         dist = SmoothingDistribution(np.diag([sigma**2, sigma**2]))
@@ -345,3 +350,35 @@ class TestStatisticalInvariants:
         b = bundled_objective_estimate(f, [0.1], dist, 1000, seed=42)
         assert a.value == b.value
         assert np.array_equal(a.empirical_variance, b.empirical_variance)
+
+
+class TestOneBatchedCallPerKnot:
+    """The bundles evaluate a knot's samples in one call, not one per sample."""
+
+    @pytest.mark.parametrize("kind", ["first_order_bundle", "zero_order_bundle"])
+    def test_quadrotor_linearization(self, kind, monkeypatch):
+        calls = {name: [] for name in ("step", "step_batch", "jacobians", "jacobians_batch")}
+        for name, log in calls.items():
+            def spy(self, x, u, _original=getattr(Quadrotor, name), _log=log):
+                _log.append(np.array(x))
+                return _original(self, x, u)
+            monkeypatch.setattr(Quadrotor, name, spy)
+
+        setup = build_task("quadrotor_hover")
+        xs = rollout(setup.system, setup.mpc.initial_state, setup.u_init)
+        T = setup.mpc.horizon
+        for log in calls.values():
+            log.clear()
+        mode = GradientMode(kind=kind, samples=30)
+        cov = joint_covariance(0.01, mode, 12, 4)
+        linearize_trajectory(setup.system, xs, setup.u_init, mode, cov, 0, 0)
+
+        assert calls["jacobians"] == []
+        if kind == "first_order_bundle":
+            assert [len(x) for x in calls["jacobians_batch"]] == [30] * T
+        else:
+            assert calls["jacobians_batch"] == []
+            assert [len(x) for x in calls["step_batch"] if len(x) > 1] == [30] * T
+            # scalar steps only at the knots (f(x_t, u_t) for the fit and the offset)
+            assert all(any(np.array_equal(x, knot) for knot in xs[:T])
+                       for x in calls["step"])

@@ -4,22 +4,35 @@ import numpy as np
 import pytest
 
 from bundleopt.systems import (DubinsCar, LinearSystem, Pendulum, Quadrotor,
-                               dubins_step, finite_difference_jacobians,
-                               linearize_exact, pendulum_step, quadrotor_step)
+                               finite_difference_jacobians, linearize_exact)
+
+
+def assert_batch_rows_match(sys, xs, us):
+    """Row i of step_batch and jacobians_batch equals the batch of one, bit for bit."""
+    nxt = sys.step_batch(xs, us)
+    a, b = sys.jacobians_batch(xs, us)
+    assert nxt.shape == (len(xs), sys.state_dim)
+    assert a.shape == (len(xs), sys.state_dim, sys.state_dim)
+    assert b.shape == (len(xs), sys.state_dim, sys.input_dim)
+    for i in range(len(xs)):
+        np.testing.assert_array_equal(nxt[i], sys.step(xs[i], us[i]))
+        a_i, b_i = sys.jacobians(xs[i], us[i])
+        np.testing.assert_array_equal(a[i], a_i)
+        np.testing.assert_array_equal(b[i], b_i)
 
 
 class TestPendulum:
     def test_rest_is_fixed_point(self):
-        x = pendulum_step(np.zeros(2), np.zeros(1))
+        x = Pendulum().step(np.zeros(2), np.zeros(1))
         np.testing.assert_array_equal(x, np.zeros(2))
 
     def test_upright_is_fixed_point(self):
-        x = pendulum_step(np.array([np.pi, 0.0]), np.zeros(1))
+        x = Pendulum().step(np.array([np.pi, 0.0]), np.zeros(1))
         np.testing.assert_allclose(x, [np.pi, 0.0], atol=1e-15)
 
     def test_hand_computed_step(self):
-        x = pendulum_step(np.array([np.pi / 2, 0.0]), np.zeros(1),
-                          mass=1.0, length=1.0, gravity=9.81, damping=0.0, h=0.01)
+        sys = Pendulum(mass=1.0, length=1.0, gravity=9.81, damping=0.0, h=0.01)
+        x = sys.step(np.array([np.pi / 2, 0.0]), np.zeros(1))
         assert x[1] == pytest.approx(-0.0981, abs=1e-12)
         assert x[0] == pytest.approx(np.pi / 2 - 0.000981, abs=1e-12)
 
@@ -44,14 +57,14 @@ class TestPendulum:
 class TestDubins:
     def test_zero_input_fixed_point(self):
         x = np.array([0.4, -0.2, 1.1])
-        np.testing.assert_array_equal(dubins_step(x, np.zeros(2), h=0.1), x)
+        np.testing.assert_array_equal(DubinsCar(h=0.1).step(x, np.zeros(2)), x)
 
     def test_straight_line(self):
-        x = dubins_step(np.zeros(3), np.array([1.0, 0.0]), h=0.1)
+        x = DubinsCar(h=0.1).step(np.zeros(3), np.array([1.0, 0.0]))
         np.testing.assert_allclose(x, [0.1, 0.0, 0.0], atol=1e-15)
 
     def test_turn(self):
-        x = dubins_step(np.zeros(3), np.array([1.0, 1.0]), h=0.1)
+        x = DubinsCar(h=0.1).step(np.zeros(3), np.array([1.0, 1.0]))
         np.testing.assert_allclose(x, [0.1, 0.0, 0.1], atol=1e-15)
 
 
@@ -126,6 +139,26 @@ class TestLinearization:
                 x[3:6] *= 0.3          # stay away from the pitch singularity
                 u = sys.hover_thrusts() + 0.2 * u
             a, b = sys.jacobians(x, u)
-            a_fd, b_fd = finite_difference_jacobians(sys.step, x, u)
-            np.testing.assert_allclose(a, a_fd, atol=1e-4)
-            np.testing.assert_allclose(b, b_fd, atol=1e-4)
+            a_fd, b_fd = finite_difference_jacobians(sys.step_batch, [x], [u])
+            np.testing.assert_allclose(a, a_fd[0], atol=1e-4)
+            np.testing.assert_allclose(b, b_fd[0], atol=1e-4)
+
+
+class TestBatchProtocol:
+    @pytest.mark.parametrize("make", [
+        lambda: Pendulum(damping=0.25, h=0.02),
+        lambda: DubinsCar(h=0.1),
+        lambda: Quadrotor(h=0.01),
+        lambda: LinearSystem(np.arange(16.0).reshape(4, 4) / 7.0 - 1.0,
+                             np.arange(8.0).reshape(4, 2) / 3.0, np.full(4, 0.1)),
+        # 10 terms in each row of A x: past numpy's 8-way unrolled sum
+        lambda: LinearSystem(np.sin(np.arange(100.0)).reshape(10, 10),
+                             np.cos(np.arange(30.0)).reshape(10, 3)),
+    ])
+    @pytest.mark.parametrize("rows", [1, 7, 100])
+    def test_batch_rows_equal_batch_of_one(self, make, rows):
+        sys = make()
+        rng = np.random.default_rng(rows)
+        xs = rng.uniform(-1.0, 1.0, (rows, sys.state_dim))
+        us = rng.uniform(-1.0, 1.0, (rows, sys.input_dim))
+        assert_batch_rows_match(sys, xs, us)
