@@ -15,10 +15,9 @@ from .contact import (Contact1DParams, Contact1DState, Contact2DParams,
                       step_1d, step_2d_anitescu, step_2d_exact)
 from .errors import ConfigurationError, DivergedError, SingularRegressionError
 from .functions import TEST_FUNCTION_IDS, TestFunction, get_test_function
-from .irs_lqr import (GradientMode, MpcProblem, MpcResult, ResultRecord,
-                      TrajectoryIterate, irs_lqr_run,
-                      linearize_trajectory, mpc_solve, rollout, run_comparison,
-                      trajectory_cost)
+from .irs_lqr import (GradientMode, MpcProblem, MpcResult, TrajectoryIterate,
+                      irs_lqr_run, linearize_trajectory, mpc_solve, rollout,
+                      stop_reason, trajectory_cost)
 from .oracle import convolution_oracle
 from .qp import QpProblem, QpSolution, SolverOptions, kkt_residual, solve_qp
 from .smoothing import (BundleEstimate, SmoothingDistribution,

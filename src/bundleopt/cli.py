@@ -7,7 +7,9 @@ Three verbs, each taking --config/--out/--seed/--jobs:
   the quadrature-oracle values per point.
 * plan: run the trajectory optimizer on a catalog task for every
   (gradient mode, seed) pair, writing per-iteration costs and the final
-  trajectories.
+  trajectories. The `diverged` column is 1 on every row of a run whose
+  costs end in 5 consecutive rises, the "diverged" of
+  irs_lqr.stop_reason that stopped the planner, and 0 otherwise.
 * contact-probe: sweep 2D contact commands on a grid, writing the next
   box position under the exact and relaxed models and their smoothed
   (quadrature-bundled) versions.
@@ -38,7 +40,7 @@ from . import __version__
 from .contact import Contact2DParams, Contact2DState, step_2d_anitescu, step_2d_exact
 from .errors import ConfigurationError, DivergedError, SingularRegressionError
 from .functions import TEST_FUNCTION_IDS, get_test_function
-from .irs_lqr import GRADIENT_MODES, GradientMode, irs_lqr_run, trajectory_cost
+from .irs_lqr import GRADIENT_MODES, GradientMode, irs_lqr_run, stop_reason
 from .oracle import convolution_oracle, gauss_hermite_expectation
 from .smoothing import (SmoothingDistribution, bundled_objective_estimate,
                         first_order_gradient_bundle, zero_order_gradient_bundle)
@@ -267,7 +269,7 @@ def _plan_run(item):
                           max_iters=config.get("max_iters", 20),
                           seed=seed, u_init=task.u_init)
     elapsed = time.perf_counter() - started
-    diverged = history[-1].cost > history[0].cost
+    diverged = stop_reason([it.cost for it in history]) == "diverged"
     result_rows = [[task.name, mode_kind, seed, it.iteration, it.cost,
                     it.infeasible_steps, int(diverged)] for it in history]
     final = history[-1]

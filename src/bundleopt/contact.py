@@ -24,7 +24,7 @@ diagnostics, which keeps stepping deterministic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -109,24 +109,21 @@ def step_1d(state: Contact1DState, params: Contact1DParams
             ) -> tuple[Contact1DState, StepDiagnostics]:
     """Advance the 1D pusher system one step.
 
-    Two linear pieces: commands short of the box leave it untouched and
-    the robot lands on its command; commands at or past the box place both
-    at the blend (c*xu + command)/(1+c). The returned impulse satisfies
-    the robot force balance and box momentum relation exactly.
+    The next state is ContactPush1D's step: commands short of the box
+    leave it untouched and the robot lands on its command; commands at or
+    past the box place both at the blend (c*xu + command)/(1+c). The
+    returned impulse satisfies the robot force balance and box momentum
+    relation exactly.
     """
-    c = params.c_ratio
+    (xu, xa), = ContactPush1D(params).step_batch(np.array([[state.xu, state.xa]]),
+                                                  np.array([[state.command]]))
+    nxt = Contact1DState(xu=float(xu), xa=float(xa), command=state.command)
+    tie = abs(state.command - state.xu) <= _TIE_TOL
     if state.command < state.xu:
-        nxt = Contact1DState(xu=state.xu, xa=state.command, command=state.command)
-        diag = StepDiagnostics(lambda_n=0.0, gap=state.xu - state.command,
-                               mode=MODE_SEPARATION,
-                               tie=abs(state.command - state.xu) <= _TIE_TOL)
-    else:
-        pos = (c * state.xu + state.command) / (1.0 + c)
-        nxt = Contact1DState(xu=pos, xa=pos, command=state.command)
-        diag = StepDiagnostics(lambda_n=params.m * (pos - state.xu) / params.h,
-                               gap=0.0, mode=MODE_CONTACT,
-                               tie=abs(state.command - state.xu) <= _TIE_TOL)
-    return nxt, diag
+        return nxt, StepDiagnostics(lambda_n=0.0, gap=state.xu - state.command,
+                                    mode=MODE_SEPARATION, tie=tie)
+    return nxt, StepDiagnostics(lambda_n=params.m * (nxt.xu - state.xu) / params.h,
+                                gap=0.0, mode=MODE_CONTACT, tie=tie)
 
 
 def residuals_1d(state: Contact1DState, nxt: Contact1DState, diag: StepDiagnostics,
@@ -406,7 +403,7 @@ class PenaltyStep1DParams:
 class ContactPush1D(DynamicalSystem):
     """1D pusher as a (xu, xa) system with the commanded position as input.
 
-    The same two pieces as step_1d. At the boundary the Jacobians follow
+    Holds the two pieces of step_1d. At the boundary the Jacobians follow
     the right-sided convention: the contact piece applies exactly when
     the command reaches the box.
     """

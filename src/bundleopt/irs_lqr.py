@@ -24,7 +24,9 @@ shape:
 
 There is no line search or trust region; smoothing itself is the
 stabilizer, the variance schedule anneals it away, and divergence is
-detected and reported rather than patched.
+detected and reported rather than patched. stop_reason is the one rule
+for why a run stops: the planner loop and the CLI's `diverged` column
+both read it.
 
 Per-knot sample seeds derive deterministically from (run seed, iteration,
 knot index), so results are bit-identical regardless of how callers
@@ -35,14 +37,12 @@ linearization does not depend on which other knots share the iteration.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import qp as _qp
 from .errors import ConfigurationError
-from .qp import QpSolution
 from .smoothing import (SmoothingDistribution, jacobian_bundle_first_order,
                         jacobian_bundle_zero_order, variance_schedule)
 from .systems import DynamicalSystem, LinearizedDynamics, linearize_exact
@@ -51,7 +51,6 @@ __all__ = [
     "MpcProblem",
     "GradientMode",
     "TrajectoryIterate",
-    "ResultRecord",
     "MpcResult",
     "trajectory_cost",
     "rollout",
@@ -59,7 +58,7 @@ __all__ = [
     "linearize_trajectory",
     "mpc_solve",
     "irs_lqr_run",
-    "run_comparison",
+    "stop_reason",
 ]
 
 GRADIENT_MODES = ("exact", "first_order_bundle", "zero_order_bundle")
@@ -186,38 +185,23 @@ class TrajectoryIterate:
 
 
 @dataclass(frozen=True)
-class ResultRecord:
-    """One (mode, seed, iteration) row of a benchmark comparison."""
-
-    task: str
-    mode: str
-    seed: int
-    iteration: int
-    cost: float
-    infeasible_steps: int
-    diverged: bool
-
-
-@dataclass(frozen=True)
 class MpcResult:
-    """First input of an MPC window, with the QP it came from.
+    """First input of an MPC window, with the window QP's multipliers.
 
-    `active` lists the window QP's final active rows, sorted; it is empty
-    for a relaxed window, whose QP has slack variables and another layout.
+    `duals` are the multipliers of the window QP's inequality rows.
+    `active` lists its final active rows, sorted; it is empty for a
+    relaxed window, whose QP has slack variables and another layout.
     """
 
     u: np.ndarray
     relaxed: bool
-    qp: QpSolution
+    duals: np.ndarray
     active: tuple[int, ...] = ()
 
 
-def trajectory_cost(iterate, mpc: MpcProblem) -> float:
-    """Terminal plus running quadratic cost of a trajectory."""
-    if isinstance(iterate, TrajectoryIterate):
-        xs, us = iterate.xs, iterate.us
-    else:
-        xs, us = iterate
+def trajectory_cost(trajectory, mpc: MpcProblem) -> float:
+    """Terminal plus running quadratic cost of an (xs, us) trajectory."""
+    xs, us = trajectory
     xs = np.asarray(xs, dtype=float)
     us = np.asarray(us, dtype=float)
     T = mpc.horizon
@@ -387,12 +371,10 @@ class _CondensedHorizon:
         opt = _qp.SolverOptions()
         for relaxed in (False, True):
             P, q, G, h = self.window_qp(j, x_j, relaxed)
-            y, lam, active, status, iters = _qp._dual_active_set(
+            y, lam, active, status, _ = _qp._dual_active_set(
                 P, q, G, h, opt, start=() if relaxed else start)
             if status == "optimal":
-                sol = QpSolution(z=y, ineq_duals=lam, eq_duals=np.zeros(0),
-                                 status=status, kkt_residual=0.0, iterations=iters)
-                return MpcResult(u=y[:self.mpc.input_dim], relaxed=relaxed, qp=sol,
+                return MpcResult(u=y[:self.mpc.input_dim], relaxed=relaxed, duals=lam,
                                  active=() if relaxed else tuple(active))
             if status == "infeasible" and self.mpc.C_x is not None and not relaxed:
                 continue
@@ -471,10 +453,8 @@ def irs_lqr_run(sys: DynamicalSystem, mpc: MpcProblem, mode: GradientMode,
 
     `cov0` is the initial sampling covariance (scalar variance or joint
     matrix, see joint_covariance); `schedule` a (policy, gamma) pair fed to
-    variance_schedule. Stops at max_iters, when the relative cost change
-    stays below 1e-6 for 3 iterations, or when the cost rises for 5
-    consecutive iterations (divergence: reported, not patched, since the
-    algorithm has no line search).
+    variance_schedule. Stops after max_iters iterations, or as soon as
+    stop_reason of the costs so far is "diverged" or "converged".
     """
     if mpc.initial_state is None:
         raise ConfigurationError("MpcProblem.initial_state must hold the start state")
@@ -486,15 +466,13 @@ def irs_lqr_run(sys: DynamicalSystem, mpc: MpcProblem, mode: GradientMode,
     if mode.kind == "zero_order_bundle" and mode.samples < n + m:
         raise ConfigurationError(
             f"zero-order mode needs at least dim(x)+dim(u)={n + m} samples")
-    policy, gamma = (schedule[0], schedule[1]) if len(schedule) > 1 else (schedule[0], 0.5)
+    policy, gamma = schedule
     cov_joint0 = joint_covariance(cov0, mode, n, m)
     unconstrained = mpc.C_u is None and mpc.C_x is None
 
     xs = rollout(sys, mpc.initial_state, us)
     history = [TrajectoryIterate(xs=xs, us=us.copy(),
                                  cost=trajectory_cost((xs, us), mpc), iteration=0)]
-    flat_streak = 0
-    rise_streak = 0
     for k in range(max_iters):
         cov_k = variance_schedule(cov_joint0, k, policy, gamma)
         lins = linearize_trajectory(sys, xs, us, mode, cov_k, seed, k)
@@ -517,51 +495,33 @@ def irs_lqr_run(sys: DynamicalSystem, mpc: MpcProblem, mode: GradientMode,
                 start = windows.next_start(t, res.active)
             new_xs[t + 1] = sys.step(new_xs[t], new_us[t])
         xs, us = new_xs, new_us
-        cost = trajectory_cost((xs, us), mpc)
-        prev = history[-1].cost
-        history.append(TrajectoryIterate(xs=xs, us=us.copy(), cost=cost,
+        history.append(TrajectoryIterate(xs=xs, us=us.copy(),
+                                         cost=trajectory_cost((xs, us), mpc),
                                          iteration=k + 1, variance=cov_k,
                                          linearizations=lins,
                                          infeasible_steps=infeasible))
-        rise_streak = rise_streak + 1 if cost > prev else 0
-        if rise_streak >= _DIVERGENCE_STREAK:
-            break
-        flat = abs(cost - prev) < _CONVERGENCE_RTOL * max(abs(prev), 1e-12)
-        flat_streak = flat_streak + 1 if flat else 0
-        if flat_streak >= _CONVERGENCE_STREAK:
+        if stop_reason([it.cost for it in history]) is not None:
             break
     return history
 
 
-def run_comparison(sys: DynamicalSystem, mpc: MpcProblem, modes, seeds,
-                   cov0, schedule=("geometric", 0.7), max_iters: int = 20,
-                   u_init=None, task: str = "") -> tuple[list[ResultRecord], dict]:
-    """Run every gradient mode over shared seeds; per-iteration cost table.
+def stop_reason(costs) -> str | None:
+    """Why a run with this cost sequence stops: "diverged", "converged" or None.
 
-    Returns (records, extras) where records hold one row per
-    (mode, seed, iteration) and extras maps (mode, seed) to the final
-    iterate and the run's wall time. Wall times are excluded from the
-    records so result tables stay byte-reproducible.
+    "diverged": the cost rose in each of the last 5 steps (reported, not
+    patched, since the algorithm has no line search). "converged": in
+    each of the last 3 steps the cost changed by less than 1e-6 relative
+    to max(|previous cost|, 1e-12). Divergence is checked first.
     """
-    records: list[ResultRecord] = []
-    extras: dict = {}
-    for mode in modes:
-        mode = mode if isinstance(mode, GradientMode) else GradientMode(kind=mode)
-        for s in seeds:
-            start = time.perf_counter()
-            history = irs_lqr_run(sys, mpc, mode, cov0, schedule, max_iters,
-                                  seed=int(s), u_init=u_init)
-            elapsed = time.perf_counter() - start
-            diverged = len(history) > _DIVERGENCE_STREAK and all(
-                history[-i].cost > history[-i - 1].cost
-                for i in range(1, _DIVERGENCE_STREAK + 1))
-            for it in history:
-                records.append(ResultRecord(task=task, mode=mode.kind, seed=int(s),
-                                            iteration=it.iteration, cost=it.cost,
-                                            infeasible_steps=it.infeasible_steps,
-                                            diverged=diverged))
-            extras[(mode.kind, int(s))] = {"final": history[-1], "wall_time": elapsed}
-    return records, extras
+    steps = list(zip(costs[:-1], costs[1:]))
+    rises = steps[-_DIVERGENCE_STREAK:]
+    if len(rises) == _DIVERGENCE_STREAK and all(b > a for a, b in rises):
+        return "diverged"
+    flats = steps[-_CONVERGENCE_STREAK:]
+    if len(flats) == _CONVERGENCE_STREAK and all(
+            abs(b - a) < _CONVERGENCE_RTOL * max(abs(a), 1e-12) for a, b in flats):
+        return "converged"
+    return None
 
 
 def _per_step(mat, T: int, dim: int, name: str) -> np.ndarray:

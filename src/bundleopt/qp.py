@@ -95,9 +95,6 @@ class QpProblem:
     def n(self) -> int:
         return self.q.shape[0]
 
-    def objective(self, z: np.ndarray) -> float:
-        return float(0.5 * z @ self.P @ z + self.q @ z)
-
 
 @dataclass
 class QpSolution:

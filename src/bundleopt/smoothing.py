@@ -53,9 +53,7 @@ class SmoothingDistribution:
     deterministic in the seed.
     """
 
-    def __init__(self, covariance, kind: str = "gaussian"):
-        if kind != "gaussian":
-            raise ConfigurationError(f"unsupported distribution kind {kind!r}")
+    def __init__(self, covariance):
         cov = np.atleast_2d(np.asarray(covariance, dtype=float))
         if cov.shape[0] != cov.shape[1]:
             raise ConfigurationError(f"covariance must be square, got {cov.shape}")
@@ -68,7 +66,6 @@ class SmoothingDistribution:
             raise ConfigurationError(
                 "covariance must be positive semidefinite "
                 f"(min eigenvalue {eigval.min():.3e})")
-        self.kind = kind
         self.covariance = cov
         self.dimension = cov.shape[0]
         self._factor = eigvec * np.sqrt(np.clip(eigval, 0.0, None))
@@ -95,7 +92,7 @@ class SmoothingDistribution:
         return z @ self._factor.T
 
     def __repr__(self):
-        return f"SmoothingDistribution(kind={self.kind!r}, dimension={self.dimension})"
+        return f"SmoothingDistribution(dimension={self.dimension})"
 
 
 @dataclass(frozen=True)
@@ -166,17 +163,15 @@ def zero_order_gradient_bundle(f, x, dist: SmoothingDistribution, n: int,
     x = np.atleast_1d(np.asarray(x, dtype=float))
     d = x.shape[0]
     if dist.is_zero:
-        g = np.empty(d)
-        for i in range(d):
-            e = np.zeros(d)
-            e[i] = 1e-6
-            g[i] = (_eval_point(f, x + e) - _eval_point(f, x - e)) / 2e-6
+        step = 1e-6 * np.eye(d)
+        ends = _eval_batch(f, np.concatenate([x + step, x - step]))
+        g = (ends[:d] - ends[d:]) / 2e-6
         return BundleEstimate(value=g, sample_count=n, empirical_variance=np.zeros(d))
     if n < d:
         raise ConfigurationError(
             f"zero-order estimate needs at least dim(x)={d} samples, got {n}")
     w = sample_perturbations(dist, n, seed)
-    f0 = _eval_point(f, x)
+    f0 = _eval_batch(f, x[None, :])[0]
     dev = _eval_batch(f, x[None, :] + w) - f0
     gram = w.T @ w
     _require_full_rank(gram, d)
@@ -267,12 +262,6 @@ def _eval_batch(f, points: np.ndarray) -> np.ndarray:
         arg = points[:, 0] if points.shape[1] == 1 else points
         return np.asarray(f(arg), dtype=float).reshape(points.shape[0])
     return np.array([float(f(p)) for p in points])
-
-
-def _eval_point(f, x: np.ndarray) -> float:
-    if getattr(f, "vectorized", False) and x.shape == (1,):
-        return float(np.asarray(f(x[0]), dtype=float))
-    return float(f(x))
 
 
 def _grad_batch(grad_f, points: np.ndarray, dim: int | None = None) -> np.ndarray:

@@ -75,7 +75,7 @@ def _one_row(v) -> np.ndarray:
     return np.asarray(v, dtype=float)[None, :]
 
 
-def finite_difference_jacobians(step_batch, xs, us, delta: float = FD_STEP):
+def finite_difference_jacobians(step_batch, xs, us):
     """Central-difference Jacobians of a batched step at each row of (xs, us).
 
     Makes one step_batch call on all 2(n+m)N perturbed rows and returns
@@ -86,11 +86,11 @@ def finite_difference_jacobians(step_batch, xs, us, delta: float = FD_STEP):
     n = xs.shape[1]
     z = np.concatenate([xs, us], axis=1)
     rows, d = z.shape
-    e = delta * np.eye(d)
+    e = FD_STEP * np.eye(d)
     probes = np.concatenate([z[:, None, :] + e, z[:, None, :] - e], axis=1).reshape(-1, d)
     f = np.asarray(step_batch(probes[:, :n], probes[:, n:]), dtype=float)
     f = f.reshape(rows, 2, d, -1)
-    jac = ((f[:, 0] - f[:, 1]) / (2 * delta)).transpose(0, 2, 1)
+    jac = ((f[:, 0] - f[:, 1]) / (2 * FD_STEP)).transpose(0, 2, 1)
     return jac[:, :, :n], jac[:, :, n:]
 
 

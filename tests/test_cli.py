@@ -1,9 +1,14 @@
 """Exit-code contract of the command-line runner: 0 success, 2 config, 3 numerical."""
 
+import csv
 import json
+
+import numpy as np
+import pytest
 
 import bundleopt
 from bundleopt import cli
+from bundleopt.irs_lqr import TrajectoryIterate
 
 PLAN = {"task": "push_1d", "modes": ["exact"], "sigma0": 0.25, "seeds": [0],
         "max_iters": 2}
@@ -57,3 +62,23 @@ def test_plan_outputs_do_not_depend_on_jobs(tmp_path):
         outputs[jobs] = [(out / name).read_bytes()
                          for name in ("results.csv", "trajectory.csv")]
     assert outputs[1] == outputs[2]
+
+
+@pytest.mark.parametrize("costs, diverged", [
+    ([1.0, 0.5, 2.0], "0"),                          # ends above its start, no streak
+    ([1.0, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0], "1"),      # 5 rises, ends at its start
+])
+def test_diverged_column_is_the_planner_stop_rule(tmp_path, monkeypatch, costs, diverged):
+    def run(system, mpc, *args, **kwargs):
+        xs = np.zeros((mpc.horizon + 1, mpc.state_dim))
+        us = np.zeros((mpc.horizon, mpc.input_dim))
+        return [TrajectoryIterate(xs=xs, us=us, cost=c, iteration=i)
+                for i, c in enumerate(costs)]
+
+    monkeypatch.setattr(cli, "irs_lqr_run", run)
+    code, out = _plan(tmp_path, PLAN)
+    assert code == 0
+    with open(out / "results.csv", encoding="utf-8") as fh:
+        next(fh)                                     # schema comment row
+        rows = list(csv.DictReader(fh))
+    assert [row["diverged"] for row in rows] == [diverged] * len(costs)

@@ -7,7 +7,7 @@ import pytest
 
 from bundleopt import irs_lqr, qp
 from bundleopt.irs_lqr import (GradientMode, MpcProblem, derive_knot_seed, irs_lqr_run,
-                               linearize_trajectory, mpc_solve)
+                               linearize_trajectory, mpc_solve, stop_reason)
 from bundleopt.qp import solve_qp
 from bundleopt.errors import ConfigurationError
 from bundleopt.smoothing import (SmoothingDistribution, jacobian_bundle_first_order,
@@ -112,7 +112,7 @@ class TestCondensedPath:
             x = rng.uniform(-0.8, 0.8, n)
             res = mpc_solve(mpc.window(j, x), lins)
             assert not res.relaxed
-            active |= bool(np.max(res.qp.ineq_duals) > 1e-6)
+            active |= bool(np.max(res.duals) > 1e-6)
             np.testing.assert_allclose(res.u, _stacked_first_input(mpc.window(j, x), lins),
                                        atol=STACKED_ATOL)
         assert active, "no inequality was active; the case tests nothing"
@@ -283,6 +283,30 @@ class TestDeterminism:
                                   SmoothingDistribution(cov), 30, derive_knot_seed(11, 2, t))
                     np.testing.assert_array_equal(a, lins[t].A)
                     np.testing.assert_array_equal(b, lins[t].B)
+
+
+class TestStopReason:
+    @pytest.mark.parametrize("costs, reason", [
+        ([9.0, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0], "diverged"),       # 5 rises
+        ([9.0, 1.0, 2.0, 3.0, 4.0, 5.0], None),                  # 4 rises
+        ([9.0, 1.0, 2.0, 2.0, 3.0, 4.0, 5.0], None),             # an equal step breaks them
+        ([9.0, 2.0, 2.0, 2.0, 2.0], "converged"),                # 3 flat steps
+        ([9.0, 2.0, 2.0, 2.0], None),                            # 2 flat steps
+        ([1.0, 2.0, 3.0, 3.0 * (1 + 1e-8), 3.0 * (1 + 2e-8), 3.0 * (1 + 3e-8)],
+         "diverged"),                  # 3 flat steps that are also the end of 5 rises
+        ([5.0], None),
+    ])
+    def test_hand_built_costs(self, costs, reason):
+        assert stop_reason(costs) == reason
+
+    def test_lti_run_stops_at_the_first_converged_prefix(self):
+        setup = build_task("lti")
+        history = irs_lqr_run(setup.system, setup.mpc, GradientMode(), 0.0,
+                              u_init=setup.u_init)
+        costs = [it.cost for it in history]
+        assert len(costs) < 21
+        assert [stop_reason(costs[:k]) for k in range(1, len(costs))] == [None] * (len(costs) - 1)
+        assert stop_reason(costs) == "converged"
 
 
 class TestTasks:

@@ -28,7 +28,7 @@ class TestSmoothingDistribution:
             SmoothingDistribution([[1.0, 0.5], [0.0, 1.0]])
 
     def test_rejects_unknown_kind(self):
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(TypeError):
             SmoothingDistribution(np.eye(1), kind="uniform")
 
     def test_symmetry_statistics(self):
@@ -155,6 +155,21 @@ class TestZeroOrderBundle:
         with pytest.raises(SingularRegressionError):
             zero_order_gradient_bundle(lambda x: float(x[0]), [0.0, 0.0], dist,
                                        100, seed=0)
+
+    @pytest.mark.parametrize("cov", [0.04 * np.eye(2), np.zeros((2, 2))])
+    def test_vectorized_2d_function_matches_its_scalar_twin(self, cov):
+        def f(p):
+            return p[0] * p[0] + 3.0 * p[1] * p[1]
+
+        def f_batch(points):
+            return points[:, 0] * points[:, 0] + 3.0 * points[:, 1] * points[:, 1]
+
+        f_batch.vectorized = True
+        dist = SmoothingDistribution(cov)
+        scalar = zero_order_gradient_bundle(f, [0.3, -0.2], dist, 50, seed=3)
+        batched = zero_order_gradient_bundle(f_batch, [0.3, -0.2], dist, 50, seed=3)
+        np.testing.assert_array_equal(batched.value, scalar.value)
+        np.testing.assert_array_equal(batched.empirical_variance, scalar.empirical_variance)
 
 
 class TestJacobianBundles:
