@@ -19,7 +19,7 @@ from .irs_lqr import (GradientMode, MpcProblem, MpcResult, TrajectoryIterate,
                       irs_lqr_run, linearize_trajectory, mpc_solve, rollout,
                       stop_reason, trajectory_cost)
 from .oracle import convolution_oracle
-from .qp import QpProblem, QpSolution, SolverOptions, kkt_residual, solve_qp
+from .qp import QpProblem, QpSolution, solve_qp
 from .smoothing import (BundleEstimate, SmoothingDistribution,
                         bundled_objective_estimate, first_order_gradient_bundle,
                         jacobian_bundle_first_order, jacobian_bundle_zero_order,

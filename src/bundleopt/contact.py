@@ -126,20 +126,6 @@ def step_1d(state: Contact1DState, params: Contact1DParams
                                 gap=0.0, mode=MODE_CONTACT, tie=tie)
 
 
-def residuals_1d(state: Contact1DState, nxt: Contact1DState, diag: StepDiagnostics,
-                 params: Contact1DParams) -> dict[str, float]:
-    """Defining-equation residuals of a 1D step (all should be ~0)."""
-    force_balance = -diag.lambda_n + params.h * params.k * (state.command - nxt.xa)
-    momentum = params.m * (nxt.xu - state.xu) / params.h - diag.lambda_n
-    return {
-        "force_balance": abs(force_balance),
-        "momentum": abs(momentum),
-        "complementarity": abs(diag.lambda_n * diag.gap),
-        "gap_negative": max(0.0, -diag.gap),
-        "impulse_negative": max(0.0, -diag.lambda_n),
-    }
-
-
 # ---------------------------------------------------------------------------
 # 2D frictional contact
 

@@ -120,11 +120,7 @@ class MpcProblem:
         if self.C_x is not None:
             self.C_x = np.atleast_2d(np.asarray(self.C_x, dtype=float))
             self.d_x = np.asarray(self.d_x, dtype=float).ravel()
-        if not 0 <= self.start_index < T:
-            raise ConfigurationError(
-                f"start_index must be in [0, {T - 1}], got {self.start_index}")
-        if self.initial_state is not None:
-            self.initial_state = np.asarray(self.initial_state, dtype=float)
+        self._anchor(self.start_index, self.initial_state)
 
     @property
     def state_dim(self) -> int:
@@ -135,12 +131,24 @@ class MpcProblem:
         return self.R.shape[-1]
 
     def window(self, start_index: int, initial_state) -> "MpcProblem":
-        """Same problem re-anchored at knot start_index; skips re-validation."""
+        """Same problem re-anchored at knot start_index; checks only the anchor."""
         clone = object.__new__(MpcProblem)
         clone.__dict__.update(self.__dict__)
-        clone.start_index = int(start_index)
-        clone.initial_state = np.asarray(initial_state, dtype=float)
+        clone._anchor(start_index, initial_state)
         return clone
+
+    def _anchor(self, start_index: int, initial_state):
+        """Set the window start: 0 <= start_index < T and a state of shape (n,)."""
+        T, n = self.horizon, self.state_dim
+        if not 0 <= start_index < T:
+            raise ConfigurationError(f"start_index must be in [0, {T - 1}], got {start_index}")
+        if initial_state is not None:
+            initial_state = np.asarray(initial_state, dtype=float)
+            if initial_state.shape != (n,):
+                raise ConfigurationError(
+                    f"initial_state must have shape {(n,)}, got {initial_state.shape}")
+        self.start_index = int(start_index)
+        self.initial_state = initial_state
 
 
 @dataclass(frozen=True)
@@ -368,11 +376,10 @@ class _CondensedHorizon:
         `start` is the active set the QP starts from (see next_start); a
         relaxed re-solve starts empty.
         """
-        opt = _qp.SolverOptions()
         for relaxed in (False, True):
             P, q, G, h = self.window_qp(j, x_j, relaxed)
             y, lam, active, status, _ = _qp._dual_active_set(
-                P, q, G, h, opt, start=() if relaxed else start)
+                P, q, G, h, start=() if relaxed else start)
             if status == "optimal":
                 return MpcResult(u=y[:self.mpc.input_dim], relaxed=relaxed, duals=lam,
                                  active=() if relaxed else tuple(active))

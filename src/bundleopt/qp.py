@@ -1,9 +1,7 @@
-"""Dense strictly-convex quadratic programming.
+"""Dense strictly-convex quadratic programming with inequality constraints.
 
-Solves  min 1/2 z'Pz + q'z  s.t.  Gz <= h,  A_eq z = b_eq  for small dense
-problems with a positive-definite P. Equality constraints are eliminated
-through a QR nullspace basis, and the reduced inequality-constrained
-problem is solved with a dual active-set method (Goldfarb-Idnani): start at
+Solves  min 1/2 z'Pz + q'z  s.t.  Gz <= h  for small dense problems with a
+positive-definite P by a dual active-set method (Goldfarb-Idnani): start at
 the unconstrained optimum, or at the optimum with a given start set of rows
 held as equalities (a warm start, e.g. from the previous MPC window), then
 repeatedly add the most violated inequality, taking partial steps that
@@ -28,31 +26,30 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_triangular
 from scipy.linalg.lapack import dpotrf, dpotrs
 
 from .errors import ConfigurationError
 
-__all__ = ["QpProblem", "QpSolution", "SolverOptions", "solve_qp", "kkt_residual"]
+__all__ = ["QpProblem", "QpSolution", "solve_qp"]
 
 _MIN_EIG = 1e-9
+_FEAS_TOL = 1e-10                     # a row counts as violated above this
+_STEP_TOL = 1e-12                     # smallest usable step denominator, relative
 
 
 @dataclass
 class QpProblem:
-    """min 1/2 z'Pz + q'z  s.t.  Gz <= h,  A_eq z = b_eq.
+    """min 1/2 z'Pz + q'z  s.t.  Gz <= h.
 
     P must be symmetric with minimum eigenvalue above 1e-9 (checked at
-    construction via a shifted Cholesky factorization). A_eq is expected to
-    have full row rank; inconsistent equalities surface as infeasibility.
+    construction via a shifted Cholesky factorization). G and h are given
+    together or not at all.
     """
 
     P: np.ndarray
     q: np.ndarray
     G: np.ndarray | None = None
     h: np.ndarray | None = None
-    A_eq: np.ndarray | None = None
-    b_eq: np.ndarray | None = None
 
     def __post_init__(self):
         self.P = np.asarray(self.P, dtype=float)
@@ -78,105 +75,25 @@ class QpProblem:
             if self.G.shape != (self.h.shape[0], n):
                 raise ConfigurationError(
                     f"G/h shapes {self.G.shape}/{self.h.shape} inconsistent with n={n}")
-        if (self.A_eq is None) != (self.b_eq is None):
-            raise ConfigurationError("A_eq and b_eq must be given together")
-        if self.A_eq is None:
-            self.A_eq = np.zeros((0, n))
-            self.b_eq = np.zeros(0)
-        else:
-            self.A_eq = np.atleast_2d(np.asarray(self.A_eq, dtype=float))
-            self.b_eq = np.asarray(self.b_eq, dtype=float).ravel()
-            if self.A_eq.shape != (self.b_eq.shape[0], n):
-                raise ConfigurationError(
-                    f"A_eq/b_eq shapes {self.A_eq.shape}/{self.b_eq.shape} "
-                    f"inconsistent with n={n}")
-
-    @property
-    def n(self) -> int:
-        return self.q.shape[0]
 
 
 @dataclass
 class QpSolution:
     z: np.ndarray
     ineq_duals: np.ndarray
-    eq_duals: np.ndarray
     status: str                       # "optimal" | "infeasible" | "max_iter"
-    kkt_residual: float
-    iterations: int = 0
 
 
-@dataclass
-class SolverOptions:
-    max_iter: int = 0                 # 0 -> automatic (scales with constraint count)
-    feas_tol: float = 1e-10
-    step_tol: float = 1e-12
-
-
-def solve_qp(problem: QpProblem, options: SolverOptions | None = None) -> QpSolution:
-    """Solve the QP; never raises on infeasibility (reported via status)."""
-    opt = options or SolverOptions()
-    P, q, G, h = problem.P, problem.q, problem.G, problem.h
-    A, b = problem.A_eq, problem.b_eq
-    n, m, p = problem.n, G.shape[0], A.shape[0]
-
-    if p == 0:
-        y, lam, active, status, iters = _dual_active_set(P, q, G, h, opt)
-        return _package(problem, y, lam, np.zeros(0), status, iters)
-
-    # Eliminate equalities: z = z_part + Z y with A_eq Z = 0.
-    q_full, r_full = np.linalg.qr(A.T, mode="complete")
-    r1 = r_full[:p, :]
-    diag = np.abs(np.diag(r1))
-    if diag.size and diag.min() <= 1e-12 * max(1.0, diag.max()):
-        z_ls, *_ = np.linalg.lstsq(A, b, rcond=None)
-        if np.max(np.abs(A @ z_ls - b)) > 1e-8 * max(1.0, float(np.abs(b).max())):
-            return _package(problem, None, None, None, "infeasible", 0)
-        raise ConfigurationError("A_eq must have full row rank")
-    z_part = q_full[:, :p] @ solve_triangular(r1.T, b, lower=True)
-    basis = q_full[:, p:]
-    iters = 0
-    if basis.shape[1] == 0:
-        feasible = m == 0 or np.max(G @ z_part - h) <= max(opt.feas_tol, 1e-9)
-        status = "optimal" if feasible else "infeasible"
-        y = np.zeros(0) if feasible else None
-        lam = np.zeros(m) if feasible else None
-    else:
-        p_red = basis.T @ P @ basis
-        p_red = 0.5 * (p_red + p_red.T)
-        q_red = basis.T @ (P @ z_part + q)
-        g_red = G @ basis
-        h_red = h - G @ z_part
-        y, lam, _, status, iters = _dual_active_set(p_red, q_red, g_red, h_red, opt)
+def solve_qp(problem: QpProblem) -> QpSolution:
+    """Solve the QP; never raises on infeasibility (reported via status, NaN values)."""
+    z, lam, _, status, _ = _dual_active_set(problem.P, problem.q, problem.G, problem.h)
     if status == "infeasible":
-        return _package(problem, None, None, None, status, iters)
-    z = z_part + (basis @ y if y.size else 0.0)
-    resid = P @ z + q + G.T @ lam
-    nu = solve_triangular(r1, q_full[:, :p].T @ (-resid), lower=False)
-    sol = QpSolution(z, lam, nu, status, 0.0, iters)
-    sol.kkt_residual = kkt_residual(problem, sol)
-    return sol
+        return QpSolution(np.full(problem.q.shape, np.nan),
+                          np.full(problem.h.shape, np.nan), status)
+    return QpSolution(z, lam, status)
 
 
-def kkt_residual(problem: QpProblem, sol: QpSolution) -> float:
-    """Max of stationarity, primal, dual and complementarity violations."""
-    z, lam, nu = sol.z, sol.ineq_duals, sol.eq_duals
-    if z.shape[0] != problem.n or lam.shape[0] != problem.G.shape[0] \
-            or nu.shape[0] != problem.A_eq.shape[0]:
-        raise ConfigurationError("solution dimensions do not match the problem")
-    stat = problem.P @ z + problem.q + problem.G.T @ lam + problem.A_eq.T @ nu
-    parts = [float(np.max(np.abs(stat))) if stat.size else 0.0]
-    if problem.G.shape[0]:
-        slack = problem.G @ z - problem.h
-        parts.append(float(max(0.0, np.max(slack))))
-        parts.append(float(max(0.0, -np.min(lam))))
-        parts.append(float(np.max(np.abs(lam * slack))))
-    if problem.A_eq.shape[0]:
-        parts.append(float(np.max(np.abs(problem.A_eq @ z - problem.b_eq))))
-    return max(parts)
-
-
-def _dual_active_set(P, q, G, h, opt: SolverOptions, start=()):
+def _dual_active_set(P, q, G, h, start=()):
     """Active-set loop on an inequality-only strictly convex QP.
 
     `start` names rows to begin with as equalities (a warm start from a
@@ -188,10 +105,11 @@ def _dual_active_set(P, q, G, h, opt: SolverOptions, start=()):
 
     Returns (z, ineq_duals, active, status, iterations), active sorted;
     z and the duals are polished by a final KKT re-solve on the optimal
-    active set, so they depend on that set, not on the path to it.
+    active set, so they depend on that set, not on the path to it. The
+    status is "max_iter" after 25 + 10(m + 1) iterations without one.
     """
     n, m = q.shape[0], G.shape[0]
-    max_iter = opt.max_iter or (25 + 10 * (m + 1))
+    max_iter = 25 + 10 * (m + 1)
     chol = _cholesky(P)
     z_free = -_cho_solve(chol, q)
     if m == 0:
@@ -213,7 +131,7 @@ def _dual_active_set(P, q, G, h, opt: SolverOptions, start=()):
                 # The add loop's independence test: each pivot is the step
                 # denominator of adding that row after the ones before it.
                 if np.any(np.diag(factor) ** 2
-                          <= opt.step_tol * np.maximum(1.0, np.diag(gram))):
+                          <= _STEP_TOL * np.maximum(1.0, np.diag(gram))):
                     raise np.linalg.LinAlgError("start rows are linearly dependent")
                 lam = _cho_solve(factor, G[active] @ z_free - h[active])
                 k = int(np.argmin(lam))
@@ -233,7 +151,7 @@ def _dual_active_set(P, q, G, h, opt: SolverOptions, start=()):
         if active:
             resid[active] = 0.0        # kept exactly active
         worst = int(np.argmax(resid))
-        if resid[worst] <= opt.feas_tol:
+        if resid[worst] <= _FEAS_TOL:
             return _polish(G, h, z_free, chol, active, "optimal", iters)
         if not formed[worst]:
             pig[:, worst] = _cho_solve(chol, G[worst])
@@ -242,7 +160,7 @@ def _dual_active_set(P, q, G, h, opt: SolverOptions, start=()):
         g_ww = float(G[worst] @ col)
         g_aw = G[active] @ col
         violation = resid[worst]
-        denom_tol = opt.step_tol * max(1.0, g_ww)
+        denom_tol = _STEP_TOL * max(1.0, g_ww)
         lam_new = 0.0                     # accumulates over partial steps
 
         while True:
@@ -258,7 +176,7 @@ def _dual_active_set(P, q, G, h, opt: SolverOptions, start=()):
             t_dual = np.inf
             blocker = -1
             for k, (lam_i, r_i) in enumerate(zip(lam_active, r)):
-                if r_i > opt.step_tol and lam_i / r_i < t_dual:
+                if r_i > _STEP_TOL and lam_i / r_i < t_dual:
                     t_dual = lam_i / r_i
                     blocker = k
             t = min(t_primal, t_dual)
@@ -321,12 +239,3 @@ def _cho_solve(c, b):
         raise np.linalg.LinAlgError(f"dpotrs failed with info={info}")
     return x
 
-
-def _package(problem: QpProblem, z, lam, nu, status, iters) -> QpSolution:
-    n, m, p = problem.n, problem.G.shape[0], problem.A_eq.shape[0]
-    if status == "infeasible" or z is None:
-        return QpSolution(np.full(n, np.nan), np.full(m, np.nan), np.full(p, np.nan),
-                          "infeasible", float("nan"), iters)
-    sol = QpSolution(z, lam, nu if nu is not None else np.zeros(p), status, 0.0, iters)
-    sol.kkt_residual = kkt_residual(problem, sol)
-    return sol

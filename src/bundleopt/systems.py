@@ -108,15 +108,6 @@ class LinearizedDynamics:
     x_nominal: np.ndarray
     u_nominal: np.ndarray
 
-    def predict(self, x, u):
-        return self.A @ x + self.B @ u + self.c
-
-    def residual(self, f_nominal) -> float:
-        """|step(nominal) - (A x_nom + B u_nom + c)|, the defining identity."""
-        return float(np.max(np.abs(
-            np.asarray(f_nominal) - (self.A @ self.x_nominal
-                                     + self.B @ self.u_nominal + self.c))))
-
 
 def linearize_exact(sys: DynamicalSystem, x_nom, u_nom) -> LinearizedDynamics:
     """First-order Taylor model of the dynamics at (x_nom, u_nom)."""
@@ -173,11 +164,6 @@ class Pendulum(DynamicalSystem):
         a[:, 1, 1] = 1.0 + h * da_dom
         b = np.tile([[h * h / inertia], [h / inertia]], (xs.shape[0], 1, 1))
         return a, b
-
-    def energy(self, x) -> float:
-        theta, omega = float(x[0]), float(x[1])
-        return (0.5 * self.mass * self.length**2 * omega**2
-                + self.mass * self.gravity * self.length * (1.0 - np.cos(theta)))
 
 
 # ---------------------------------------------------------------------------

@@ -2,19 +2,23 @@
 
 Everything here deliberately avoids the code paths under test: closed-form
 Gaussian-smoothing identities, brute-force active-set enumeration for QPs,
-an affine Riccati recursion for finite-horizon tracking LQR, the stacked
-(uncondensed) MPC window QP, and a complementarity-enumeration solver for
-the 1D contact step.
+a QP's KKT residual, equality elimination on top of the inequality QP
+solver, an affine Riccati recursion for finite-horizon tracking LQR, the
+stacked (uncondensed) MPC window QP, a complementarity-enumeration solver
+for the 1D contact step and the residuals of its defining equations, and
+the identities behind linear models and the pendulum's energy.
 """
 
 import itertools
 import math
+from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg import block_diag
+from scipy.linalg import block_diag, solve_triangular
 from scipy.stats import norm
 
-from bundleopt.qp import QpProblem
+from bundleopt.errors import ConfigurationError
+from bundleopt.qp import QpProblem, solve_qp
 
 
 # ---------------------------------------------------------------------------
@@ -113,6 +117,90 @@ def random_qp(rng, n_max=6, m_max=8, with_equalities=False):
 
 
 # ---------------------------------------------------------------------------
+# KKT residual, and equality constraints by nullspace elimination
+
+
+def kkt_residual(P, q, G, h, z, lam, A_eq=None, b_eq=None, nu=None) -> float:
+    """Max of stationarity, primal, dual and complementarity violations.
+
+    For min 1/2 z'Pz + q'z s.t. Gz <= h, A_eq z = b_eq at primal z with
+    inequality multipliers lam and equality multipliers nu; G and A_eq
+    may be None.
+    """
+    n = q.shape[0]
+    G = np.zeros((0, n)) if G is None else G
+    h = np.zeros(0) if h is None else h
+    A_eq = np.zeros((0, n)) if A_eq is None else A_eq
+    b_eq = np.zeros(0) if b_eq is None else b_eq
+    nu = np.zeros(A_eq.shape[0]) if nu is None else nu
+    if z.shape[0] != n or lam.shape[0] != G.shape[0] or nu.shape[0] != A_eq.shape[0]:
+        raise ConfigurationError("solution dimensions do not match the problem")
+    stat = P @ z + q + G.T @ lam + A_eq.T @ nu
+    parts = [float(np.max(np.abs(stat))) if stat.size else 0.0]
+    if G.shape[0]:
+        slack = G @ z - h
+        parts.append(float(max(0.0, np.max(slack))))
+        parts.append(float(max(0.0, -np.min(lam))))
+        parts.append(float(np.max(np.abs(lam * slack))))
+    if A_eq.shape[0]:
+        parts.append(float(np.max(np.abs(A_eq @ z - b_eq))))
+    return max(parts)
+
+
+class EqQpSolution(NamedTuple):
+    z: np.ndarray
+    ineq_duals: np.ndarray
+    eq_duals: np.ndarray
+    status: str                       # "optimal" | "infeasible" | "max_iter"
+
+
+def solve_eq_qp(P, q, G, h, A_eq, b_eq) -> EqQpSolution:
+    """min 1/2 z'Pz + q'z  s.t.  Gz <= h,  A_eq z = b_eq.
+
+    The equalities are eliminated through a QR nullspace basis,
+    z = z_part + Z y with A_eq Z = 0, and the reduced inequality QP in y
+    goes to solve_qp. A_eq must have full row rank; inconsistent
+    equalities are reported as infeasible, with NaN values.
+    """
+    problem = QpProblem(P=P, q=q, G=G, h=h)
+    P, q, G, h = problem.P, problem.q, problem.G, problem.h
+    A = np.atleast_2d(np.asarray(A_eq, dtype=float))
+    b = np.asarray(b_eq, dtype=float).ravel()
+    n, m, p = q.shape[0], G.shape[0], A.shape[0]
+    if A.shape[1] != n or b.shape != (p,):
+        raise ConfigurationError(f"A_eq/b_eq shapes {A.shape}/{b.shape} "
+                                 f"inconsistent with n={n}")
+    infeasible = EqQpSolution(np.full(n, np.nan), np.full(m, np.nan), np.full(p, np.nan),
+                              "infeasible")
+    q_full, r_full = np.linalg.qr(A.T, mode="complete")
+    r1 = r_full[:p, :]
+    diag = np.abs(np.diag(r1))
+    if diag.size and diag.min() <= 1e-12 * max(1.0, diag.max()):
+        z_ls, *_ = np.linalg.lstsq(A, b, rcond=None)
+        if np.max(np.abs(A @ z_ls - b)) > 1e-8 * max(1.0, float(np.abs(b).max())):
+            return infeasible
+        raise ConfigurationError("A_eq must have full row rank")
+    z_part = q_full[:, :p] @ solve_triangular(r1.T, b, lower=True)
+    basis = q_full[:, p:]
+    if basis.shape[1] == 0:
+        if m and np.max(G @ z_part - h) > 1e-9:
+            return infeasible
+        status, y, lam = "optimal", np.zeros(0), np.zeros(m)
+    else:
+        p_red = basis.T @ P @ basis
+        p_red = 0.5 * (p_red + p_red.T)
+        reduced = solve_qp(QpProblem(P=p_red, q=basis.T @ (P @ z_part + q),
+                                     G=G @ basis, h=h - G @ z_part))
+        if reduced.status == "infeasible":
+            return infeasible
+        status, y, lam = reduced.status, reduced.z, reduced.ineq_duals
+    z = z_part + (basis @ y if y.size else 0.0)
+    resid = P @ z + q + G.T @ lam
+    nu = solve_triangular(r1, q_full[:, :p].T @ (-resid), lower=False)
+    return EqQpSolution(z, lam, nu, status)
+
+
+# ---------------------------------------------------------------------------
 # finite-horizon tracking LQR (affine dynamics) by backward recursion
 
 
@@ -159,7 +247,8 @@ def assemble_mpc_qp(mpc, linearizations, relax_state_constraints=False):
     With relax_state_constraints, state inequalities get quadratically
     penalized slack variables so an infeasible window still produces a
     usable input. A tiny ridge keeps the stacked Hessian positive definite
-    when state costs are only PSD. Returns (QpProblem, index of u_j in z).
+    when state costs are only PSD. Returns ((P, q, G, h, A_eq, b_eq), index
+    of u_j in z), the first element solve_eq_qp's arguments.
     """
     T, j = mpc.horizon, mpc.start_index
     n, m = mpc.state_dim, mpc.input_dim
@@ -216,7 +305,7 @@ def assemble_mpc_qp(mpc, linearizations, relax_state_constraints=False):
             h_vals.append(np.zeros(n_sx))
     G = np.vstack(g_rows) if g_rows else None
     h = np.concatenate(h_vals) if g_rows else None
-    return QpProblem(P=P, q=q, G=G, h=h, A_eq=A_eq, b_eq=b_eq), nx
+    return (P, q, G, h, A_eq, b_eq), nx
 
 
 # ---------------------------------------------------------------------------
@@ -252,6 +341,19 @@ def lcp_oracle_1d(xu, xa, command, m, h, k):
     return candidates[0]
 
 
+def residuals_1d(state, nxt, diag, params) -> dict[str, float]:
+    """Defining-equation residuals of a 1D contact step (all should be ~0)."""
+    force_balance = -diag.lambda_n + params.h * params.k * (state.command - nxt.xa)
+    momentum = params.m * (nxt.xu - state.xu) / params.h - diag.lambda_n
+    return {
+        "force_balance": abs(force_balance),
+        "momentum": abs(momentum),
+        "complementarity": abs(diag.lambda_n * diag.gap),
+        "gap_negative": max(0.0, -diag.gap),
+        "impulse_negative": max(0.0, -diag.lambda_n),
+    }
+
+
 # ---------------------------------------------------------------------------
 # Gaussian blend of the 1D contact Jacobian (piecewise-constant Jacobians)
 
@@ -271,3 +373,25 @@ def blended_jacobian_1d(xu, command, sigma, c_ratio):
     a = p_contact * a_con + (1.0 - p_contact) * a_sep
     b = p_contact * b_con + (1.0 - p_contact) * b_sep
     return a, b
+
+
+# ---------------------------------------------------------------------------
+# identities of linear models and of the pendulum
+
+
+def linear_prediction(lin, x, u):
+    """Next state of the affine model A x + B u + c."""
+    return lin.A @ x + lin.B @ u + lin.c
+
+
+def linearization_residual(lin, f_nominal) -> float:
+    """|step(nominal) - (A x_nom + B u_nom + c)|, the model's defining identity."""
+    return float(np.max(np.abs(np.asarray(f_nominal)
+                               - linear_prediction(lin, lin.x_nominal, lin.u_nominal))))
+
+
+def pendulum_energy(pendulum, x) -> float:
+    """Kinetic plus potential energy, zero hanging at rest."""
+    theta, omega = float(x[0]), float(x[1])
+    return (0.5 * pendulum.mass * pendulum.length**2 * omega**2
+            + pendulum.mass * pendulum.gravity * pendulum.length * (1.0 - np.cos(theta)))

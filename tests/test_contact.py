@@ -6,14 +6,14 @@ import pytest
 from bundleopt.contact import (Contact1DParams, Contact1DState, Contact2DParams,
                                Contact2DState, ContactPush1D, ContactPush2D,
                                PenaltyParams, PenaltyStep1DParams, penalty_forces,
-                               penalty_step_1d, residuals_1d, smoothed_penalty_forces,
+                               penalty_step_1d, smoothed_penalty_forces,
                                step_1d, step_2d_anitescu, step_2d_exact)
 from bundleopt.errors import ConfigurationError, DivergedError
 from bundleopt.oracle import gauss_hermite_expectation
 from bundleopt.smoothing import SmoothingDistribution
 from bundleopt.systems import finite_difference_jacobians
 
-from oracles import lcp_oracle_1d
+from oracles import kkt_residual, lcp_oracle_1d, residuals_1d
 from test_systems import assert_batch_rows_match
 
 P1 = Contact1DParams(m=1.0, h=0.1, k=100.0)        # c_ratio = 1
@@ -204,6 +204,33 @@ class TestStep2DAnitescu:
             assert abs(re.xu - ex.xu) <= bound + 1e-12
             tight += bound > 1e-3 and abs(re.xu - ex.xu) >= bound - 1e-9
         assert tight > 100
+
+    def test_step_satisfies_its_qp_kkt_conditions(self):
+        # The step's QP as its docstring states it, checked at the returned
+        # displacement and at the cone multipliers the impulses imply.
+        rng = np.random.default_rng(4)
+        hk, mu = P2.h * P2.k, P2.mu
+        P = np.diag([P2.m / P2.h, hk, hk])
+        G = np.array([[mu, -mu, -1.0], [-mu, mu, -1.0]])
+        modes = set()
+        for _ in range(500):
+            state = Contact2DState(rng.uniform(-1, 1), rng.uniform(-1, 1),
+                                   rng.uniform(0.3, 1.2))
+            cx, cy = rng.uniform(-1.5, 1.5), rng.uniform(0.0, 1.2)
+            nxt, diag = step_2d_anitescu(state, (cx, cy), P2)
+            q = np.array([0.0, -hk * (cx - state.xa), -hk * (cy - state.ya)])
+            h = np.full(2, state.ya - P2.contact_height)
+            dq = np.array([nxt.xu - state.xu, nxt.xa - state.xa, nxt.ya - state.ya])
+            lam = np.array([diag.lambda_n + diag.lambda_t / mu,
+                            diag.lambda_n - diag.lambda_t / mu]) / 2.0
+            assert kkt_residual(P, q, G, h, dq, lam) <= 1e-9 * max(1.0, diag.lambda_n)
+            dual_tol = 1e-9 * max(1.0, diag.lambda_n)
+            active = tuple(bool(v) for v in lam > dual_tol)
+            expected = {(False, False): "separation", (True, True): "sticking",
+                        (False, True): "sliding_up", (True, False): "sliding_down"}[active]
+            assert diag.mode == expected
+            modes.add(diag.mode)
+        assert modes == {"separation", "sticking", "sliding_up", "sliding_down"}
 
     def test_impulses_come_from_duals(self):
         state = Contact2DState(0.0, 0.0, 0.7)

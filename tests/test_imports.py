@@ -1,6 +1,8 @@
-"""Every name a bundleopt module imports is used in that module.
+"""Every name a bundleopt module imports is used in that module, and every
+module-level private name (`_x`) is referenced somewhere in the package.
 
-`__init__.py` is exempt: its imports are the package's exports.
+`__init__.py` is exempt from the first check: its imports are the
+package's exports.
 """
 
 import ast
@@ -31,3 +33,47 @@ def test_checker_flags_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_module_uses_every_import(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def orphan_private_names(sources: dict[str, str]) -> list[str]:
+    """`module.name` for each module-level private function, class or constant
+    that no module of `sources` (module name -> source) references."""
+    trees = {name: ast.parse(source) for name, source in sources.items()}
+    referenced = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                referenced.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                referenced.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                referenced.update(a.name for a in node.names)
+    orphans = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [t.id for t in targets if isinstance(t, ast.Name)]
+            else:
+                continue
+            orphans += [f"{module}.{name}" for name in names
+                        if name.startswith("_") and not name.startswith("__")
+                        and name not in referenced]
+    return orphans
+
+
+def test_checker_flags_an_orphan_private_name():
+    sources = {
+        "a": "_USED = 1\n_ORPHAN = 2\n\n\ndef _f():\n    return _USED\n\n\n"
+             "def _lonely():\n    pass\n\n\nclass _C:\n    pass\n\n\n"
+             "class _Lonely:\n    pass\n",
+        "b": "import a\nfrom a import _C\n\nprint(a._f(), _C)\n",
+    }
+    assert orphan_private_names(sources) == ["a._ORPHAN", "a._lonely", "a._Lonely"]
+
+
+def test_every_private_name_is_referenced():
+    sources = {p.stem: p.read_text(encoding="utf-8") for p in sorted(SRC.glob("*.py"))}
+    assert orphan_private_names(sources) == []

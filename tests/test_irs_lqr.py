@@ -8,14 +8,13 @@ import pytest
 from bundleopt import irs_lqr, qp
 from bundleopt.irs_lqr import (GradientMode, MpcProblem, derive_knot_seed, irs_lqr_run,
                                linearize_trajectory, mpc_solve, stop_reason)
-from bundleopt.qp import solve_qp
 from bundleopt.errors import ConfigurationError
 from bundleopt.smoothing import (SmoothingDistribution, jacobian_bundle_first_order,
                                  jacobian_bundle_zero_order)
 from bundleopt.systems import LinearizedDynamics, LinearSystem
 from bundleopt.tasks import build_task
 
-from oracles import assemble_mpc_qp, riccati_tracking
+from oracles import assemble_mpc_qp, riccati_tracking, solve_eq_qp
 
 # Inputs from the stacked oracle carry its 1e-8 Hessian ridge.
 STACKED_ATOL = 1e-6
@@ -44,7 +43,7 @@ def _random_mpc(rng, T, n, m, **constraints):
 
 def _stacked_first_input(window, lins, relaxed=False):
     problem, first = assemble_mpc_qp(window, lins, relax_state_constraints=relaxed)
-    sol = solve_qp(problem)
+    sol = solve_eq_qp(*problem)
     assert sol.status == "optimal"
     return sol.z[first:first + window.input_dim]
 
@@ -183,9 +182,9 @@ class TestCondensedPath:
         def total_iterations(cold):
             total = 0
 
-            def spy(P, q, G, h, opt, start=()):
+            def spy(P, q, G, h, start=()):
                 nonlocal total
-                out = original(P, q, G, h, opt, start=() if cold else start)
+                out = original(P, q, G, h, start=() if cold else start)
                 total += out[4]
                 return out
 
@@ -315,3 +314,19 @@ class TestTasks:
             build_task("push_2d", {"modle": "exact"})
         with pytest.raises(ConfigurationError, match="known: .*'push_2d'"):
             build_task("nope")
+
+
+class TestMpcWindow:
+    """The window anchor is checked alike by the constructor and by window()."""
+
+    @pytest.mark.parametrize("anchor, match", [
+        ("last+1", "start_index"), ("-1", "start_index"), ("short_state", "initial_state"),
+    ])
+    def test_bad_anchor_is_a_configuration_error(self, anchor, match):
+        mpc = build_task("dubins_parking").mpc
+        T, x0 = mpc.horizon, mpc.initial_state
+        j, x = {"last+1": (T, x0), "-1": (-1, x0), "short_state": (0, x0[:-1])}[anchor]
+        with pytest.raises(ConfigurationError, match=match):
+            dataclasses.replace(mpc, start_index=j, initial_state=x)
+        with pytest.raises(ConfigurationError, match=match):
+            mpc.window(j, x)

@@ -4,10 +4,9 @@ import numpy as np
 import pytest
 
 from bundleopt.errors import ConfigurationError
-from bundleopt.qp import (QpProblem, QpSolution, SolverOptions, _dual_active_set,
-                          kkt_residual, solve_qp)
+from bundleopt.qp import QpProblem, _dual_active_set, solve_qp
 
-from oracles import enumerate_qp, random_qp
+from oracles import enumerate_qp, kkt_residual, random_qp, solve_eq_qp
 
 
 class TestConstruction:
@@ -30,10 +29,11 @@ class TestConstruction:
 
 class TestSolve:
     def test_unconstrained(self):
-        sol = solve_qp(QpProblem(P=np.eye(2), q=np.array([-2.0, -4.0])))
+        prob = QpProblem(P=np.eye(2), q=np.array([-2.0, -4.0]))
+        sol = solve_qp(prob)
         np.testing.assert_allclose(sol.z, [2.0, 4.0], atol=1e-12)
         assert sol.status == "optimal"
-        assert sol.kkt_residual <= 1e-10
+        assert kkt_residual(prob.P, prob.q, prob.G, prob.h, sol.z, sol.ineq_duals) <= 1e-10
 
     def test_single_bound(self):
         # min z^2/2 - 2z st z <= 1: optimum pinned at the bound, dual = 1
@@ -48,15 +48,14 @@ class TestSolve:
         assert sol.status == "infeasible"
 
     def test_equality_only(self):
-        sol = solve_qp(QpProblem(P=np.eye(2), q=np.zeros(2),
-                                 A_eq=np.array([[1.0, 1.0]]), b_eq=np.array([2.0])))
+        sol = solve_eq_qp(np.eye(2), np.zeros(2), None, None,
+                          np.array([[1.0, 1.0]]), np.array([2.0]))
         np.testing.assert_allclose(sol.z, [1.0, 1.0], atol=1e-12)
         assert sol.eq_duals.shape == (1,)
 
     def test_inconsistent_equalities_infeasible(self):
-        sol = solve_qp(QpProblem(P=np.eye(2), q=np.zeros(2),
-                                 A_eq=np.array([[1.0, 0.0], [2.0, 0.0]]),
-                                 b_eq=np.array([1.0, 3.0])))
+        sol = solve_eq_qp(np.eye(2), np.zeros(2), None, None,
+                          np.array([[1.0, 0.0], [2.0, 0.0]]), np.array([1.0, 3.0]))
         assert sol.status == "infeasible"
 
     def test_duals_nonnegative(self):
@@ -73,22 +72,18 @@ class TestKktResidual:
         prob = QpProblem(P=np.array([[1.0]]), q=np.array([-2.0]),
                          G=np.array([[1.0]]), h=np.array([1.0]))
         sol = solve_qp(prob)
-        assert kkt_residual(prob, sol) <= 1e-10
+        assert kkt_residual(prob.P, prob.q, prob.G, prob.h, sol.z, sol.ineq_duals) <= 1e-10
 
     def test_perturbed_point_is_flagged(self):
         prob = QpProblem(P=np.array([[1.0]]), q=np.array([-2.0]),
                          G=np.array([[1.0]]), h=np.array([1.0]))
         sol = solve_qp(prob)
-        bad = QpSolution(z=sol.z + 1e-3, ineq_duals=sol.ineq_duals,
-                         eq_duals=sol.eq_duals, status="optimal", kkt_residual=0.0)
-        assert kkt_residual(prob, bad) >= 1e-4
+        assert kkt_residual(prob.P, prob.q, prob.G, prob.h,
+                            sol.z + 1e-3, sol.ineq_duals) >= 1e-4
 
     def test_dimension_check(self):
-        prob = QpProblem(P=np.eye(2), q=np.zeros(2))
-        sol = QpSolution(z=np.zeros(3), ineq_duals=np.zeros(0),
-                         eq_duals=np.zeros(0), status="optimal", kkt_residual=0.0)
         with pytest.raises(ConfigurationError):
-            kkt_residual(prob, sol)
+            kkt_residual(np.eye(2), np.zeros(2), None, None, np.zeros(3), np.zeros(0))
 
 
 class TestOracleEquivalence:
@@ -97,8 +92,11 @@ class TestOracleEquivalence:
         solved = infeasible = 0
         for trial in range(150):
             P, q, G, h, A, b = random_qp(rng, with_equalities=trial % 3 == 0)
-            prob = QpProblem(P=P, q=q, G=G, h=h, A_eq=A, b_eq=b)
-            sol = solve_qp(prob)
+            if A is None:
+                sol, nu = solve_qp(QpProblem(P=P, q=q, G=G, h=h)), None
+            else:
+                sol = solve_eq_qp(P, q, G, h, A, b)
+                nu = sol.eq_duals
             ref = enumerate_qp(P, q, G, h, A, b)
             if ref is None:
                 assert sol.status == "infeasible"
@@ -106,15 +104,9 @@ class TestOracleEquivalence:
                 continue
             assert sol.status == "optimal"
             assert np.max(np.abs(sol.z - ref[1])) <= 1e-5
-            assert sol.kkt_residual <= 1e-6
+            assert kkt_residual(P, q, G, h, sol.z, sol.ineq_duals, A, b, nu) <= 1e-6
             solved += 1
         assert solved > 80 and infeasible > 5
-
-    def test_max_iter_status(self):
-        rng = np.random.default_rng(3)
-        P, q, G, h, _, _ = random_qp(rng, n_max=5, m_max=8)
-        sol = solve_qp(QpProblem(P=P, q=q, G=G, h=h), SolverOptions(max_iter=1))
-        assert sol.status in ("optimal", "max_iter", "infeasible")
 
 
 def _box_and_general_qp(rng):
@@ -142,18 +134,17 @@ class TestWarmStart:
 
     def test_start_sets_reach_cold_start_solution(self):
         rng = np.random.default_rng(11)
-        opt = SolverOptions()
         kinds = dict.fromkeys(["optimal", "superset", "subset", "singular", "empty"], 0)
         for _ in range(60):
             P, q, G, h = _box_and_general_qp(rng)
             n, m = q.shape[0], G.shape[0]
-            z0, lam0, optimal, status, _ = _dual_active_set(P, q, G, h, opt)
+            z0, lam0, optimal, status, _ = _dual_active_set(P, q, G, h)
             assert status == "optimal"
             ref = solve_qp(QpProblem(P=P, q=q, G=G, h=h))
             np.testing.assert_allclose(z0, ref.z, rtol=0.0, atol=1e-10)
             np.testing.assert_allclose(lam0, ref.ineq_duals, rtol=0.0, atol=1e-10)
             # The polish re-solves on the sorted final set: same set, same bits.
-            z, lam, _, _, _ = _dual_active_set(P, q, G, h, opt, start=optimal)
+            z, lam, _, _, _ = _dual_active_set(P, q, G, h, start=optimal)
             np.testing.assert_array_equal(z, z0)
             np.testing.assert_array_equal(lam, lam0)
             starts = {"optimal": optimal, "empty": []}
@@ -174,7 +165,7 @@ class TestWarmStart:
                 starts["subset"] = optimal[:-1]
             starts["singular"] = [2 * n, m - 1]          # a row and its duplicate
             for kind, start in starts.items():
-                z, lam, active, status, _ = _dual_active_set(P, q, G, h, opt, start=start)
+                z, lam, active, status, _ = _dual_active_set(P, q, G, h, start=start)
                 assert status == "optimal", kind
                 np.testing.assert_allclose(z, z0, rtol=0.0, atol=1e-10, err_msg=kind)
                 np.testing.assert_allclose(lam, lam0, rtol=0.0, atol=1e-10, err_msg=kind)
@@ -183,5 +174,4 @@ class TestWarmStart:
 
     def test_indefinite_hessian_raises(self):
         with pytest.raises(np.linalg.LinAlgError):
-            _dual_active_set(np.diag([1.0, -1.0]), np.zeros(2), np.eye(2), np.ones(2),
-                             SolverOptions())
+            _dual_active_set(np.diag([1.0, -1.0]), np.zeros(2), np.eye(2), np.ones(2))

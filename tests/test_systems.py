@@ -6,6 +6,8 @@ import pytest
 from bundleopt.systems import (DubinsCar, LinearSystem, Pendulum, Quadrotor,
                                finite_difference_jacobians, linearize_exact)
 
+from oracles import linear_prediction, linearization_residual, pendulum_energy
+
 
 def assert_batch_rows_match(sys, xs, us):
     """Row i of step_batch and jacobians_batch equals the batch of one, bit for bit."""
@@ -40,10 +42,10 @@ class TestPendulum:
         # symplectic integrator: bounded energy error on the undamped system
         sys = Pendulum(damping=0.0, h=1e-4)
         x = np.array([2.0, 0.0])
-        e0 = sys.energy(x)
+        e0 = pendulum_energy(sys, x)
         for _ in range(10**4):
             x = sys.step(x, np.zeros(1))
-        assert abs(sys.energy(x) - e0) / e0 <= 0.01
+        assert abs(pendulum_energy(sys, x) - e0) / e0 <= 0.01
 
     def test_batch_matches_scalar(self):
         sys = Pendulum(damping=0.2, h=0.05)
@@ -107,8 +109,8 @@ class TestLinearization:
         x, u = np.array([0.7, -0.4]), np.array([0.9])
         lin = linearize_exact(sys, x, u)
         f0 = sys.step(x, u)
-        assert lin.residual(f0) <= 1e-8
-        np.testing.assert_allclose(lin.predict(x, u), f0, atol=1e-12)
+        assert linearization_residual(lin, f0) <= 1e-8
+        np.testing.assert_allclose(linear_prediction(lin, x, u), f0, atol=1e-12)
 
     def test_pendulum_structure(self):
         sys = Pendulum(mass=1.0, length=1.0, gravity=9.81, damping=0.1, h=0.01)
