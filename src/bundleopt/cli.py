@@ -37,7 +37,7 @@ import jsonschema
 import numpy as np
 
 from . import __version__
-from .contact import Contact2DParams, Contact2DState, step_2d_anitescu, step_2d_exact
+from .contact import Contact2DParams, Contact2DState, ContactPush2D, step_2d_anitescu
 from .errors import ConfigurationError, DivergedError, SingularRegressionError
 from .functions import TEST_FUNCTION_IDS, get_test_function
 from .irs_lqr import GRADIENT_MODES, GradientMode, irs_lqr_run, stop_reason
@@ -314,18 +314,20 @@ def _probe_point(item):
     state = Contact2DState(*config["state"])
     sigma = config["sigma"]
     points = config.get("quadrature_points", 41)
-    exact_next, _ = step_2d_exact(state, (cx, cy), params)
     relaxed_next, _ = step_2d_anitescu(state, (cx, cy), params)
     dist = SmoothingDistribution.isotropic(2, sigma)
 
-    def bundled(stepper):
-        def box_next(cmd):
-            nxt, _ = stepper(state, (float(cmd[0]), float(cmd[1])), params)
-            return nxt.xu
-        return gauss_hermite_expectation(box_next, np.array([cx, cy]), dist, points)
+    def exact_box_next(cmds):                  # every quadrature node in one batch
+        xs = np.tile(np.asarray(config["state"], dtype=float), (len(cmds), 1))
+        return ContactPush2D(params).step_batch(xs, cmds)[:, 0]
+    exact_box_next.vectorized = True
 
-    return [cx, cy, exact_next.xu, relaxed_next.xu,
-            bundled(step_2d_exact), bundled(step_2d_anitescu)]
+    def relaxed_box_next(cmd):
+        return step_2d_anitescu(state, (float(cmd[0]), float(cmd[1])), params)[0].xu
+
+    return [cx, cy, exact_box_next(np.array([[cx, cy]]))[0], relaxed_next.xu,
+            *(gauss_hermite_expectation(f, np.array([cx, cy]), dist, points)
+              for f in (exact_box_next, relaxed_box_next))]
 
 
 def _run_contact_probe(config: dict, out_dir: str, seed_override, jobs: int):

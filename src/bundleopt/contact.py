@@ -19,7 +19,9 @@ controller's virtual spring balances the contact force each step. The box
 is quasi-dynamic with zero velocity entering each step, so its momentum
 gain equals the contact impulse. Mode tie-breaking at exact boundaries
 follows a fixed mode order with tolerance 1e-9 and is reported in the
-diagnostics, which keeps stepping deterministic.
+diagnostics, which keeps stepping deterministic. ContactPush2D steps an
+exact-model batch in one array pass; only the Anitescu model loops its
+scalar stepper over the rows.
 """
 
 from __future__ import annotations
@@ -58,6 +60,7 @@ MODE_SLIDING_UP = "sliding_up"      # positive tangential slip (robot relative t
 MODE_SLIDING_DOWN = "sliding_down"  # negative tangential slip
 
 _TIE_TOL = 1e-9
+_MODES_2D = (MODE_SEPARATION, MODE_STICKING, MODE_SLIDING_UP, MODE_SLIDING_DOWN)
 
 
 @dataclass(frozen=True)
@@ -216,15 +219,17 @@ def step_2d_exact(state: Contact2DState, command, params: Contact2DParams
     at mode boundaries resolve to the first consistent mode in the order
     separation, sticking, sliding_up, sliding_down.
     """
-    candidates = _modes_2d(state, command, params)
-    valid = [cand for cand in candidates if cand[4] <= _TIE_TOL]
-    if not valid:
-        # Numerically degenerate corner; fall back to the least-violating mode.
-        valid = [min(candidates, key=lambda cand: cand[4])]
+    valid = _valid_2d(state, command, params)
     mode, nxt, lam_n, lam_t, _ = valid[0]
     gap = nxt.ya - params.contact_height
     return nxt, StepDiagnostics(lambda_n=lam_n, gap=gap, mode=mode,
                                 lambda_t=lam_t, tie=len(valid) > 1)
+
+
+def _valid_2d(state: Contact2DState, command, params: Contact2DParams):
+    """_modes_2d's consistent candidates in tie order, else the least-violating one."""
+    candidates = _modes_2d(state, command, params)
+    return [c for c in candidates if c[4] <= _TIE_TOL] or [min(candidates, key=lambda c: c[4])]
 
 
 def step_2d_anitescu(state: Contact2DState, command, params: Contact2DParams
@@ -423,9 +428,9 @@ class ContactPush1D(DynamicalSystem):
 class ContactPush2D(DynamicalSystem):
     """2D frictional pusher as a (xu, xa, ya) system with command inputs.
 
-    Batches run the model's scalar stepper once per row. The exact
-    model's Jacobians are those of each row's contact mode; the Anitescu
-    model's are the inherited batched central differences.
+    An exact-model batch is one array pass whose rows equal step_2d_exact
+    bit for bit; its Jacobians are each row's mode's. The Anitescu model
+    runs its scalar stepper per row and inherits central differences.
     """
 
     state_dim = 3
@@ -439,38 +444,61 @@ class ContactPush2D(DynamicalSystem):
             raise ConfigurationError(f"unknown contact model {model!r}")
         self.params = params
         self.model = model
-        self._stepper = step_2d_exact if model == "exact" else step_2d_anitescu
+        self._stepper = step_2d_anitescu
+        tables = [_exact_2d_mode_jacobians(mode, params) for mode in _MODES_2D]
+        self._mode_a, self._mode_b = (np.array(t) for t in zip(*tables))
 
-    def _step_rows(self, xs, us):
-        return [self._stepper(Contact2DState(float(x[0]), float(x[1]), float(x[2])),
-                              (float(u[0]), float(u[1])), self.params)
-                for x, u in zip(xs, us)]
+    def _exact_rows(self, xs, us):
+        """Mode indices (into _MODES_2D) and next states of the exact model.
+
+        One row takes _valid_2d (Python floats beat array dispatch); more rows
+        replay _modes_2d elementwise, np.where(b > a, b, a) being max(a, b).
+        """
+        p = self.params
+        if len(xs) == 1:
+            mode, nxt, *_ = _valid_2d(Contact2DState(*xs[0].tolist()), us[0].tolist(), p)[0]
+            return [_MODES_2D.index(mode)], np.array([[nxt.xu, nxt.xa, nxt.ya]])
+        y_c, hk, mu = p.contact_height, p.h * p.k, p.mu
+        xu, xa, cx, cy = xs[:, :1], xs[:, 1:2], us[:, :1], us[:, 1:]
+        sign = np.array([1.0, -1.0])                     # sliding up, down
+        lam_n = hk * (y_c - cy)
+        delta = (cx - xa) / (1.0 + p.c_ratio)
+        nxt_u = np.concatenate([xu, xu + delta, xu + sign * p.h * mu * lam_n / p.m], axis=1)
+        nxt_a = np.concatenate([cx, xa + delta, cx - sign * mu * lam_n / hk], axis=1)
+        viol = np.concatenate([y_c - cy, np.abs(-(p.m / p.h) * delta) - mu * lam_n,
+                               -sign * ((nxt_a[:, 2:] - xa) - (nxt_u[:, 2:] - xu))], axis=1)
+        viol[:, 1:] = np.where(viol[:, 1:] > -lam_n, viol[:, 1:], -lam_n)
+        ok = viol <= _TIE_TOL
+        # viol is NaN in all columns or none, so argmin's first minimum is min()'s
+        mode = np.where(ok.any(axis=1), ok.argmax(axis=1), viol.argmin(axis=1))
+        rows = np.arange(len(xs))
+        return mode, np.stack([nxt_u[rows, mode], nxt_a[rows, mode],
+                               np.where(mode == 0, cy[:, 0], y_c)], axis=1)
 
     def step_batch(self, xs, us):
-        return np.array([(nxt.xu, nxt.xa, nxt.ya) for nxt, _ in self._step_rows(xs, us)])
+        if self.model == "exact":
+            return self._exact_rows(xs, us)[1]
+        steps = (self._stepper(Contact2DState(*x.tolist()), u.tolist(), self.params)[0]
+                 for x, u in zip(xs, us))
+        return np.array([(nxt.xu, nxt.xa, nxt.ya) for nxt in steps])
 
     def jacobians_batch(self, xs, us):
         if self.model == "anitescu":
             return super().jacobians_batch(xs, us)
-        pairs = [_exact_2d_mode_jacobians(diag.mode, self.params)
-                 for _, diag in self._step_rows(xs, us)]
-        return np.array([a for a, _ in pairs]), np.array([b for _, b in pairs])
+        mode = self._exact_rows(xs, us)[0]
+        return self._mode_a[mode], self._mode_b[mode]
 
 
 def _exact_2d_mode_jacobians(mode: str, params: Contact2DParams):
-    c = params.c_ratio
-    mu = params.mu
+    c, mu = params.c_ratio, params.mu
     s = 1.0 / (1.0 + c)
+    a = np.diag([1.0, 0.0, 0.0])
     if mode == MODE_SEPARATION:
-        a = np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
         b = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
     elif mode == MODE_STICKING:
-        a = np.array([[1.0, -s, 0.0], [0.0, c * s, 0.0], [0.0, 0.0, 0.0]])
+        a[0, 1], a[1, 1] = -s, c * s
         b = np.array([[s, 0.0], [s, 0.0], [0.0, 0.0]])
     else:
         sign = 1.0 if mode == MODE_SLIDING_UP else -1.0
-        a = np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
-        b = np.array([[0.0, -sign * mu / c],
-                      [1.0, sign * mu],
-                      [0.0, 0.0]])
+        b = np.array([[0.0, -sign * mu / c], [1.0, sign * mu], [0.0, 0.0]])
     return a, b

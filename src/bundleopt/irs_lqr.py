@@ -267,6 +267,7 @@ def linearize_trajectory(sys: DynamicalSystem, xs, us, mode: GradientMode,
                          ) -> list[LinearizedDynamics]:
     """Per-knot linear models around a nominal trajectory.
 
+    `xs` must be the rollout of `us`: bundle offsets read f(x_t, u_t) at xs[t + 1].
     `covariance` is the joint (state, input) sampling covariance for the
     bundle modes. Each knot's bundle uses that knot's own seed and one
     batched call on the dynamics. A zero covariance makes every mode take
@@ -286,12 +287,10 @@ def linearize_trajectory(sys: DynamicalSystem, xs, us, mode: GradientMode,
             lins.append(linearize_exact(sys, x_nom, u_nom))
             continue
         seed = derive_knot_seed(run_seed, iteration, t)
-        if mode.kind == "first_order_bundle":
-            a, b = jacobian_bundle_first_order(sys, x_nom, u_nom, dist, mode.samples, seed)
-        else:
-            a, b = jacobian_bundle_zero_order(sys, x_nom, u_nom, dist, mode.samples, seed)
-        f0 = np.asarray(sys.step(x_nom, u_nom), dtype=float)
-        c = f0 - a @ x_nom - b @ u_nom
+        bundle = (jacobian_bundle_first_order if mode.kind == "first_order_bundle"
+                  else jacobian_bundle_zero_order)
+        a, b = bundle(sys, x_nom, u_nom, dist, mode.samples, seed)
+        c = xs[t + 1] - a @ x_nom - b @ u_nom
         lins.append(LinearizedDynamics(A=a, B=b, c=c, x_nominal=x_nom, u_nominal=u_nom))
     return lins
 

@@ -260,7 +260,8 @@ def _eval_batch(f, points: np.ndarray) -> np.ndarray:
     """Evaluate a scalar function on (n, d) points, vectorized when supported."""
     if getattr(f, "vectorized", False):
         arg = points[:, 0] if points.shape[1] == 1 else points
-        return np.asarray(f(arg), dtype=float).reshape(points.shape[0])
+        # contiguous, as the loop's are: a strided dot product sums in another order
+        return np.ascontiguousarray(f(arg), dtype=float).reshape(points.shape[0])
     return np.array([float(f(p)) for p in points])
 
 

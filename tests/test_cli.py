@@ -82,3 +82,21 @@ def test_diverged_column_is_the_planner_stop_rule(tmp_path, monkeypatch, costs, 
         next(fh)                                     # schema comment row
         rows = list(csv.DictReader(fh))
     assert [row["diverged"] for row in rows] == [diverged] * len(costs)
+
+
+def test_contact_probe_bundles_equal_per_node_steps():
+    # the exact column steps all quadrature nodes in one batch; it must
+    # equal stepping them one by one through step_2d_exact, bit for bit
+    from bundleopt.contact import Contact2DParams, Contact2DState, step_2d_exact
+    from bundleopt.oracle import gauss_hermite_expectation
+    from bundleopt.smoothing import SmoothingDistribution
+
+    config = {"state": [0.0, 0.0, 0.7], "sigma": 0.06, "quadrature_points": 15}
+    state, params = Contact2DState(*config["state"]), Contact2DParams()
+    dist = SmoothingDistribution.isotropic(2, config["sigma"])
+    for cx, cy in ((-0.4, 0.45), (0.1, 0.6), (0.35, 0.8)):
+        row = cli._probe_point((config, cx, cy))
+        expected = gauss_hermite_expectation(
+            lambda c: step_2d_exact(state, (float(c[0]), float(c[1])), params)[0].xu,
+            np.array([cx, cy]), dist, 15)
+        assert row[4] == expected

@@ -3,15 +3,18 @@
 import numpy as np
 import pytest
 
+from bundleopt import contact
 from bundleopt.contact import (Contact1DParams, Contact1DState, Contact2DParams,
                                Contact2DState, ContactPush1D, ContactPush2D,
-                               PenaltyParams, PenaltyStep1DParams, penalty_forces,
-                               penalty_step_1d, smoothed_penalty_forces,
+                               PenaltyParams, PenaltyStep1DParams, _exact_2d_mode_jacobians,
+                               penalty_forces, penalty_step_1d, smoothed_penalty_forces,
                                step_1d, step_2d_anitescu, step_2d_exact)
 from bundleopt.errors import ConfigurationError, DivergedError
+from bundleopt.irs_lqr import GradientMode, joint_covariance, linearize_trajectory, rollout
 from bundleopt.oracle import gauss_hermite_expectation
 from bundleopt.smoothing import SmoothingDistribution
 from bundleopt.systems import finite_difference_jacobians
+from bundleopt.tasks import build_task
 
 from oracles import kkt_residual, lcp_oracle_1d, residuals_1d
 from test_systems import assert_batch_rows_match
@@ -457,5 +460,62 @@ class TestAdapters:
         xs[:lead] = [0.0, 0.0, 0.7]
         us[:lead] = [[0.3, 0.9], [0.02, 0.5], [0.4, 0.5], [-0.4, 0.5]][:lead]
         assert_batch_rows_match(sys, xs, us)
-        modes = [sys._stepper(Contact2DState(*x), u, P2)[1].mode for x, u in zip(xs, us)]
+        stepper = step_2d_exact if model == "exact" else step_2d_anitescu
+        modes = [stepper(Contact2DState(*x), u, P2)[1].mode for x, u in zip(xs, us)]
         assert modes[:lead] == ["separation", "sticking", "sliding_up", "sliding_down"][:lead]
+
+    def test_exact_linearization_makes_no_scalar_steps(self, monkeypatch):
+        calls = []
+
+        def spy(*args, _original=step_2d_exact):
+            calls.append(args)
+            return _original(*args)
+
+        monkeypatch.setattr(contact, "step_2d_exact", spy)   # before the system binds it
+        setup = build_task("push_2d", {"model": "exact"})
+        xs = rollout(setup.system, setup.mpc.initial_state, setup.u_init)
+        mode = GradientMode(kind="first_order_bundle", samples=30)
+        cov = joint_covariance(0.01, mode, 3, 2)
+        calls.clear()
+        linearize_trajectory(setup.system, xs, setup.u_init, mode, cov, 0, 0)
+        assert calls == []
+
+
+class TestExactBatchMatchesScalar:
+    """ContactPush2D's exact batch against step_2d_exact, row by row and bit for bit."""
+
+    def _rows(self):
+        rng = np.random.default_rng(9)
+        n = 12_000
+        xs = np.column_stack([rng.uniform(-0.3, 0.3, n), rng.uniform(-0.3, 0.3, n),
+                              rng.uniform(0.5, 0.9, n)])
+        us = np.column_stack([rng.uniform(-0.8, 0.8, n), rng.uniform(0.3, 0.8, n)])
+        y_c, c, hk = P2.contact_height, P2.c_ratio, P2.h * P2.k
+        us[:1000, 1] = y_c                                  # touching the face exactly
+        # on the stick/slide cone: |lambda_t| = mu * lambda_n
+        cone = slice(1000, 3000)
+        sides = np.where(np.arange(2000) % 2 == 0, 1.0, -1.0)
+        us[cone, 0] = xs[cone, 1] + sides * (1.0 + c) * P2.mu * hk * (y_c - us[cone, 1]) \
+            / (P2.m / P2.h)
+        us[3000:3500, 1] = y_c                              # both ties: on the face and the cone
+        us[3000:3500, 0] = xs[3000:3500, 1]
+        return xs, us
+
+    def test_batch_rows_equal_scalar_steps(self):
+        xs, us = self._rows()
+        sys = ContactPush2D(P2, model="exact")
+        nxt = sys.step_batch(xs, us)
+        a, b = sys.jacobians_batch(xs, us)
+        modes, ties = [], []
+        for i, (x, u) in enumerate(zip(xs, us)):
+            ref, diag = step_2d_exact(Contact2DState(*x), u, P2)
+            expected = np.array([ref.xu, ref.xa, ref.ya])
+            np.testing.assert_array_equal(nxt[i].view(np.int64), expected.view(np.int64))
+            a_ref, b_ref = _exact_2d_mode_jacobians(diag.mode, P2)
+            np.testing.assert_array_equal(a[i], a_ref)
+            np.testing.assert_array_equal(b[i], b_ref)
+            modes.append(diag.mode)
+            ties.append(diag.tie)
+        assert set(modes) == {"separation", "sticking", "sliding_up", "sliding_down"}
+        assert all(ties[:1000]) and all(ties[3000:3500])
+        assert sum(ties[1000:3000]) > 1000

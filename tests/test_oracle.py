@@ -92,6 +92,17 @@ class TestGaussHermiteVectorOutput:
                                           np.array([0.5, -0.2]), dist, 5, output_dim=3)
         np.testing.assert_allclose(value, [0.5, -0.2, -0.1], atol=1e-12)
 
+    def test_strided_vectorized_values_sum_like_the_loop(self):
+        # a vectorized f may return a column view; the expectation must not
+        # depend on that layout (a strided dot product sums in another order)
+        def column(p):
+            return np.stack([p[:, 0] * p[:, 1] + p[:, 0], p[:, 1]], axis=1)[:, 0]
+        column.vectorized = True
+        dist = SmoothingDistribution.isotropic(2, 0.3)
+        x = np.array([0.4, -0.7])
+        assert gauss_hermite_expectation(column, x, dist, 31) == \
+            gauss_hermite_expectation(lambda p: p[0] * p[1] + p[0], x, dist, 31)
+
     @pytest.mark.parametrize("vectorized", [False, True])
     def test_output_dim_mismatch_rejected(self, vectorized):
         dist = SmoothingDistribution.isotropic(2, 0.3)

@@ -391,9 +391,10 @@ class TestOneBatchedCallPerKnot:
         assert calls["jacobians"] == []
         if kind == "first_order_bundle":
             assert [len(x) for x in calls["jacobians_batch"]] == [30] * T
+            assert calls["step"] == []             # offsets come from the stored rollout
         else:
             assert calls["jacobians_batch"] == []
             assert [len(x) for x in calls["step_batch"] if len(x) > 1] == [30] * T
-            # scalar steps only at the knots (f(x_t, u_t) for the fit and the offset)
-            assert all(any(np.array_equal(x, knot) for knot in xs[:T])
-                       for x in calls["step"])
+            # one scalar step per knot: the fit's f(x_t, u_t)
+            assert len(calls["step"]) == T
+            assert all(np.array_equal(x, knot) for x, knot in zip(calls["step"], xs[:T]))
