@@ -144,6 +144,8 @@ def main(argv=None) -> int:
     logging.basicConfig(level=level, format="%(levelname)s %(name)s: %(message)s")
 
     try:
+        if args.seed is not None and args.seed < 0:
+            raise ConfigurationError(f"--seed must be >= 0, got {args.seed}")
         config = _load_config(args.config, args.verb)
         os.makedirs(args.out, exist_ok=True)
         started = time.perf_counter()
@@ -155,7 +157,8 @@ def main(argv=None) -> int:
                  time.perf_counter() - started, ", ".join(outputs))
         return 0
     except (ConfigurationError, jsonschema.ValidationError, json.JSONDecodeError,
-            FileNotFoundError, NotADirectoryError) as exc:
+            UnicodeDecodeError, FileNotFoundError, NotADirectoryError, IsADirectoryError,
+            FileExistsError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except (DivergedError, SingularRegressionError, np.linalg.LinAlgError,

@@ -19,9 +19,10 @@ controller's virtual spring balances the contact force each step. The box
 is quasi-dynamic with zero velocity entering each step, so its momentum
 gain equals the contact impulse. Mode tie-breaking at exact boundaries
 follows a fixed mode order with tolerance 1e-9 and is reported in the
-diagnostics, which keeps stepping deterministic. ContactPush2D steps an
-exact-model batch in one array pass; only the Anitescu model loops its
-scalar stepper over the rows.
+diagnostics, which keeps stepping deterministic. One set of exact-model
+mode formulas serves floats and arrays: step_2d_exact and a one-row
+ContactPush2D step evaluate it on Python floats, a larger batch in one
+array pass. Only the Anitescu model loops its scalar stepper over rows.
 """
 
 from __future__ import annotations
@@ -174,40 +175,38 @@ class Contact2DState:
     ya: float
 
 
-def _modes_2d(state: Contact2DState, command, params: Contact2DParams):
-    """Candidate solutions of all four contact modes.
+def _exact_2d(xu, xa, cx, cy, params: Contact2DParams, maximum):
+    """Next (xu, xa), impulses and violation of each contact mode, in _MODES_2D order.
 
-    Returns a list of (mode, next_state, lambda_n, lambda_t, violation)
-    where violation is the worst inequality violation of that mode's
-    validity conditions (<= 0 means consistent).
+    Each mode is (xu_next, xa_next, lambda_n, lambda_t, violation), violation
+    the worst inequality violation of the mode's validity conditions (<= 0
+    means consistent). The formulas use only elementwise + - * / abs and the
+    given maximum, so floats (with max) and float64 arrays (with
+    np.where(b > a, b, a), which is max(a, b) even at NaN) round alike.
     """
-    cx, cy = float(command[0]), float(command[1])
     y_c = params.contact_height
     hk = params.h * params.k
-    c = params.c_ratio
     mu = params.mu
-    out = []
-
-    # separation: robot reaches its command, box stays.
-    nxt = Contact2DState(xu=state.xu, xa=cx, ya=cy)
-    out.append((MODE_SEPARATION, nxt, 0.0, 0.0, y_c - cy))
-
     lam_n = hk * (y_c - cy)           # normal impulse shared by contact modes
-
+    # separation: robot reaches its command, box stays.
+    out = [(xu, cx, 0.0, 0.0, y_c - cy)]
     # sticking: box and robot move together along x.
-    delta = (cx - state.xa) / (1.0 + c)
+    delta = (cx - xa) / (1.0 + params.c_ratio)
     lam_t = -(params.m / params.h) * delta
-    nxt = Contact2DState(xu=state.xu + delta, xa=state.xa + delta, ya=y_c)
-    out.append((MODE_STICKING, nxt, lam_n, lam_t, max(-lam_n, abs(lam_t) - mu * lam_n)))
-
-    # sliding: friction saturates at the cone boundary and drags the box.
-    for mode, sign in ((MODE_SLIDING_UP, 1.0), (MODE_SLIDING_DOWN, -1.0)):
+    out.append((xu + delta, xa + delta, lam_n, lam_t, maximum(-lam_n, abs(lam_t) - mu * lam_n)))
+    # sliding up, down: friction saturates at the cone boundary and drags the box.
+    for sign in (1.0, -1.0):
         xa_next = cx - sign * mu * lam_n / hk
-        xu_next = state.xu + sign * params.h * mu * lam_n / params.m
-        slip = (xa_next - state.xa) - (xu_next - state.xu)
-        nxt = Contact2DState(xu=xu_next, xa=xa_next, ya=y_c)
-        out.append((mode, nxt, lam_n, -sign * mu * lam_n, max(-lam_n, -sign * slip)))
+        xu_next = xu + sign * params.h * mu * lam_n / params.m
+        slip = (xa_next - xa) - (xu_next - xu)
+        out.append((xu_next, xa_next, lam_n, -sign * mu * lam_n, maximum(-lam_n, -sign * slip)))
     return out
+
+
+def _consistent_2d(modes) -> list[int]:
+    """Indices of the consistent float modes in tie order, else of the least-violating one."""
+    viol = [mode[4] for mode in modes]
+    return [i for i, v in enumerate(viol) if v <= _TIE_TOL] or [min(range(4), key=viol.__getitem__)]
 
 
 def step_2d_exact(state: Contact2DState, command, params: Contact2DParams
@@ -219,17 +218,14 @@ def step_2d_exact(state: Contact2DState, command, params: Contact2DParams
     at mode boundaries resolve to the first consistent mode in the order
     separation, sticking, sliding_up, sliding_down.
     """
-    valid = _valid_2d(state, command, params)
-    mode, nxt, lam_n, lam_t, _ = valid[0]
-    gap = nxt.ya - params.contact_height
-    return nxt, StepDiagnostics(lambda_n=lam_n, gap=gap, mode=mode,
-                                lambda_t=lam_t, tie=len(valid) > 1)
-
-
-def _valid_2d(state: Contact2DState, command, params: Contact2DParams):
-    """_modes_2d's consistent candidates in tie order, else the least-violating one."""
-    candidates = _modes_2d(state, command, params)
-    return [c for c in candidates if c[4] <= _TIE_TOL] or [min(candidates, key=lambda c: c[4])]
+    cy = float(command[1])
+    modes = _exact_2d(state.xu, state.xa, float(command[0]), cy, params, max)
+    valid = _consistent_2d(modes)
+    xu, xa, lam_n, lam_t, _ = modes[valid[0]]
+    ya = cy if valid[0] == 0 else params.contact_height
+    return Contact2DState(xu=xu, xa=xa, ya=ya), StepDiagnostics(
+        lambda_n=lam_n, gap=ya - params.contact_height, mode=_MODES_2D[valid[0]],
+        lambda_t=lam_t, tie=len(valid) > 1)
 
 
 def step_2d_anitescu(state: Contact2DState, command, params: Contact2DParams
@@ -444,41 +440,34 @@ class ContactPush2D(DynamicalSystem):
             raise ConfigurationError(f"unknown contact model {model!r}")
         self.params = params
         self.model = model
-        self._stepper = step_2d_anitescu
         tables = [_exact_2d_mode_jacobians(mode, params) for mode in _MODES_2D]
         self._mode_a, self._mode_b = (np.array(t) for t in zip(*tables))
 
     def _exact_rows(self, xs, us):
         """Mode indices (into _MODES_2D) and next states of the exact model.
 
-        One row takes _valid_2d (Python floats beat array dispatch); more rows
-        replay _modes_2d elementwise, np.where(b > a, b, a) being max(a, b).
+        One row steps on Python floats, which beat array dispatch there.
         """
         p = self.params
         if len(xs) == 1:
-            mode, nxt, *_ = _valid_2d(Contact2DState(*xs[0].tolist()), us[0].tolist(), p)[0]
-            return [_MODES_2D.index(mode)], np.array([[nxt.xu, nxt.xa, nxt.ya]])
-        y_c, hk, mu = p.contact_height, p.h * p.k, p.mu
-        xu, xa, cx, cy = xs[:, :1], xs[:, 1:2], us[:, :1], us[:, 1:]
-        sign = np.array([1.0, -1.0])                     # sliding up, down
-        lam_n = hk * (y_c - cy)
-        delta = (cx - xa) / (1.0 + p.c_ratio)
-        nxt_u = np.concatenate([xu, xu + delta, xu + sign * p.h * mu * lam_n / p.m], axis=1)
-        nxt_a = np.concatenate([cx, xa + delta, cx - sign * mu * lam_n / hk], axis=1)
-        viol = np.concatenate([y_c - cy, np.abs(-(p.m / p.h) * delta) - mu * lam_n,
-                               -sign * ((nxt_a[:, 2:] - xa) - (nxt_u[:, 2:] - xu))], axis=1)
-        viol[:, 1:] = np.where(viol[:, 1:] > -lam_n, viol[:, 1:], -lam_n)
+            (xu, xa, _), (cx, cy) = xs[0].tolist(), us[0].tolist()
+            modes = _exact_2d(xu, xa, cx, cy, p, max)
+            i = _consistent_2d(modes)[0]
+            return [i], np.array([[modes[i][0], modes[i][1], cy if i == 0 else p.contact_height]])
+        modes = _exact_2d(xs[:, 0], xs[:, 1], us[:, 0], us[:, 1], p,
+                          lambda a, b: np.where(b > a, b, a))
+        viol = np.stack([m[4] for m in modes], axis=1)
         ok = viol <= _TIE_TOL
         # viol is NaN in all columns or none, so argmin's first minimum is min()'s
         mode = np.where(ok.any(axis=1), ok.argmax(axis=1), viol.argmin(axis=1))
-        rows = np.arange(len(xs))
-        return mode, np.stack([nxt_u[rows, mode], nxt_a[rows, mode],
-                               np.where(mode == 0, cy[:, 0], y_c)], axis=1)
+        nxt_u, nxt_a = (np.choose(mode, [m[k] for m in modes]) for k in (0, 1))
+        return mode, np.stack([nxt_u, nxt_a, np.where(mode == 0, us[:, 1], p.contact_height)],
+                              axis=1)
 
     def step_batch(self, xs, us):
         if self.model == "exact":
             return self._exact_rows(xs, us)[1]
-        steps = (self._stepper(Contact2DState(*x.tolist()), u.tolist(), self.params)[0]
+        steps = (step_2d_anitescu(Contact2DState(*x.tolist()), u.tolist(), self.params)[0]
                  for x, u in zip(xs, us))
         return np.array([(nxt.xu, nxt.xa, nxt.ya) for nxt in steps])
 

@@ -73,9 +73,8 @@ _DIVERGENCE_STREAK = 5
 class MpcProblem:
     """Quadratic tracking problem over a finite horizon.
 
-    Running state costs Q_t (PSD) and input costs R_t (PD) may be given as
-    one matrix applied at every step or as per-step (T, n, n)/(T, m, m)
-    stacks; Q_terminal weighs the final deviation. x_desired has T+1 rows.
+    The running state cost Q (PSD) and input cost R (PD) apply at every
+    step; Q_terminal weighs the final deviation. x_desired has T+1 rows.
     Optional linear inequalities C_u u <= d_u (t < T) and C_x x <= d_x
     (all t) apply at every step. start_index/initial_state select the MPC
     window: the subproblem starts at knot j from the given state.
@@ -99,16 +98,17 @@ class MpcProblem:
             raise ConfigurationError(f"horizon must be >= 1, got {T}")
         self.Q_terminal = np.asarray(self.Q_terminal, dtype=float)
         n = self.Q_terminal.shape[0]
-        self.Q = _per_step(self.Q, T, n, "Q")
-        m = np.atleast_2d(np.asarray(self.R, dtype=float)).shape[-1]
-        self.R = _per_step(self.R, T, m, "R")
+        self.Q = np.asarray(self.Q, dtype=float)
+        self.R = np.asarray(self.R, dtype=float)
+        if self.Q.shape != (n, n) or self.R.ndim != 2 or self.R.shape[0] != self.R.shape[1]:
+            raise ConfigurationError(
+                f"Q must be ({n},{n}) and R square, got {self.Q.shape} and {self.R.shape}")
         self.x_desired = np.asarray(self.x_desired, dtype=float)
         if self.x_desired.shape != (T + 1, n):
             raise ConfigurationError(
                 f"x_desired must have shape {(T + 1, n)}, got {self.x_desired.shape}")
-        for t in range(T):
-            _check_psd(self.Q[t], f"Q[{t}]")
-            _check_pd(self.R[t], f"R[{t}]")
+        _check_psd(self.Q, "Q")
+        _check_pd(self.R, "R")
         _check_psd(self.Q_terminal, "Q_terminal")
         if (self.C_u is None) != (self.d_u is None):
             raise ConfigurationError("C_u and d_u must be given together")
@@ -128,7 +128,7 @@ class MpcProblem:
 
     @property
     def input_dim(self) -> int:
-        return self.R.shape[-1]
+        return self.R.shape[0]
 
     def window(self, start_index: int, initial_state) -> "MpcProblem":
         """Same problem re-anchored at knot start_index; checks only the anchor."""
@@ -218,7 +218,7 @@ def trajectory_cost(trajectory, mpc: MpcProblem) -> float:
     err = xs - mpc.x_desired
     total = float(err[T] @ mpc.Q_terminal @ err[T])
     for t in range(T):
-        total += float(err[t] @ mpc.Q[t] @ err[t]) + float(us[t] @ mpc.R[t] @ us[t])
+        total += float(err[t] @ mpc.Q @ err[t]) + float(us[t] @ mpc.R @ us[t])
     return total
 
 
@@ -239,27 +239,21 @@ def derive_knot_seed(run_seed: int, iteration: int, knot: int) -> int:
 
 
 def joint_covariance(cov0, mode: GradientMode, state_dim: int, input_dim: int) -> np.ndarray:
-    """Joint (state, input) sampling covariance from a scalar variance or matrix.
+    """Diagonal joint (state, input) sampling covariance from a scalar variance.
 
-    A scalar is the per-coordinate variance of the input perturbations; the
+    cov0 is the per-coordinate variance of the input perturbations; the
     zero-order mode also perturbs the state at the same variance (its
     regression needs excitation in every direction), while the first-order
-    mode leaves states unperturbed by default. A full
-    (state_dim+input_dim)^2 matrix is used as given.
+    mode leaves states unperturbed.
     """
     cov0 = np.asarray(cov0, dtype=float)
-    d = state_dim + input_dim
-    if cov0.ndim == 0:
-        var = float(cov0)
-        diag = np.zeros(d)
-        diag[state_dim:] = var
-        if mode.kind == "zero_order_bundle":
-            diag[:state_dim] = var
-        return np.diag(diag)
-    if cov0.shape == (d, d):
-        return cov0
-    raise ConfigurationError(
-        f"covariance must be a scalar variance or a {(d, d)} matrix, got {cov0.shape}")
+    if cov0.ndim != 0:
+        raise ConfigurationError(f"covariance must be a scalar variance, got shape {cov0.shape}")
+    diag = np.zeros(state_dim + input_dim)
+    diag[state_dim:] = cov0
+    if mode.kind == "zero_order_bundle":
+        diag[:state_dim] = cov0
+    return np.diag(diag)
 
 
 def linearize_trajectory(sys: DynamicalSystem, xs, us, mode: GradientMode,
@@ -318,11 +312,11 @@ class _CondensedHorizon:
         for t in range(T):
             F[t + 1] = self.A[t] @ F[t]
             F[t + 1, :, t * m:(t + 1) * m] = lins[t].B
-        q_bar = 2.0 * np.concatenate([mpc.Q, mpc.Q_terminal[None]])
+        q_bar = 2.0 * np.concatenate([np.broadcast_to(mpc.Q, (T, n, n)), mpc.Q_terminal[None]])
         self.QF = (q_bar @ F).reshape((T + 1) * n, T * m)
         P = F.reshape((T + 1) * n, T * m).T @ self.QF
         for t in range(T):
-            P[t * m:(t + 1) * m, t * m:(t + 1) * m] += 2.0 * mpc.R[t]
+            P[t * m:(t + 1) * m, t * m:(t + 1) * m] += 2.0 * mpc.R
         self.P = 0.5 * (P + P.T)
         if mpc.C_u is not None:
             self.G_u = np.kron(np.eye(T), mpc.C_u)
@@ -419,13 +413,13 @@ def _riccati_gains(mpc: MpcProblem, lins) -> tuple[np.ndarray, np.ndarray]:
         A, B = lins[t].A, lins[t].B
         SA = S @ A
         v = S @ lins[t].c + s
-        Q_uu = mpc.R[t] + B.T @ S @ B
+        Q_uu = mpc.R + B.T @ S @ B
         Q_ux = B.T @ SA
         sol = np.linalg.solve(Q_uu, np.column_stack([Q_ux, B.T @ v]))
         K[t], k[t] = -sol[:, :n], -sol[:, n]
-        S = mpc.Q[t] + A.T @ SA + Q_ux.T @ K[t]
+        S = mpc.Q + A.T @ SA + Q_ux.T @ K[t]
         S = 0.5 * (S + S.T)
-        s = -mpc.Q[t] @ mpc.x_desired[t] + A.T @ v + Q_ux.T @ k[t]
+        s = -mpc.Q @ mpc.x_desired[t] + A.T @ v + Q_ux.T @ k[t]
     return K, k
 
 
@@ -457,10 +451,10 @@ def irs_lqr_run(sys: DynamicalSystem, mpc: MpcProblem, mode: GradientMode,
     QP per window (see the module docstring). Relaxed windows are counted
     in each iterate's `infeasible_steps`.
 
-    `cov0` is the initial sampling covariance (scalar variance or joint
-    matrix, see joint_covariance); `schedule` a (policy, gamma) pair fed to
-    variance_schedule. Stops after max_iters iterations, or as soon as
-    stop_reason of the costs so far is "diverged" or "converged".
+    `cov0` is the initial sampling variance (see joint_covariance);
+    `schedule` a (policy, gamma) pair fed to variance_schedule. Stops after
+    max_iters iterations, or as soon as stop_reason of the costs so far is
+    "diverged" or "converged".
     """
     if mpc.initial_state is None:
         raise ConfigurationError("MpcProblem.initial_state must hold the start state")
@@ -528,16 +522,6 @@ def stop_reason(costs) -> str | None:
             abs(b - a) < _CONVERGENCE_RTOL * max(abs(a), 1e-12) for a, b in flats):
         return "converged"
     return None
-
-
-def _per_step(mat, T: int, dim: int, name: str) -> np.ndarray:
-    mat = np.asarray(mat, dtype=float)
-    if mat.shape == (dim, dim):
-        return np.repeat(mat[None, :, :], T, axis=0)
-    if mat.shape == (T, dim, dim):
-        return mat
-    raise ConfigurationError(
-        f"{name} must be ({dim},{dim}) or ({T},{dim},{dim}), got {mat.shape}")
 
 
 def _check_psd(mat: np.ndarray, name: str):

@@ -22,7 +22,7 @@ import numpy as np
 from scipy import integrate
 
 from .errors import ConfigurationError
-from .smoothing import SmoothingDistribution, _eval_batch, _grad_batch
+from .smoothing import SmoothingDistribution, _eval_batch
 
 __all__ = ["convolution_oracle", "gauss_hermite_expectation"]
 
@@ -92,10 +92,9 @@ def gauss_hermite_expectation(f, x, dist: SmoothingDistribution, points: int,
     wgt = wgt / math.pi ** (d / 2.0)
     offsets = math.sqrt(2.0) * xi @ dist._factor.T
     pts = x[None, :] + offsets
+    vals = _eval_batch(f, pts, output_dim)                  # (q,) or (q, output_dim)
     if output_dim is not None:
-        vals = _grad_batch(f, pts, output_dim)              # (q, output_dim)
         return vals.T @ wgt
-    vals = _eval_batch(f, pts)
     if weight_by_offset:
         return offsets.T @ (wgt * vals)
     return float(wgt @ vals)

@@ -132,7 +132,7 @@ def bundled_objective_estimate(f, x, dist: SmoothingDistribution, n: int,
 
 def first_order_gradient_bundle(f, grad_f, x, dist: SmoothingDistribution, n: int,
                                 seed: int) -> BundleEstimate:
-    """Mean of sampled gradients grad_f(x + w_i).
+    """Mean of sampled gradients grad_f(x + w_i); f itself is not evaluated.
 
     grad_f only needs to be defined almost everywhere; at kinks the
     function's one-sided (right) derivative convention applies. For
@@ -140,10 +140,8 @@ def first_order_gradient_bundle(f, grad_f, x, dist: SmoothingDistribution, n: in
     samples never see the jump, no matter how many are drawn.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    if grad_f is None:
-        grad_f = f.gradient
     w = sample_perturbations(dist, n, seed)
-    grads = _grad_batch(grad_f, x[None, :] + w)
+    grads = _eval_batch(grad_f, x[None, :] + w, x.shape[0])
     return BundleEstimate(value=np.mean(grads, axis=0), sample_count=n,
                           empirical_variance=_variance(grads))
 
@@ -256,28 +254,22 @@ def variance_schedule(cov0, k: int, policy: str = "geometric",
     raise ConfigurationError(f"unknown variance schedule policy {policy!r}")
 
 
-def _eval_batch(f, points: np.ndarray) -> np.ndarray:
-    """Evaluate a scalar function on (n, d) points, vectorized when supported."""
-    if getattr(f, "vectorized", False):
-        arg = points[:, 0] if points.shape[1] == 1 else points
-        # contiguous, as the loop's are: a strided dot product sums in another order
-        return np.ascontiguousarray(f(arg), dtype=float).reshape(points.shape[0])
-    return np.array([float(f(p)) for p in points])
+def _eval_batch(f, points: np.ndarray, dim: int | None = None) -> np.ndarray:
+    """Values of f on (n, d) points, vectorized when supported.
 
-
-def _grad_batch(grad_f, points: np.ndarray, dim: int | None = None) -> np.ndarray:
-    """Vector values of grad_f on (n, d) points as an (n, dim) array (dim d by default)."""
+    Returns shape (n,), or (n, dim) for a function with dim outputs, always
+    contiguous, as the loop's are: a strided dot product sums in another order.
+    """
     n = points.shape[0]
-    dim = points.shape[1] if dim is None else dim
-    if getattr(grad_f, "vectorized", False):
-        arg = points[:, 0] if points.shape[1] == 1 else points
-        out = np.asarray(grad_f(arg), dtype=float)
+    if getattr(f, "vectorized", False):
+        out = f(points[:, 0] if points.shape[1] == 1 else points)
     else:
-        out = np.array([np.atleast_1d(np.asarray(grad_f(p), dtype=float)) for p in points])
-    if out.size != n * dim:
+        out = [f(p) for p in points]
+    out = np.ascontiguousarray(out, dtype=float)
+    if out.size != n * (dim or 1):
         raise ConfigurationError(
-            f"function gives {out.size} values on {n} points, expected {dim} per point")
-    return out.reshape(n, dim)
+            f"function gives {out.size} values on {n} points, expected {dim or 1} per point")
+    return out.reshape(n if dim is None else (n, dim))
 
 
 def _variance(summands: np.ndarray) -> np.ndarray:

@@ -4,12 +4,14 @@ Builds (system, MPC problem, initial inputs) triples for the planning
 benchmarks from plain parameter dictionaries, so the command-line runner,
 the demos and the tests all share one set of documented task
 configurations. Parameters not given fall back to the defaults baked into
-each builder; unknown parameters are rejected.
+each builder; unknown parameters, and parameters whose type differs from
+their default's, are rejected.
 """
 
 from __future__ import annotations
 
 import inspect
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -165,17 +167,42 @@ TASK_BUILDERS = {
 
 
 def build_task(name: str, params: dict | None = None) -> TaskSetup:
-    """Instantiate a catalog task, rejecting unknown parameter keys."""
+    """Instantiate a catalog task, rejecting unknown or mistyped parameters."""
     try:
         builder = TASK_BUILDERS[name]
     except KeyError:
         raise ConfigurationError(
             f"unknown task {name!r}; known: {sorted(TASK_BUILDERS)}") from None
     params = dict(params or {})
-    allowed = set(inspect.signature(builder).parameters)
-    unknown = set(params) - allowed
+    defaults = inspect.signature(builder).parameters
+    unknown = set(params) - set(defaults)
     if unknown:
         raise ConfigurationError(
             f"unknown parameters for task {name!r}: {sorted(unknown)}; "
-            f"allowed: {sorted(allowed)}")
+            f"allowed: {sorted(defaults)}")
+    for key, value in params.items():
+        expected = _expected_type(defaults[key].default, value)
+        if expected is not None:
+            raise ConfigurationError(
+                f"parameter {key!r} of task {name!r} must be {expected}, got {value!r}")
     return builder(**params)
+
+
+def _expected_type(default, value) -> str | None:
+    """None if value has default's type, else that type's name.
+
+    An int takes an int, a float an int or float, a str a str, a tuple a
+    list of as many numbers; a bool is never a number.
+    """
+    def number(v, kind=numbers.Real):
+        return isinstance(v, kind) and not isinstance(v, bool)
+
+    if isinstance(default, tuple):
+        ok = isinstance(value, (list, tuple)) and len(value) == len(default) \
+            and all(map(number, value))
+        return None if ok else f"a list of {len(default)} numbers"
+    if isinstance(default, int):
+        return None if number(value, numbers.Integral) else "an integer"
+    if isinstance(default, float):
+        return None if number(value) else "a number"
+    return None if isinstance(value, type(default)) else f"a {type(default).__name__}"

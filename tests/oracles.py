@@ -259,14 +259,13 @@ def assemble_mpc_qp(mpc, linearizations, relax_state_constraints=False):
     n_sx = mpc.C_x.shape[0] * (W + 1) if relax else 0
     nz = nx + nu + n_sx
 
-    blocks = [mpc.Q[t] for t in range(j, T)] + [mpc.Q_terminal] \
-        + [mpc.R[t] for t in range(j, T)]
+    blocks = [mpc.Q] * (T - j) + [mpc.Q_terminal] + [mpc.R] * (T - j)
     P = 2.0 * block_diag(*blocks)
     P = block_diag(P, 2.0 * SLACK_WEIGHT * np.eye(n_sx)) if n_sx else P
     P[np.diag_indices_from(P)] += HESSIAN_RIDGE
     q = np.zeros(nz)
     for t in range(j, T):
-        q[(t - j) * n:(t - j + 1) * n] = -2.0 * mpc.Q[t] @ mpc.x_desired[t]
+        q[(t - j) * n:(t - j + 1) * n] = -2.0 * mpc.Q @ mpc.x_desired[t]
     q[W * n:(W + 1) * n] = -2.0 * mpc.Q_terminal @ mpc.x_desired[T]
 
     A_eq = np.zeros((n + W * n, nz))

@@ -37,6 +37,27 @@ def test_unknown_config_key_exits_2(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("case", ["negative_seed", "config_is_directory",
+                                  "config_not_utf8", "out_is_file", "param_type"])
+def test_bad_arguments_exit_2_with_one_line(tmp_path, capsys, case):
+    config, out, extra = tmp_path / "config.json", tmp_path / "out", []
+    config.write_text(json.dumps(PLAN))
+    if case == "negative_seed":
+        extra = ["--seed", "-1"]
+    elif case == "config_is_directory":
+        config = tmp_path
+    elif case == "config_not_utf8":
+        config.write_bytes(b'{"task": "push_1d\xff"}')
+    elif case == "out_is_file":
+        out.write_text("")
+    else:
+        config.write_text(json.dumps({**PLAN, "params": {"horizon": "x"}}))
+    code = cli.main(["plan", "--config", str(config), "--out", str(out), *extra])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("config error") and err.count("\n") == 1
+
+
 def test_planner_runtime_error_exits_3(tmp_path, monkeypatch, capsys):
     def fail(*args, **kwargs):
         raise RuntimeError("MPC subproblem failed")

@@ -499,7 +499,13 @@ class TestExactBatchMatchesScalar:
             / (P2.m / P2.h)
         us[3000:3500, 1] = y_c                              # both ties: on the face and the cone
         us[3000:3500, 0] = xs[3000:3500, 1]
-        return xs, us
+        # NaN in one command or state coordinate, or in the whole command or state
+        nan_x, nan_u = xs[:700].copy(), us[:700].copy()
+        for k, (part, cols) in enumerate([(nan_u, [0]), (nan_u, [1]), (nan_u, [0, 1]),
+                                          (nan_x, [0]), (nan_x, [1]), (nan_x, [2]),
+                                          (nan_x, [0, 1, 2])]):
+            part[100 * k:100 * (k + 1), cols] = np.nan
+        return np.concatenate([xs, nan_x]), np.concatenate([us, nan_u])
 
     def test_batch_rows_equal_scalar_steps(self):
         xs, us = self._rows()

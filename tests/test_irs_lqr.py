@@ -62,12 +62,12 @@ class TestRiccatiPath:
         mpc = _random_mpc(rng, T, n, m)
         history = irs_lqr_run(LinearSystem(a, b, c), mpc, GradientMode(), 0.0, max_iters=1)
         xs, us = history[1].xs, history[1].us
-        cost, _ = riccati_tracking(a, b, c, mpc.Q[0], mpc.R[0], mpc.Q_terminal,
+        cost, _ = riccati_tracking(a, b, c, mpc.Q, mpc.R, mpc.Q_terminal,
                                    mpc.x_desired, mpc.initial_state)
         assert history[1].cost == pytest.approx(cost, rel=1e-10)
         # Bellman: every applied input is the first input of its own window.
         for t in range(T):
-            _, first_u = riccati_tracking(a, b, c, mpc.Q[0], mpc.R[0], mpc.Q_terminal,
+            _, first_u = riccati_tracking(a, b, c, mpc.Q, mpc.R, mpc.Q_terminal,
                                           mpc.x_desired[t:], xs[t])
             np.testing.assert_allclose(us[t], first_u, rtol=1e-9, atol=1e-10)
 
@@ -314,6 +314,42 @@ class TestTasks:
             build_task("push_2d", {"modle": "exact"})
         with pytest.raises(ConfigurationError, match="known: .*'push_2d'"):
             build_task("nope")
+
+    @pytest.mark.parametrize("task, key, value, expected", [
+        ("push_2d", "horizon", "x", "an integer"),
+        ("push_2d", "horizon", 2.5, "an integer"),
+        ("push_2d", "horizon", True, "an integer"),
+        ("push_2d", "command_bound", None, "a number"),
+        ("push_2d", "mu", False, "a number"),
+        ("push_2d", "model", 1, "a str"),
+        ("dubins_parking", "goal", [0.0, 2.0], "a list of 3 numbers"),
+        ("dubins_parking", "goal", [0.0, "2", 0.0], "a list of 3 numbers"),
+        ("dubins_parking", "goal", 2.0, "a list of 3 numbers"),
+    ])
+    def test_build_task_rejects_params_of_another_type(self, task, key, value, expected):
+        with pytest.raises(ConfigurationError, match=f"'{key}' .* must be {expected}"):
+            build_task(task, {key: value})
+
+    def test_build_task_takes_params_of_the_defaults_types(self):
+        setup = build_task("push_2d", {"horizon": 4, "command_bound": 2, "model": "anitescu"})
+        assert setup.mpc.horizon == 4 and setup.mpc.d_u[0] == 2.0
+        setup = build_task("dubins_parking", {"goal": [1, 2.0, 0]})
+        np.testing.assert_array_equal(setup.mpc.x_desired[0], [1.0, 2.0, 0.0])
+
+
+class TestOneCostForm:
+    """Q and R are one matrix each and the sampling covariance one variance."""
+
+    def test_per_step_costs_rejected(self):
+        mpc = build_task("dubins_parking").mpc
+        T = mpc.horizon
+        for q, r in ((np.tile(mpc.Q, (T, 1, 1)), mpc.R), (mpc.Q, np.tile(mpc.R, (T, 1, 1)))):
+            with pytest.raises(ConfigurationError, match="Q must be"):
+                dataclasses.replace(mpc, Q=q, R=r)
+
+    def test_covariance_matrix_rejected(self):
+        with pytest.raises(ConfigurationError, match="scalar variance"):
+            irs_lqr.joint_covariance(0.1 * np.eye(5), GradientMode("first_order_bundle"), 3, 2)
 
 
 class TestMpcWindow:
