@@ -25,13 +25,13 @@ Exit codes: 0 success, 2 configuration error, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import csv
 import json
 import logging
 import os
 import sys
 import time
+from concurrent.futures import ProcessPoolExecutor
 
 import jsonschema
 import numpy as np
@@ -156,9 +156,8 @@ def main(argv=None) -> int:
         log.info("%s finished in %.2fs -> %s", args.verb,
                  time.perf_counter() - started, ", ".join(outputs))
         return 0
-    except (ConfigurationError, jsonschema.ValidationError, json.JSONDecodeError,
-            UnicodeDecodeError, FileNotFoundError, NotADirectoryError, IsADirectoryError,
-            FileExistsError) as exc:
+    except (ConfigurationError, json.JSONDecodeError, UnicodeDecodeError, FileNotFoundError,
+            NotADirectoryError, IsADirectoryError, FileExistsError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except (DivergedError, SingularRegressionError, np.linalg.LinAlgError,
@@ -172,7 +171,10 @@ def _load_config(path: str, verb: str) -> dict:
         config = json.load(fh)
     schema = {"bundle-eval": BUNDLE_EVAL_SCHEMA, "plan": PLAN_SCHEMA,
               "contact-probe": CONTACT_PROBE_SCHEMA}[verb]
-    jsonschema.validate(config, schema)
+    try:
+        jsonschema.validate(config, schema)
+    except jsonschema.ValidationError as exc:
+        raise ConfigurationError(f"{exc.message} at {exc.json_path}") from None
     return config
 
 
@@ -186,10 +188,14 @@ def _derive_seed(base: int, index: int) -> int:
 
 
 def _pmap(worker, items, jobs: int):
-    """Parallel map with deterministic (submission-order) results."""
+    """Parallel map with deterministic (submission-order) results.
+
+    Starts at most one worker process per item: the pool forks all of its
+    workers at the first submit.
+    """
     if jobs <= 1 or len(items) <= 1:
         return [worker(item) for item in items]
-    with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
+    with ProcessPoolExecutor(max_workers=min(jobs, len(items))) as pool:
         return list(pool.map(worker, items))
 
 

@@ -11,8 +11,10 @@ free box:
   modes (separation, sticking, sliding up/down the tangential direction),
   or through the convex cone relaxation that turns the step into a QP;
 * penalty-method forces (stiff spring normal force, viscous-then-Coulomb
-  friction with an optional Stribeck discontinuity) and a second-order
-  integrator using them.
+  friction with an optional Stribeck discontinuity), smoothed by the
+  generic estimators in smoothing.py, and PenaltyPush1D, a second-order
+  1D pusher integrated with the stiff spring as a batched
+  DynamicalSystem, so the Jacobian bundles run on it.
 
 The robot is gravity-compensated and quasi-static: its proportional
 controller's virtual spring balances the contact force each step. The box
@@ -33,7 +35,6 @@ import numpy as np
 
 from .errors import ConfigurationError, DivergedError
 from .qp import QpProblem, solve_qp
-from .smoothing import BundleEstimate, SmoothingDistribution, sample_perturbations, _variance
 from .systems import DynamicalSystem
 
 __all__ = [
@@ -43,15 +44,13 @@ __all__ = [
     "Contact2DState",
     "StepDiagnostics",
     "PenaltyParams",
-    "PenaltyStep1DParams",
     "step_1d",
     "step_2d_exact",
     "step_2d_anitescu",
     "penalty_forces",
-    "smoothed_penalty_forces",
-    "penalty_step_1d",
     "ContactPush1D",
     "ContactPush2D",
+    "PenaltyPush1D",
 ]
 
 MODE_SEPARATION = "separation"
@@ -301,16 +300,6 @@ class PenaltyParams:
         if min(self.k_n, self.viscous_slope, self.psi_s, self.mu_d) <= 0.0:
             raise ConfigurationError("penalty parameters must be positive")
 
-    @staticmethod
-    def continuous(k_n=100.0, psi_s=0.1, mu_d=0.5) -> "PenaltyParams":
-        """Configuration without the stick/slip discontinuity."""
-        return PenaltyParams(k_n=k_n, viscous_slope=mu_d / psi_s, psi_s=psi_s, mu_d=mu_d)
-
-    @property
-    def friction_jump(self) -> float:
-        """Friction-coefficient drop at the threshold (0 if continuous)."""
-        return self.viscous_slope * self.psi_s - self.mu_d
-
 
 def penalty_forces(phi, psi, params: PenaltyParams):
     """Normal and tangential penalty force for gap phi and slip speed psi.
@@ -330,57 +319,47 @@ def penalty_forces(phi, psi, params: PenaltyParams):
     return f_n, f_t
 
 
-def smoothed_penalty_forces(phi: float, psi: float, params: PenaltyParams,
-                            dist: SmoothingDistribution, n: int, seed: int
-                            ) -> tuple[BundleEstimate, BundleEstimate]:
-    """Monte-Carlo average of the penalty forces over perturbed (phi, psi).
+class PenaltyPush1D(DynamicalSystem):
+    """Second-order 1D penalty pusher: a semi-implicit Euler step.
 
-    Removes the stick/slip discontinuity and produces repulsion and drag
-    at a distance. `dist` must be 2-dimensional, ordered (phi, psi). With a
-    zero covariance this reduces exactly to penalty_forces.
+    State (xu, vu, xa): box position/velocity and robot position; input the
+    robot command. The box feels the stiff-spring normal force
+    normal_stiffness * (xa - xu) when the robot penetrates it (xa > xu);
+    the robot is a damped proportional servo pulled toward the command and
+    pushed back by the contact force. The step is piecewise linear, so
+    d xu'/d xa jumps from 0 to h^2 * normal_stiffness / box_mass at
+    contact; the Jacobians are the inherited central differences. Needs a
+    small step for the stiff spring: h * sqrt(normal_stiffness / box_mass)
+    <= 0.2 for the box and h * normal_stiffness / robot_damping < 2 for the
+    robot's explicit servo step. A batch with any entry beyond 1e6 raises
+    DivergedError.
     """
-    if dist.dimension != 2:
-        raise ConfigurationError("smoothed penalty forces need a 2D (phi, psi) distribution")
-    w = sample_perturbations(dist, n, seed)
-    f_n, f_t = penalty_forces(phi + w[:, 0], psi + w[:, 1], params)
-    f_n = np.atleast_1d(f_n)
-    f_t = np.atleast_1d(f_t)
-    return (BundleEstimate(value=float(np.mean(f_n)), sample_count=n,
-                           empirical_variance=float(_variance(f_n))),
-            BundleEstimate(value=float(np.mean(f_t)), sample_count=n,
-                           empirical_variance=float(_variance(f_t))))
 
+    state_dim = 3
+    input_dim = 1
+    step = DynamicalSystem.step
+    jacobians = DynamicalSystem.jacobians
 
-def penalty_step_1d(state, command: float, params: "PenaltyStep1DParams", h: float):
-    """Semi-implicit Euler step of the second-order 1D penalty system.
+    def __init__(self, box_mass=1.0, normal_stiffness=1e4, robot_stiffness=100.0,
+                 robot_damping=10.0, h=0.002):
+        self.box_mass = box_mass
+        self.normal_stiffness = normal_stiffness
+        self.robot_stiffness = robot_stiffness
+        self.robot_damping = robot_damping
+        self.h = h
 
-    State (xu, vu, xa): box position/velocity and robot position. The box
-    feels the stiff-spring normal force when the robot penetrates it
-    (xa > xu); the robot is a damped proportional servo pulled toward the
-    command and pushed back by the contact force. Requires a small step
-    (h * sqrt(k_n / box_mass) <= 0.2) for the stiff spring.
-    """
-    xu, vu, xa = float(state[0]), float(state[1]), float(state[2])
-    gap = xu - xa
-    f_n = -params.normal_stiffness * min(gap, 0.0)
-    vu_next = vu + h * f_n / params.box_mass
-    xu_next = xu + h * vu_next
-    xa_rate = (params.robot_stiffness * (command - xa) - f_n) / params.robot_damping
-    xa_next = xa + h * xa_rate
-    nxt = np.array([xu_next, vu_next, xa_next])
-    if np.max(np.abs(nxt)) > 1e6:
-        raise DivergedError(
-            "penalty integration diverged; reduce the timestep h "
-            f"(currently h*sqrt(k_n/m) = {h * np.sqrt(params.normal_stiffness / params.box_mass):.3f})")
-    return nxt
-
-
-@dataclass(frozen=True)
-class PenaltyStep1DParams:
-    box_mass: float = 1.0
-    normal_stiffness: float = 1e4
-    robot_stiffness: float = 100.0
-    robot_damping: float = 10.0
+    def step_batch(self, xs, us):
+        h = self.h
+        xu, vu, xa = xs[:, 0], xs[:, 1], xs[:, 2]
+        f_n = -self.normal_stiffness * np.minimum(xu - xa, 0.0)
+        vu_next = vu + h * f_n / self.box_mass
+        xa_rate = (self.robot_stiffness * (us[:, 0] - xa) - f_n) / self.robot_damping
+        nxt = np.stack([xu + h * vu_next, vu_next, xa + h * xa_rate], axis=1)
+        if np.any(np.abs(nxt) > 1e6):
+            raise DivergedError(
+                "penalty integration diverged; reduce the timestep h (currently "
+                f"h*sqrt(k_n/m) = {h * np.sqrt(self.normal_stiffness / self.box_mass):.3f})")
+        return nxt
 
 
 # ---------------------------------------------------------------------------

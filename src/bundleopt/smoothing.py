@@ -204,7 +204,7 @@ def jacobian_bundle_zero_order(dynamics, x_nom, u_nom, dist: SmoothingDistributi
 
     Regresses f(x+w_i, u+v_i) - f(x, u) onto the stacked perturbations
     (w_i, v_i), giving the zero-order Jacobian bundle (A_hat, B_hat); one
-    step_batch call evaluates all n sampled steps.
+    step_batch call evaluates the nominal step and all n sampled steps.
     Requires n >= dim(x)+dim(u) samples and perturbation variance in every
     direction. With an exactly-zero covariance the fit degenerates and the
     dynamics' own Jacobians at the nominal point are returned instead.
@@ -225,9 +225,11 @@ def jacobian_bundle_zero_order(dynamics, x_nom, u_nom, dist: SmoothingDistributi
         raise ConfigurationError(
             f"zero-order Jacobian bundle needs at least dim(x)+dim(u)={d} samples, got {n}")
     z = sample_perturbations(dist, n, seed)
-    f0 = np.asarray(dynamics.step(x_nom, u_nom), dtype=float)
-    dev = np.asarray(dynamics.step_batch(x_nom + z[:, :nx], u_nom + z[:, nx:]),
-                     dtype=float) - f0
+    # row 0 is the nominal point f(x, u), rows 1..n the sampled steps
+    f = np.asarray(dynamics.step_batch(np.concatenate([x_nom[None], x_nom + z[:, :nx]]),
+                                       np.concatenate([u_nom[None], u_nom + z[:, nx:]])),
+                   dtype=float)
+    dev = f[1:] - f[0]
     gram = z.T @ z
     _require_full_rank(gram, d)
     coef = np.linalg.solve(gram, z.T @ dev).T

@@ -38,7 +38,8 @@ def test_unknown_config_key_exits_2(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("case", ["negative_seed", "config_is_directory",
-                                  "config_not_utf8", "out_is_file", "param_type"])
+                                  "config_not_utf8", "out_is_file", "param_type",
+                                  "unknown_key", "gamma_out_of_range"])
 def test_bad_arguments_exit_2_with_one_line(tmp_path, capsys, case):
     config, out, extra = tmp_path / "config.json", tmp_path / "out", []
     config.write_text(json.dumps(PLAN))
@@ -50,12 +51,49 @@ def test_bad_arguments_exit_2_with_one_line(tmp_path, capsys, case):
         config.write_bytes(b'{"task": "push_1d\xff"}')
     elif case == "out_is_file":
         out.write_text("")
-    else:
+    elif case == "param_type":
         config.write_text(json.dumps({**PLAN, "params": {"horizon": "x"}}))
+    elif case == "unknown_key":
+        config.write_text(json.dumps({**PLAN, "bogus": 1}))
+    else:
+        config.write_text(json.dumps({**PLAN, "schedule": {"policy": "geometric",
+                                                           "gamma": 2}}))
     code = cli.main(["plan", "--config", str(config), "--out", str(out), *extra])
     err = capsys.readouterr().err
     assert code == 2
     assert err.startswith("config error") and err.count("\n") == 1
+    if case == "unknown_key":
+        assert "'bogus' was unexpected" in err
+    elif case == "gamma_out_of_range":
+        assert "$.schedule.gamma" in err
+
+
+def test_jobs_beyond_the_run_count_start_one_worker_per_run(tmp_path, monkeypatch):
+    # The process pool forks all of its workers at the first submit, so
+    # --jobs 100000 must not reach it unchanged. A serial stand-in records
+    # the pool size; no process is started.
+    sizes = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, worker, items):
+            return map(worker, items)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({**PLAN, "seeds": [0, 1]}))
+    code = cli.main(["plan", "--config", str(path), "--out", str(tmp_path / "out"),
+                     "--jobs", "100000"])
+    assert code == 0
+    assert sizes == [2]
 
 
 def test_planner_runtime_error_exits_3(tmp_path, monkeypatch, capsys):

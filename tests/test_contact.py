@@ -1,18 +1,20 @@
 """Tests for the contact models."""
 
+import math
+
 import numpy as np
 import pytest
 
 from bundleopt import contact
 from bundleopt.contact import (Contact1DParams, Contact1DState, Contact2DParams,
                                Contact2DState, ContactPush1D, ContactPush2D,
-                               PenaltyParams, PenaltyStep1DParams, _exact_2d_mode_jacobians,
-                               penalty_forces, penalty_step_1d, smoothed_penalty_forces,
-                               step_1d, step_2d_anitescu, step_2d_exact)
+                               PenaltyParams, PenaltyPush1D, _exact_2d_mode_jacobians,
+                               penalty_forces, step_1d, step_2d_anitescu, step_2d_exact)
 from bundleopt.errors import ConfigurationError, DivergedError
 from bundleopt.irs_lqr import GradientMode, joint_covariance, linearize_trajectory, rollout
 from bundleopt.oracle import gauss_hermite_expectation
-from bundleopt.smoothing import SmoothingDistribution
+from bundleopt.smoothing import (SmoothingDistribution, bundled_objective_estimate,
+                                 jacobian_bundle_first_order, jacobian_bundle_zero_order)
 from bundleopt.systems import finite_difference_jacobians
 from bundleopt.tasks import build_task
 
@@ -321,12 +323,26 @@ class TestPenaltyForces:
         assert abs(f_lo - f_hi) == pytest.approx(expected_jump, rel=1e-6)
 
     def test_continuous_configuration_has_no_jump(self):
-        pp = PenaltyParams.continuous(k_n=100.0, psi_s=0.1, mu_d=0.5)
-        assert pp.friction_jump == pytest.approx(0.0, abs=1e-12)
+        pp = PenaltyParams(k_n=100.0, viscous_slope=0.5 / 0.1, psi_s=0.1, mu_d=0.5)
+        assert pp.viscous_slope * pp.psi_s - pp.mu_d == pytest.approx(0.0, abs=1e-12)
         eps = 1e-9
         _, f_lo = penalty_forces(-0.01, pp.psi_s - eps, pp)
         _, f_hi = penalty_forces(-0.01, pp.psi_s + eps, pp)
         assert abs(f_lo - f_hi) <= 1e-6
+
+
+def smoothed_penalty_forces(phi, psi, params, dist, n, seed):
+    """Bundled (f_n, f_t) at (phi, psi): the generic estimator on each force.
+
+    Both calls draw the same samples from `seed`, over the 2D (phi, psi)
+    distribution `dist`.
+    """
+    def bundled(k):
+        def force(points):
+            return penalty_forces(points[:, 0], points[:, 1], params)[k]
+        force.vectorized = True
+        return bundled_objective_estimate(force, [phi, psi], dist, n, seed)
+    return bundled(0), bundled(1)
 
 
 class TestSmoothedPenaltyForces:
@@ -358,47 +374,90 @@ class TestSmoothedPenaltyForces:
 
 
 class TestPenaltyStep:
-    PARAMS = PenaltyStep1DParams(box_mass=1.0, normal_stiffness=1e4,
-                                 robot_stiffness=100.0, robot_damping=10.0)
+    PARAMS = dict(box_mass=1.0, normal_stiffness=1e4,
+                  robot_stiffness=100.0, robot_damping=10.0)
 
     def test_no_contact_stationary(self):
         state = np.array([1.0, 0.0, 0.0])
-        nxt = penalty_step_1d(state, 0.0, self.PARAMS, h=0.001)
+        nxt = PenaltyPush1D(**self.PARAMS, h=0.001).step(state, [0.0])
         np.testing.assert_allclose(nxt, state, atol=1e-12)
 
     def test_static_penetration_equilibrium(self):
         # heavy box: the robot settles where spring force = k_n * depth
-        params = PenaltyStep1DParams(box_mass=1e6, normal_stiffness=1e4,
-                                     robot_stiffness=100.0, robot_damping=10.0)
-        h = 0.0005
+        params = dict(self.PARAMS, box_mass=1e6)
+        system = PenaltyPush1D(**params, h=0.0005)
         state = np.array([0.0, 0.0, -0.1])
         for _ in range(40000):
-            state = penalty_step_1d(state, 0.5, params, h)
+            state = system.step(state, [0.5])
         depth = state[2] - state[0]
-        spring = params.robot_stiffness * (0.5 - state[2])
+        spring = params["robot_stiffness"] * (0.5 - state[2])
         assert depth > 0.0
-        assert depth == pytest.approx(spring / params.normal_stiffness, rel=1e-3)
+        assert depth == pytest.approx(spring / params["normal_stiffness"], rel=1e-3)
 
     def test_momentum_balance_over_episode(self):
         h = 0.0005                       # h*sqrt(k_n/m) = 0.05
+        system = PenaltyPush1D(**self.PARAMS, h=h)
         state = np.array([0.2, 0.0, 0.0])
         impulse = 0.0
         for _ in range(4000):
             gap = state[0] - state[2]
-            f_n = -self.PARAMS.normal_stiffness * min(gap, 0.0)
+            f_n = -self.PARAMS["normal_stiffness"] * min(gap, 0.0)
             impulse += h * f_n
-            state = penalty_step_1d(state, 1.0, self.PARAMS, h)
-        momentum_gain = self.PARAMS.box_mass * state[1]
+            state = system.step(state, [1.0])
+        momentum_gain = self.PARAMS["box_mass"] * state[1]
         assert momentum_gain > 0.0
         assert momentum_gain == pytest.approx(impulse, rel=0.02)
 
     def test_divergence_detected(self):
-        params = PenaltyStep1DParams(box_mass=0.001, normal_stiffness=1e6,
-                                     robot_stiffness=100.0, robot_damping=10.0)
+        system = PenaltyPush1D(**dict(self.PARAMS, box_mass=0.001, normal_stiffness=1e6),
+                               h=0.05)
         state = np.array([0.0, 0.0, 0.5])   # deep penetration, stiff spring
         with pytest.raises(DivergedError):
             for _ in range(2000):
-                state = penalty_step_1d(state, 0.5, params, h=0.05)
+                state = system.step(state, [0.5])
+
+
+class TestPenaltyJacobianBundles:
+    """The penalty method's fast-changing gradient, tamed by both Jacobian bundles.
+
+    At PenaltyPush1D's defaults (k_n = 1e4, m = 1, h = 0.002) the exact
+    d xu'/d xa jumps from 0 to h^2 k_n / m = 0.04 as the robot enters the
+    box. With every coordinate perturbed by N(0, sigma^2), the gap xa - xu
+    is N(xa - xu, 2 sigma^2), so the bundled entry is 0.04 * Phi((xa - xu) / sigma_gap).
+    """
+
+    SYSTEM = PenaltyPush1D()
+    JUMP = 0.002**2 * 1e4 / 1.0
+    N = 10**4
+
+    def test_exact_jacobian_jumps_at_contact(self):
+        for xa, expected in ((-1e-3, 0.0), (1e-3, self.JUMP)):
+            a, _ = self.SYSTEM.jacobians(np.array([0.0, 0.0, xa]), np.zeros(1))
+            assert a[0, 2] == pytest.approx(expected, abs=1e-9)
+
+    @pytest.mark.parametrize("sigma", [0.001, 0.003, 0.01, 0.03])
+    def test_bundles_equal_the_smoothed_jump(self, sigma):
+        sigma_gap = math.sqrt(2.0) * sigma
+        dist = SmoothingDistribution.isotropic(4, sigma)
+        # Zero-order bound. xu' = xu + h vu + 0.04 relu(xa - xu): the fit
+        # recovers the linear part exactly, and by Stein's lemma the
+        # population least-squares slope on xa is the first-order value. The
+        # error is, to first order, the mean of z_xa * r / sigma^2, r the
+        # relu's residual about that slope, |r| <= 0.04 |delta| with delta the
+        # gap's perturbation. E[z_xa^2 delta^2] = 4 sigma^4 bounds its
+        # standard deviation by 2 * 0.04 / sqrt(N); allow 4 of them.
+        zero_order_bound = 4.0 * 2.0 * self.JUMP / math.sqrt(self.N)
+        for seed, offset in enumerate((-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0)):
+            x = np.array([0.1, 0.0, 0.1 + offset * sigma_gap])
+            u = np.array([0.2])
+            p = 0.5 * (1.0 + math.erf(offset / math.sqrt(2.0)))
+            expected = self.JUMP * p
+            a, _ = jacobian_bundle_first_order(self.SYSTEM, x, u, dist, self.N, seed)
+            # each sampled entry is 0 or 0.04: a Bernoulli(p) summand
+            clt_se = self.JUMP * math.sqrt(p * (1.0 - p) / self.N)
+            assert abs(a[0, 2] - expected) <= 4.0 * clt_se
+            a, _ = jacobian_bundle_zero_order(self.SYSTEM, x, u, dist, self.N, seed)
+            assert abs(a[0, 2] - expected) <= zero_order_bound
 
 
 class TestAdapters:

@@ -1,14 +1,18 @@
-"""Every name a bundleopt module imports is used in that module, and every
-module-level private name (`_x`) is referenced somewhere in the package.
+"""Every name a bundleopt module imports is used in that module, every
+module-level private name (`_x`) is referenced somewhere in the package,
+and every name in a module's `__all__` exists and is a package export.
 
 `__init__.py` is exempt from the first check: its imports are the
 package's exports.
 """
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
+
+import bundleopt
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "bundleopt"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
@@ -77,3 +81,12 @@ def test_checker_flags_an_orphan_private_name():
 def test_every_private_name_is_referenced():
     sources = {p.stem: p.read_text(encoding="utf-8") for p in sorted(SRC.glob("*.py"))}
     assert orphan_private_names(sources) == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_module_all_names_exist_and_are_exported(path):
+    module = importlib.import_module(f"bundleopt.{path.stem}")
+    names = getattr(module, "__all__", [])
+    assert [name for name in names if not hasattr(module, name)] == []
+    assert [name for name in names
+            if getattr(bundleopt, name, None) is not getattr(module, name)] == []

@@ -394,7 +394,7 @@ class TestOneBatchedCallPerKnot:
             assert calls["step"] == []             # offsets come from the stored rollout
         else:
             assert calls["jacobians_batch"] == []
-            assert [len(x) for x in calls["step_batch"] if len(x) > 1] == [30] * T
-            # one scalar step per knot: the fit's f(x_t, u_t)
-            assert len(calls["step"]) == T
-            assert all(np.array_equal(x, knot) for x, knot in zip(calls["step"], xs[:T]))
+            # row 0 of each knot's one call is the fit's f(x_t, u_t)
+            assert [len(x) for x in calls["step_batch"]] == [31] * T
+            assert all(np.array_equal(x[0], knot) for x, knot in zip(calls["step_batch"], xs[:T]))
+            assert calls["step"] == []

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from bundleopt.contact import PenaltyPush1D
 from bundleopt.systems import (DubinsCar, LinearSystem, Pendulum, Quadrotor,
                                finite_difference_jacobians, linearize_exact)
 
@@ -156,6 +157,7 @@ class TestBatchProtocol:
         # 10 terms in each row of A x: past numpy's 8-way unrolled sum
         lambda: LinearSystem(np.sin(np.arange(100.0)).reshape(10, 10),
                              np.cos(np.arange(30.0)).reshape(10, 3)),
+        lambda: PenaltyPush1D(),
     ])
     @pytest.mark.parametrize("rows", [1, 7, 100])
     def test_batch_rows_equal_batch_of_one(self, make, rows):
