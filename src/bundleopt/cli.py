@@ -4,7 +4,7 @@ Three verbs, each taking --config/--out/--seed/--jobs:
 
 * bundle-eval: sweep a catalog test function over a grid, writing the
   Monte-Carlo bundled objective, the first/zero-order gradient bundles and
-  the quadrature-oracle values per point.
+  the oracle's smoothed value and gradient per point.
 * plan: run the trajectory optimizer on a catalog task for every
   (gradient mode, seed) pair, writing per-iteration costs and the final
   trajectories. The `diverged` column is 1 on every row of a run whose
@@ -33,7 +33,6 @@ import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 
-import jsonschema
 import numpy as np
 
 from . import __version__
@@ -167,6 +166,8 @@ def main(argv=None) -> int:
 
 
 def _load_config(path: str, verb: str) -> dict:
+    import jsonschema                  # only config loading needs it
+
     with open(path, "r", encoding="utf-8") as fh:
         config = json.load(fh)
     schema = {"bundle-eval": BUNDLE_EVAL_SCHEMA, "plan": PLAN_SCHEMA,

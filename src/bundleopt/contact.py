@@ -331,8 +331,8 @@ class PenaltyPush1D(DynamicalSystem):
     contact; the Jacobians are the inherited central differences. Needs a
     small step for the stiff spring: h * sqrt(normal_stiffness / box_mass)
     <= 0.2 for the box and h * normal_stiffness / robot_damping < 2 for the
-    robot's explicit servo step. A batch with any entry beyond 1e6 raises
-    DivergedError.
+    robot's explicit servo step; the defaults give 0.2 and 1. A batch with
+    any entry beyond 1e6 raises DivergedError.
     """
 
     state_dim = 3
@@ -341,7 +341,7 @@ class PenaltyPush1D(DynamicalSystem):
     jacobians = DynamicalSystem.jacobians
 
     def __init__(self, box_mass=1.0, normal_stiffness=1e4, robot_stiffness=100.0,
-                 robot_damping=10.0, h=0.002):
+                 robot_damping=20.0, h=0.002):
         self.box_mass = box_mass
         self.normal_stiffness = normal_stiffness
         self.robot_stiffness = robot_stiffness

@@ -1,14 +1,17 @@
-"""High-accuracy quadrature of Gaussian-smoothed functions.
+"""High-accuracy Gaussian smoothing of functions, by closed form or quadrature.
 
 `convolution_oracle` evaluates the smoothed value and gradient of a scalar
-function by numerical quadrature instead of Monte Carlo. It exists as an
-independent reference for testing the sampling estimators, and is limited
-to Gaussian perturbations in dimension <= 3.
+function without Monte Carlo. It exists as an independent reference for
+testing the sampling estimators, and is limited to Gaussian perturbations
+in dimension <= 3.
 
-Smooth integrands use tensor Gauss-Hermite quadrature. One-dimensional
-functions that declare breakpoints (kinks or jumps) are instead integrated
-piece by piece with adaptive quadrature, since polynomial rules lose their
-accuracy on non-smooth integrands. The gradient comes from quadrature of
+One-dimensional catalog functions (functions.TestFunction with a
+`smoothed` closed form) return that closed form. Other one-dimensional
+functions are integrated piece by piece between their declared
+breakpoints (kinks or jumps) with scipy's adaptive `quad`, since
+polynomial rules lose their accuracy on non-smooth integrands; scipy is
+imported on the first such call, not with the package. Higher dimensions
+use tensor Gauss-Hermite quadrature. The quadrature gradient comes from
 the function's own gradient when it is continuous, and otherwise from the
 score-function identity  d/dx E[f(x+w)] = E[f(x+w) w] / sigma^2,  which
 also captures jump discontinuities.
@@ -19,7 +22,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy import integrate
 
 from .errors import ConfigurationError
 from .smoothing import SmoothingDistribution, _eval_batch
@@ -31,12 +33,12 @@ _TAIL_SIGMAS = 13.0
 
 def convolution_oracle(f, x, dist: SmoothingDistribution,
                        quadrature_points: int = 201) -> tuple[float, np.ndarray]:
-    """Quadrature value and gradient of the smoothed function at x.
+    """Value and gradient of the smoothed function at x, without sampling.
 
     Returns (value, gradient) where value = E_w[f(x+w)] and gradient is its
-    derivative with respect to x. `f` may carry `breakpoints`, `continuous`
-    and `gradient` attributes (see functions.TestFunction); bare callables
-    are treated as smooth.
+    derivative with respect to x. `f` may carry `breakpoints`, `continuous`,
+    `gradient` and `smoothed` attributes (see functions.TestFunction); bare
+    callables are treated as smooth.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
     d = x.shape[0]
@@ -54,6 +56,10 @@ def convolution_oracle(f, x, dist: SmoothingDistribution,
 
     if d == 1:
         sigma = math.sqrt(float(dist.covariance[0, 0]))
+        smoothed = getattr(f, "smoothed", None)
+        if smoothed is not None:
+            value, grad = smoothed(float(x[0]), sigma)
+            return value, np.array([grad])
         value = _piecewise_1d(f, float(x[0]), sigma, breakpoints, moment=0)
         if continuous and grad_f is not None:
             grad = _piecewise_1d(grad_f, float(x[0]), sigma, breakpoints, moment=0)
@@ -103,6 +109,8 @@ def gauss_hermite_expectation(f, x, dist: SmoothingDistribution, points: int,
 def _piecewise_1d(f, x: float, sigma: float, breakpoints: tuple[float, ...],
                   moment: int) -> float:
     """Adaptive quadrature of f(x+w) * w**moment against the Gaussian pdf."""
+    from scipy import integrate
+
     lo, hi = -_TAIL_SIGMAS * sigma, _TAIL_SIGMAS * sigma
     cuts = sorted(b - x for b in breakpoints if lo < b - x < hi)
     edges = [lo, *cuts, hi]

@@ -19,14 +19,18 @@ the path that reached it.
 
 Infeasibility is reported through the solution status, not an exception,
 so model-predictive callers can degrade gracefully.
+
+The Cholesky factorizations and solves go through scipy's LAPACK wrappers,
+which are imported on the first factorization rather than with the
+package: plans without inequalities never load scipy.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dpotrf, dpotrs
 
 from .errors import ConfigurationError
 
@@ -224,9 +228,16 @@ def _border(gram, g_aw, g_ww):
     return out
 
 
+@functools.cache
+def _lapack():
+    """scipy's LAPACK module, imported once, on first use."""
+    from scipy.linalg import lapack
+    return lapack
+
+
 def _cholesky(a):
     """Upper Cholesky factor by LAPACK dpotrf; LinAlgError unless a is positive definite."""
-    c, info = dpotrf(a, lower=0, clean=0)
+    c, info = _lapack().dpotrf(a, lower=0, clean=0)
     if info != 0:
         raise np.linalg.LinAlgError(f"dpotrf info={info}: not positive definite")
     return c
@@ -234,7 +245,7 @@ def _cholesky(a):
 
 def _cho_solve(c, b):
     """Solve with a factor from `_cholesky` (LAPACK dpotrs)."""
-    x, info = dpotrs(c, b, lower=0)
+    x, info = _lapack().dpotrs(c, b, lower=0)
     if info != 0:
         raise np.linalg.LinAlgError(f"dpotrs failed with info={info}")
     return x

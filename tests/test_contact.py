@@ -408,6 +408,13 @@ class TestPenaltyStep:
         assert momentum_gain > 0.0
         assert momentum_gain == pytest.approx(impulse, rel=0.02)
 
+    def test_defaults_keep_the_servo_step_stable_in_contact(self):
+        system = PenaltyPush1D()
+        assert system.h * system.normal_stiffness / system.robot_damping < 2.0
+        # in contact the step is linear; penetration must not grow
+        a, _ = system.jacobians(np.array([0.0, 0.0, 1e-3]), np.array([0.5]))
+        assert np.max(np.abs(np.linalg.eigvals(a))) < 1.0
+
     def test_divergence_detected(self):
         system = PenaltyPush1D(**dict(self.PARAMS, box_mass=0.001, normal_stiffness=1e6),
                                h=0.05)

@@ -1,6 +1,8 @@
 """Every name a bundleopt module imports is used in that module, every
 module-level private name (`_x`) is referenced somewhere in the package,
 and every name in a module's `__all__` exists and is a package export.
+Importing the package, and planning without inequalities, leave scipy and
+jsonschema unloaded.
 
 `__init__.py` is exempt from the first check: its imports are the
 package's exports.
@@ -8,6 +10,10 @@ package's exports.
 
 import ast
 import importlib
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -90,3 +96,39 @@ def test_module_all_names_exist_and_are_exported(path):
     assert [name for name in names if not hasattr(module, name)] == []
     assert [name for name in names
             if getattr(bundleopt, name, None) is not getattr(module, name)] == []
+
+
+# Prints, after each step, which of the heavy optional imports are loaded.
+_IMPORT_PATH_SCRIPT = """
+import json, sys
+import numpy as np
+
+def loaded():
+    return sorted(m for m in ("scipy", "scipy.linalg", "jsonschema") if m in sys.modules)
+
+report = {}
+import bundleopt, bundleopt.cli
+report["import"] = loaded()
+setup = bundleopt.build_task("lti")
+bundleopt.irs_lqr_run(setup.system, setup.mpc, bundleopt.GradientMode(), 0.0,
+                      max_iters=2, u_init=setup.u_init)
+dist = bundleopt.SmoothingDistribution.isotropic(1, 0.3)
+for fid in bundleopt.TEST_FUNCTION_IDS:
+    bundleopt.convolution_oracle(bundleopt.get_test_function(fid), [0.1], dist)
+report["plan_and_oracle"] = loaded()
+bundleopt.solve_qp(bundleopt.QpProblem(np.eye(2), np.ones(2), np.ones((1, 2)), [0.0]))
+report["solve_qp"] = loaded()
+print(json.dumps(report))
+"""
+
+
+def test_scipy_and_jsonschema_load_only_where_they_run():
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", _IMPORT_PATH_SCRIPT], env=env,
+                          capture_output=True, text=True, timeout=120, check=True)
+    report = json.loads(done.stdout.splitlines()[-1])
+    assert report["import"] == []
+    assert report["plan_and_oracle"] == []
+    # the negative case: the QP's first factorization loads LAPACK
+    assert {"scipy", "scipy.linalg"} <= set(report["solve_qp"])

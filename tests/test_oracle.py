@@ -35,12 +35,20 @@ class TestConvolutionOracle:
     @pytest.mark.parametrize("sigma", [0.05, 0.2, 1.0])
     def test_matches_closed_forms(self, fid, sigma):
         f = get_test_function(fid)
+        # the same function without its closed form, so it goes through quad
+        twin = TestFunction.user(f.evaluate, f.gradient, f.breakpoints, f.continuous,
+                                 vectorized=True)
         dist = SmoothingDistribution.isotropic(1, sigma)
-        for x in (-1.3, -0.2, 0.0, 0.45, 2.0):
-            value, grad = convolution_oracle(f, [x], dist)
+        for x in (-1.3, -0.2, 0.0, 0.45, 2.0, -8.0 * sigma, 8.0 * sigma):
             ref_value, ref_grad = CLOSED_FORMS[fid](x, sigma)
-            assert value == pytest.approx(ref_value, rel=1e-6, abs=1e-10)
-            assert grad[0] == pytest.approx(ref_grad, rel=1e-6, abs=1e-8)
+            for g in (f, twin):
+                value, grad = convolution_oracle(g, [x], dist)
+                assert value == pytest.approx(ref_value, rel=1e-6, abs=1e-10)
+                assert grad[0] == pytest.approx(ref_grad, rel=1e-6, abs=1e-8)
+                if g is f and abs(x) == 8.0 * sigma:
+                    # tails: the closed form keeps Phi(-8) = 6.2e-16 to full precision
+                    assert value == pytest.approx(ref_value, rel=1e-12, abs=0.0)
+                    assert grad[0] == pytest.approx(ref_grad, rel=1e-12, abs=0.0)
 
     def test_two_dimensional_quadratic(self):
         dist = SmoothingDistribution(np.diag([0.09, 0.04]))
