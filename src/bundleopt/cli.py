@@ -1,6 +1,7 @@
 """Command-line experiment runner.
 
-Three verbs, each taking --config/--out/--seed/--jobs:
+Three verbs, each taking --config/--out/--jobs; bundle-eval and plan
+also take --seed:
 
 * bundle-eval: sweep a catalog test function over a grid, writing the
   Monte-Carlo bundled objective, the first/zero-order gradient bundles and
@@ -36,7 +37,7 @@ from concurrent.futures import ProcessPoolExecutor
 import numpy as np
 
 from . import __version__
-from .contact import Contact2DParams, Contact2DState, ContactPush2D, step_2d_anitescu
+from .contact import Contact2DParams, ContactPush2D
 from .errors import ConfigurationError, DivergedError, SingularRegressionError
 from .functions import TEST_FUNCTION_IDS, get_test_function
 from .irs_lqr import GRADIENT_MODES, GradientMode, irs_lqr_run, stop_reason
@@ -68,7 +69,6 @@ BUNDLE_EVAL_SCHEMA = {
         "grid": _GRID,
         "samples": {"type": "integer", "minimum": 1},
         "seed": {"type": "integer", "minimum": 0},
-        "quadrature_points": {"type": "integer", "minimum": 11},
     },
     "required": ["function", "sigma", "grid"],
     "additionalProperties": False,
@@ -114,7 +114,6 @@ CONTACT_PROBE_SCHEMA = {
         },
         "sigma": {"type": "number", "exclusiveMinimum": 0},
         "quadrature_points": {"type": "integer", "minimum": 5},
-        "seed": {"type": "integer", "minimum": 0},
     },
     "required": ["state", "grid", "sigma"],
     "additionalProperties": False,
@@ -130,10 +129,12 @@ def main(argv=None) -> int:
         p = sub.add_parser(verb)
         p.add_argument("--config", required=True, help="JSON config file")
         p.add_argument("--out", required=True, help="output directory")
-        p.add_argument("--seed", type=int, default=None,
-                       help="override the config's seed(s)")
+        if verb != "contact-probe":            # the probe is deterministic quadrature
+            p.add_argument("--seed", type=int, default=None,
+                           help="override the config's seed(s)")
         p.add_argument("--jobs", type=int, default=1, help="worker processes")
     args = parser.parse_args(argv)
+    seed = getattr(args, "seed", None)
 
     level = {"error": logging.ERROR, "info": logging.INFO,
              "debug": logging.DEBUG}.get(os.environ.get("BUNDLEOPT_LOG", "error"))
@@ -143,14 +144,16 @@ def main(argv=None) -> int:
     logging.basicConfig(level=level, format="%(levelname)s %(name)s: %(message)s")
 
     try:
-        if args.seed is not None and args.seed < 0:
-            raise ConfigurationError(f"--seed must be >= 0, got {args.seed}")
+        if seed is not None and seed < 0:
+            raise ConfigurationError(f"--seed must be >= 0, got {seed}")
         config = _load_config(args.config, args.verb)
+        if seed is not None:
+            config.update({"seed": seed} if args.verb == "bundle-eval" else {"seeds": [seed]})
         os.makedirs(args.out, exist_ok=True)
         started = time.perf_counter()
         runner = {"bundle-eval": _run_bundle_eval, "plan": _run_plan,
                   "contact-probe": _run_contact_probe}[args.verb]
-        outputs = runner(config, args.out, args.seed, max(1, args.jobs))
+        outputs = runner(config, args.out, max(1, args.jobs))
         _write_manifest(args.out, args.verb, config, outputs)
         log.info("%s finished in %.2fs -> %s", args.verb,
                  time.perf_counter() - started, ", ".join(outputs))
@@ -239,22 +242,18 @@ def _bundle_eval_point(item):
     f = get_test_function(config["function"])
     sigma = config["sigma"]
     n = config.get("samples", 10000)
-    points = config.get("quadrature_points", 201)
     dist = SmoothingDistribution.isotropic(1, sigma)
     seed = _derive_seed(config["seed"], index)
     value_mc = bundled_objective_estimate(f, [x], dist, n, seed)
     grad_first = first_order_gradient_bundle(f, f.gradient, [x], dist, n, seed)
     grad_zero = zero_order_gradient_bundle(f, [x], dist, n, seed)
-    value_q, grad_q = convolution_oracle(f, [x], dist, points)
+    value_q, grad_q = convolution_oracle(f, [x], dist)
     return [x, float(value_mc.value), value_q, float(grad_first.value[0]),
             float(grad_zero.value[0]), float(grad_q[0])]
 
 
-def _run_bundle_eval(config: dict, out_dir: str, seed_override, jobs: int):
-    config = dict(config)
-    config.setdefault("seed", 0)
-    if seed_override is not None:
-        config["seed"] = seed_override
+def _run_bundle_eval(config: dict, out_dir: str, jobs: int):
+    config = {"seed": 0, **config}
     xs = _grid_points(config["grid"])
     rows = _pmap(_bundle_eval_point, [(config, float(x), i) for i, x in enumerate(xs)], jobs)
     path = os.path.join(out_dir, "bundle_eval.csv")
@@ -291,10 +290,7 @@ def _plan_run(item):
     return result_rows, traj_rows, elapsed
 
 
-def _run_plan(config: dict, out_dir: str, seed_override, jobs: int):
-    config = dict(config)
-    if seed_override is not None:
-        config["seeds"] = [seed_override]
+def _run_plan(config: dict, out_dir: str, jobs: int):
     items = [(config, kind, int(seed))
              for kind in config["modes"] for seed in config["seeds"]]
     results = _pmap(_plan_run, items, jobs)
@@ -319,32 +315,26 @@ def _run_plan(config: dict, out_dir: str, seed_override, jobs: int):
 
 
 def _probe_point(item):
+    """One grid point: the exact and Anitescu next box positions, then their bundles."""
     config, cx, cy = item
     params = Contact2DParams(**config.get("system", {}))
-    state = Contact2DState(*config["state"])
-    sigma = config["sigma"]
+    state = np.asarray(config["state"], dtype=float)
+    dist = SmoothingDistribution.isotropic(2, config["sigma"])
     points = config.get("quadrature_points", 41)
-    relaxed_next, _ = step_2d_anitescu(state, (cx, cy), params)
-    dist = SmoothingDistribution.isotropic(2, sigma)
+    command = np.array([cx, cy])
+    steps, bundles = [], []
+    for model in ("exact", "anitescu"):
+        system = ContactPush2D(params, model)
 
-    def exact_box_next(cmds):                  # every quadrature node in one batch
-        xs = np.tile(np.asarray(config["state"], dtype=float), (len(cmds), 1))
-        return ContactPush2D(params).step_batch(xs, cmds)[:, 0]
-    exact_box_next.vectorized = True
-
-    def relaxed_box_next(cmd):
-        return step_2d_anitescu(state, (float(cmd[0]), float(cmd[1])), params)[0].xu
-
-    return [cx, cy, exact_box_next(np.array([[cx, cy]]))[0], relaxed_next.xu,
-            *(gauss_hermite_expectation(f, np.array([cx, cy]), dist, points)
-              for f in (exact_box_next, relaxed_box_next))]
+        def box_next(cmds, system=system):     # every quadrature node in one batch
+            return system.step_batch(np.tile(state, (len(cmds), 1)), cmds)[:, 0]
+        box_next.vectorized = True
+        steps.append(box_next(command[None])[0])
+        bundles.append(gauss_hermite_expectation(box_next, command, dist, points))
+    return [cx, cy, *steps, *bundles]
 
 
-def _run_contact_probe(config: dict, out_dir: str, seed_override, jobs: int):
-    config = dict(config)
-    config.setdefault("seed", 0)
-    if seed_override is not None:
-        config["seed"] = seed_override
+def _run_contact_probe(config: dict, out_dir: str, jobs: int):
     xs = _grid_points(config["grid"]["x"])
     ys = _grid_points(config["grid"]["y"])
     items = [(config, float(cx), float(cy)) for cx in xs for cy in ys]

@@ -2,7 +2,7 @@
 
 
 class ConfigurationError(ValueError):
-    """Invalid configuration: bad covariance, schedule parameter, config file, ..."""
+    """Invalid configuration: bad variances, schedule parameter, config file, ..."""
 
 
 class SingularRegressionError(RuntimeError):

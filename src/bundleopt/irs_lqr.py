@@ -178,8 +178,9 @@ class TrajectoryIterate:
     """One optimizer iterate: the rolled-out trajectory and its cost.
 
     xs has T+1 rows (knots satisfy the true dynamics exactly), us has T.
-    `variance` is the joint sampling covariance used to linearize during
-    the pass that produced this iterate (None for the initial rollout),
+    `variance` holds the joint (state, input) sampling variances, one per
+    coordinate, used to linearize during the pass that produced this
+    iterate (None for the initial rollout),
     `linearizations` those per-knot models.
     """
 
@@ -238,35 +239,35 @@ def derive_knot_seed(run_seed: int, iteration: int, knot: int) -> int:
     return int(ss.generate_state(1, dtype=np.uint64)[0])
 
 
-def joint_covariance(cov0, mode: GradientMode, state_dim: int, input_dim: int) -> np.ndarray:
-    """Diagonal joint (state, input) sampling covariance from a scalar variance.
+def joint_variances(cov0, mode: GradientMode, state_dim: int, input_dim: int) -> np.ndarray:
+    """Joint (state, input) sampling variances, shape (n+m,), from a scalar variance.
 
     cov0 is the per-coordinate variance of the input perturbations; the
     zero-order mode also perturbs the state at the same variance (its
     regression needs excitation in every direction), while the first-order
-    mode leaves states unperturbed.
+    mode leaves states unperturbed (variance 0).
     """
     cov0 = np.asarray(cov0, dtype=float)
     if cov0.ndim != 0:
-        raise ConfigurationError(f"covariance must be a scalar variance, got shape {cov0.shape}")
-    diag = np.zeros(state_dim + input_dim)
-    diag[state_dim:] = cov0
+        raise ConfigurationError(f"cov0 must be a scalar variance, got shape {cov0.shape}")
+    variances = np.zeros(state_dim + input_dim)
+    variances[state_dim:] = cov0
     if mode.kind == "zero_order_bundle":
-        diag[:state_dim] = cov0
-    return np.diag(diag)
+        variances[:state_dim] = cov0
+    return variances
 
 
 def linearize_trajectory(sys: DynamicalSystem, xs, us, mode: GradientMode,
-                         covariance, run_seed: int, iteration: int
+                         variances, run_seed: int, iteration: int
                          ) -> list[LinearizedDynamics]:
     """Per-knot linear models around a nominal trajectory.
 
     `xs` must be the rollout of `us`: bundle offsets read f(x_t, u_t) at xs[t + 1].
-    `covariance` is the joint (state, input) sampling covariance for the
-    bundle modes. Each knot's bundle uses that knot's own seed and one
-    batched call on the dynamics. A zero covariance makes every mode take
-    the exact path, so degenerate-variance runs of all modes are
-    bit-identical.
+    `variances` are the joint (state, input) sampling variances for the
+    bundle modes; the exact mode never reads them. Each knot's bundle uses
+    that knot's own seed and one batched call on the dynamics. All-zero
+    variances make every mode take the exact path, so degenerate-variance
+    runs of all modes are bit-identical.
     """
     xs = np.asarray(xs, dtype=float)
     us = np.asarray(us, dtype=float)
@@ -274,7 +275,7 @@ def linearize_trajectory(sys: DynamicalSystem, xs, us, mode: GradientMode,
     lins = []
     dist = None
     if mode.kind != "exact":
-        dist = SmoothingDistribution(covariance)
+        dist = SmoothingDistribution(variances)
     for t in range(T):
         x_nom, u_nom = xs[t], us[t]
         if mode.kind == "exact" or dist.is_zero:
@@ -451,7 +452,7 @@ def irs_lqr_run(sys: DynamicalSystem, mpc: MpcProblem, mode: GradientMode,
     QP per window (see the module docstring). Relaxed windows are counted
     in each iterate's `infeasible_steps`.
 
-    `cov0` is the initial sampling variance (see joint_covariance);
+    `cov0` is the initial sampling variance (see joint_variances);
     `schedule` a (policy, gamma) pair fed to variance_schedule. Stops after
     max_iters iterations, or as soon as stop_reason of the costs so far is
     "diverged" or "converged".
@@ -467,15 +468,15 @@ def irs_lqr_run(sys: DynamicalSystem, mpc: MpcProblem, mode: GradientMode,
         raise ConfigurationError(
             f"zero-order mode needs at least dim(x)+dim(u)={n + m} samples")
     policy, gamma = schedule
-    cov_joint0 = joint_covariance(cov0, mode, n, m)
+    var_joint0 = joint_variances(cov0, mode, n, m)
     unconstrained = mpc.C_u is None and mpc.C_x is None
 
     xs = rollout(sys, mpc.initial_state, us)
     history = [TrajectoryIterate(xs=xs, us=us.copy(),
                                  cost=trajectory_cost((xs, us), mpc), iteration=0)]
     for k in range(max_iters):
-        cov_k = variance_schedule(cov_joint0, k, policy, gamma)
-        lins = linearize_trajectory(sys, xs, us, mode, cov_k, seed, k)
+        var_k = variance_schedule(var_joint0, k, policy, gamma)
+        lins = linearize_trajectory(sys, xs, us, mode, var_k, seed, k)
         new_xs = np.empty_like(xs)
         new_us = np.empty_like(us)
         new_xs[0] = xs[0]
@@ -497,7 +498,7 @@ def irs_lqr_run(sys: DynamicalSystem, mpc: MpcProblem, mode: GradientMode,
         xs, us = new_xs, new_us
         history.append(TrajectoryIterate(xs=xs, us=us.copy(),
                                          cost=trajectory_cost((xs, us), mpc),
-                                         iteration=k + 1, variance=cov_k,
+                                         iteration=k + 1, variance=var_k,
                                          linearizations=lins,
                                          infeasible_steps=infeasible))
         if stop_reason([it.cost for it in history]) is not None:

@@ -3,7 +3,8 @@
 `convolution_oracle` evaluates the smoothed value and gradient of a scalar
 function without Monte Carlo. It exists as an independent reference for
 testing the sampling estimators, and is limited to Gaussian perturbations
-in dimension <= 3.
+(independent coordinates, as every SmoothingDistribution has) in
+dimension <= 3.
 
 One-dimensional catalog functions (functions.TestFunction with a
 `smoothed` closed form) return that closed form. Other one-dimensional
@@ -13,8 +14,8 @@ polynomial rules lose their accuracy on non-smooth integrands; scipy is
 imported on the first such call, not with the package. Higher dimensions
 use tensor Gauss-Hermite quadrature. The quadrature gradient comes from
 the function's own gradient when it is continuous, and otherwise from the
-score-function identity  d/dx E[f(x+w)] = E[f(x+w) w] / sigma^2,  which
-also captures jump discontinuities.
+score-function identity  d/dx_i E[f(x+w)] = E[f(x+w) w_i] / sigma_i^2,
+which also captures jump discontinuities.
 """
 
 from __future__ import annotations
@@ -48,14 +49,14 @@ def convolution_oracle(f, x, dist: SmoothingDistribution,
     if d > 3:
         raise ConfigurationError("convolution oracle supports dimension <= 3 only")
     if dist.is_zero:
-        raise ConfigurationError("convolution oracle needs a nonzero covariance")
+        raise ConfigurationError("convolution oracle needs a nonzero variance")
 
     grad_f = getattr(f, "gradient", None)
     continuous = bool(getattr(f, "continuous", True))
     breakpoints = tuple(getattr(f, "breakpoints", ()))
 
     if d == 1:
-        sigma = math.sqrt(float(dist.covariance[0, 0]))
+        sigma = float(dist.stddevs[0])
         smoothed = getattr(f, "smoothed", None)
         if smoothed is not None:
             value, grad = smoothed(float(x[0]), sigma)
@@ -72,9 +73,8 @@ def convolution_oracle(f, x, dist: SmoothingDistribution,
         grad = gauss_hermite_expectation(grad_f, x, dist, quadrature_points,
                                          output_dim=d)
     else:
-        cov_inv = np.linalg.inv(dist.covariance)
-        grad = cov_inv @ gauss_hermite_expectation(
-            f, x, dist, quadrature_points, weight_by_offset=True)
+        grad = gauss_hermite_expectation(
+            f, x, dist, quadrature_points, weight_by_offset=True) / dist.variances
     return float(value), np.asarray(grad, dtype=float)
 
 
@@ -96,7 +96,7 @@ def gauss_hermite_expectation(f, x, dist: SmoothingDistribution, points: int,
     for g in np.meshgrid(*([weights] * d), indexing="ij"):
         wgt = wgt * g.ravel()
     wgt = wgt / math.pi ** (d / 2.0)
-    offsets = math.sqrt(2.0) * xi @ dist._factor.T
+    offsets = math.sqrt(2.0) * xi * dist.stddevs
     pts = x[None, :] + offsets
     vals = _eval_batch(f, pts, output_dim)                  # (q,) or (q, output_dim)
     if output_dim is not None:

@@ -7,6 +7,10 @@ bundle (least-squares regression on sampled function deviations), and the
 analogous Jacobian bundles for discrete-time dynamics. Also provides the
 variance schedule used by the iterative optimizer.
 
+Every perturbation density is a zero-mean Gaussian with independent
+coordinates, given by one variance per coordinate; a sample is a standard
+normal draw scaled by the standard deviations.
+
 The Jacobian bundles make one batched call on the dynamics per knot: the
 first-order bundle one jacobians_batch call on its n perturbed points,
 the zero-order bundle one step_batch call (see systems.py for the batch
@@ -42,54 +46,34 @@ __all__ = [
     "variance_schedule",
 ]
 
-_PSD_TOL = 1e-10
-
-
 class SmoothingDistribution:
-    """Zero-mean Gaussian perturbation density with a fixed covariance.
+    """Zero-mean Gaussian perturbation density with independent coordinates.
 
-    The covariance may be singular; coordinates with an all-zero covariance
-    row produce exactly-zero perturbation components. Sampling is
-    deterministic in the seed.
+    `variances` holds one variance per coordinate, `stddevs` their square
+    roots. A zero variance freezes its coordinate: its perturbation
+    components are exactly zero. Sampling is deterministic in the seed.
     """
 
-    def __init__(self, covariance):
-        cov = np.atleast_2d(np.asarray(covariance, dtype=float))
-        if cov.shape[0] != cov.shape[1]:
-            raise ConfigurationError(f"covariance must be square, got {cov.shape}")
-        if not np.allclose(cov, cov.T, atol=1e-12):
-            raise ConfigurationError("covariance must be symmetric")
-        cov = 0.5 * (cov + cov.T)
-        scale = max(1.0, float(np.max(np.abs(cov))))
-        eigval, eigvec = np.linalg.eigh(cov)
-        if eigval.min() < -_PSD_TOL * scale:
+    def __init__(self, variances):
+        variances = np.array(variances, dtype=float)
+        if variances.ndim != 1:
             raise ConfigurationError(
-                "covariance must be positive semidefinite "
-                f"(min eigenvalue {eigval.min():.3e})")
-        self.covariance = cov
-        self.dimension = cov.shape[0]
-        self._factor = eigvec * np.sqrt(np.clip(eigval, 0.0, None))
-        self._factor[~np.any(cov, axis=1), :] = 0.0
+                f"variances must be a 1-D array, got shape {variances.shape}")
+        if not np.all(np.isfinite(variances) & (variances >= 0.0)):
+            raise ConfigurationError(f"variances must be finite and >= 0, got {variances}")
+        self.variances = variances
+        self.stddevs = np.sqrt(variances)
+        self.dimension = variances.shape[0]
 
     @staticmethod
     def isotropic(dimension: int, stddev: float) -> "SmoothingDistribution":
-        """Gaussian with covariance stddev**2 * I."""
-        return SmoothingDistribution(np.eye(dimension) * float(stddev) ** 2)
+        """Gaussian with variance stddev**2 in each of `dimension` coordinates."""
+        return SmoothingDistribution(np.full(dimension, float(stddev) ** 2))
 
     @property
     def is_zero(self) -> bool:
-        """True when the covariance is exactly zero (degenerate sampling)."""
-        return not np.any(self.covariance)
-
-    def frozen_coordinates(self) -> np.ndarray:
-        """Boolean mask of coordinates that never receive perturbation."""
-        return ~np.any(self.covariance, axis=1)
-
-    def sample(self, n: int, seed: int) -> np.ndarray:
-        """Draw n i.i.d. perturbations, shape (n, dimension)."""
-        rng = np.random.default_rng(seed)
-        z = rng.standard_normal((n, self.dimension))
-        return z @ self._factor.T
+        """True when every variance is exactly zero (degenerate sampling)."""
+        return not np.any(self.variances)
 
     def __repr__(self):
         return f"SmoothingDistribution(dimension={self.dimension})"
@@ -113,7 +97,7 @@ def sample_perturbations(dist: SmoothingDistribution, n: int, seed: int) -> np.n
     """Draw a reproducible batch of n perturbations, shape (n, dimension)."""
     if n < 1:
         raise ConfigurationError(f"sample count must be >= 1, got {n}")
-    return dist.sample(n, seed)
+    return np.random.default_rng(seed).standard_normal((n, dist.dimension)) * dist.stddevs
 
 
 def bundled_objective_estimate(f, x, dist: SmoothingDistribution, n: int,
@@ -155,7 +139,7 @@ def zero_order_gradient_bundle(f, x, dist: SmoothingDistribution, n: int,
     estimator; unlike literal division by the perturbation it stays finite
     for samples near zero.
 
-    With an exactly-zero covariance there is nothing to regress on; the
+    With all variances exactly zero there is nothing to regress on; the
     estimate degenerates to a central finite difference (step 1e-6) at x.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
@@ -185,7 +169,7 @@ def jacobian_bundle_first_order(dynamics, x_nom, u_nom, dist: SmoothingDistribut
     """Monte-Carlo average of dynamics Jacobians at jointly perturbed points.
 
     `dist` is over the stacked (state, input) perturbation of dimension
-    n_x + n_u; zero covariance blocks freeze the corresponding variables.
+    n_x + n_u; zero variances freeze the corresponding variables.
     One jacobians_batch call evaluates all n points; the sum runs over the
     samples in order. Returns (A_hat, B_hat).
     """
@@ -206,7 +190,7 @@ def jacobian_bundle_zero_order(dynamics, x_nom, u_nom, dist: SmoothingDistributi
     (w_i, v_i), giving the zero-order Jacobian bundle (A_hat, B_hat); one
     step_batch call evaluates the nominal step and all n sampled steps.
     Requires n >= dim(x)+dim(u) samples and perturbation variance in every
-    direction. With an exactly-zero covariance the fit degenerates and the
+    direction. With all variances exactly zero the fit degenerates and the
     dynamics' own Jacobians at the nominal point are returned instead.
     """
     x_nom = np.asarray(x_nom, dtype=float)
@@ -215,10 +199,10 @@ def jacobian_bundle_zero_order(dynamics, x_nom, u_nom, dist: SmoothingDistributi
     _check_joint_dim(dist, nx, nu)
     if dist.is_zero:
         return dynamics.jacobians(x_nom, u_nom)
-    if np.any(dist.frozen_coordinates()):
+    if np.any(dist.variances == 0.0):
         raise ConfigurationError(
             "zero-order Jacobian bundle needs perturbation variance in every "
-            "state and input direction (or an exactly-zero covariance for the "
+            "state and input direction (or all variances exactly zero for the "
             "degenerate exact fallback)")
     d = nx + nu
     if n < d:
@@ -236,23 +220,23 @@ def jacobian_bundle_zero_order(dynamics, x_nom, u_nom, dist: SmoothingDistributi
     return coef[:, :nx], coef[:, nx:]
 
 
-def variance_schedule(cov0, k: int, policy: str = "geometric",
+def variance_schedule(var0, k: int, policy: str = "geometric",
                       gamma: float = 0.5) -> np.ndarray:
-    """Covariance at iteration k under the given decay policy.
+    """Variances at iteration k under the given decay policy.
 
-    "geometric": gamma**k * cov0 with 0 < gamma < 1 (square-summable, so the
+    "geometric": gamma**k * var0 with 0 < gamma < 1 (square-summable, so the
     iterative optimizer converges to a stationary point of the original
-    problem). "constant": cov0 at every iteration.
+    problem). "constant": var0 at every iteration. var0 may have any shape.
     """
     if k < 0:
         raise ConfigurationError(f"iteration index must be >= 0, got {k}")
-    cov0 = np.atleast_2d(np.asarray(cov0, dtype=float))
+    var0 = np.asarray(var0, dtype=float)
     if policy == "constant":
-        return cov0.copy()
+        return var0.copy()
     if policy == "geometric":
         if not 0.0 < gamma < 1.0:
             raise ConfigurationError(f"geometric decay rate must be in (0, 1), got {gamma}")
-        return gamma**k * cov0
+        return gamma**k * var0
     raise ConfigurationError(f"unknown variance schedule policy {policy!r}")
 
 

@@ -33,21 +33,12 @@ class TaskSetup:
 
 
 def _box_bounds(limits) -> tuple[np.ndarray, np.ndarray]:
-    """Stack per-input (low, high) pairs into C u <= d form."""
-    rows, vals = [], []
+    """Stack per-input (low, high) pairs into C u <= d form: u_i <= high, -u_i <= -low."""
     m = len(limits)
-    for i, (lo, hi) in enumerate(limits):
-        if hi is not None:
-            e = np.zeros(m)
-            e[i] = 1.0
-            rows.append(e)
-            vals.append(hi)
-        if lo is not None:
-            e = np.zeros(m)
-            e[i] = -1.0
-            rows.append(e)
-            vals.append(-lo)
-    return np.array(rows), np.array(vals)
+    c = np.zeros((2 * m, m))
+    c[0::2] += np.eye(m)
+    c[1::2] -= np.eye(m)
+    return c, np.array([v for lo, hi in limits for v in (hi, -lo)])
 
 
 def make_lti(seed=0, state_dim=4, input_dim=2, horizon=20, spectral_radius=0.95):

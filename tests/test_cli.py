@@ -30,6 +30,17 @@ def test_plan_succeeds_and_writes_manifest(tmp_path):
     assert (out / "results.csv").is_file()
 
 
+def test_manifest_echoes_the_seed_override(tmp_path):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(PLAN))
+    out = tmp_path / "out"
+    assert cli.main(["plan", "--config", str(path), "--out", str(out), "--seed", "7"]) == 0
+    assert json.loads((out / "manifest.json").read_text())["config"]["seeds"] == [7]
+    with open(out / "results.csv", encoding="utf-8") as fh:
+        next(fh)                                     # schema comment row
+        assert {row["seed"] for row in csv.DictReader(fh)} == {"7"}
+
+
 def test_unknown_config_key_exits_2(tmp_path, capsys):
     code, out = _plan(tmp_path, {**PLAN, "bogus": 1})
     assert code == 2
@@ -39,10 +50,12 @@ def test_unknown_config_key_exits_2(tmp_path, capsys):
 
 @pytest.mark.parametrize("case", ["negative_seed", "config_is_directory",
                                   "config_not_utf8", "out_is_file", "param_type",
-                                  "unknown_key", "gamma_out_of_range"])
+                                  "unknown_key", "gamma_out_of_range",
+                                  "quadrature_points"])
 def test_bad_arguments_exit_2_with_one_line(tmp_path, capsys, case):
     config, out, extra = tmp_path / "config.json", tmp_path / "out", []
     config.write_text(json.dumps(PLAN))
+    verb = "plan"
     if case == "negative_seed":
         extra = ["--seed", "-1"]
     elif case == "config_is_directory":
@@ -55,15 +68,23 @@ def test_bad_arguments_exit_2_with_one_line(tmp_path, capsys, case):
         config.write_text(json.dumps({**PLAN, "params": {"horizon": "x"}}))
     elif case == "unknown_key":
         config.write_text(json.dumps({**PLAN, "bogus": 1}))
+    elif case == "quadrature_points":
+        # bundle-eval's 1D oracle never read it, so the key is gone
+        verb = "bundle-eval"
+        config.write_text(json.dumps({"function": "heaviside", "sigma": 1.0,
+                                      "grid": {"start": 0.0, "stop": 1.0, "count": 2},
+                                      "quadrature_points": 201}))
     else:
         config.write_text(json.dumps({**PLAN, "schedule": {"policy": "geometric",
                                                            "gamma": 2}}))
-    code = cli.main(["plan", "--config", str(config), "--out", str(out), *extra])
+    code = cli.main([verb, "--config", str(config), "--out", str(out), *extra])
     err = capsys.readouterr().err
     assert code == 2
     assert err.startswith("config error") and err.count("\n") == 1
     if case == "unknown_key":
         assert "'bogus' was unexpected" in err
+    elif case == "quadrature_points":
+        assert "'quadrature_points' was unexpected" in err
     elif case == "gamma_out_of_range":
         assert "$.schedule.gamma" in err
 
@@ -143,10 +164,24 @@ def test_diverged_column_is_the_planner_stop_rule(tmp_path, monkeypatch, costs, 
     assert [row["diverged"] for row in rows] == [diverged] * len(costs)
 
 
+def test_contact_probe_has_no_seed(tmp_path):
+    # the probe is deterministic quadrature, so it takes no --seed
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"state": [0.0, 0.0, 0.7], "sigma": 0.06,
+                                  "grid": {"x": {"start": 0.0, "stop": 0.1, "count": 2},
+                                           "y": {"start": 0.5, "stop": 0.6, "count": 2}}}))
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["contact-probe", "--config", str(config), "--out", str(tmp_path / "out"),
+                  "--seed", "1"])
+    assert exc.value.code == 2
+    assert not (tmp_path / "out").exists()
+
+
 def test_contact_probe_bundles_equal_per_node_steps():
-    # the exact column steps all quadrature nodes in one batch; it must
-    # equal stepping them one by one through step_2d_exact, bit for bit
-    from bundleopt.contact import Contact2DParams, Contact2DState, step_2d_exact
+    # both bundled columns step all quadrature nodes in one batch; each must
+    # equal stepping them one by one through its scalar model, bit for bit
+    from bundleopt.contact import (Contact2DParams, Contact2DState, step_2d_anitescu,
+                                   step_2d_exact)
     from bundleopt.oracle import gauss_hermite_expectation
     from bundleopt.smoothing import SmoothingDistribution
 
@@ -155,7 +190,8 @@ def test_contact_probe_bundles_equal_per_node_steps():
     dist = SmoothingDistribution.isotropic(2, config["sigma"])
     for cx, cy in ((-0.4, 0.45), (0.1, 0.6), (0.35, 0.8)):
         row = cli._probe_point((config, cx, cy))
-        expected = gauss_hermite_expectation(
-            lambda c: step_2d_exact(state, (float(c[0]), float(c[1])), params)[0].xu,
-            np.array([cx, cy]), dist, 15)
-        assert row[4] == expected
+        for column, step in ((4, step_2d_exact), (5, step_2d_anitescu)):
+            expected = gauss_hermite_expectation(
+                lambda c, step=step: step(state, (float(c[0]), float(c[1])), params)[0].xu,
+                np.array([cx, cy]), dist, 15)
+            assert row[column] == expected

@@ -11,7 +11,7 @@ from bundleopt.contact import (Contact1DParams, Contact1DState, Contact2DParams,
                                PenaltyParams, PenaltyPush1D, _exact_2d_mode_jacobians,
                                penalty_forces, step_1d, step_2d_anitescu, step_2d_exact)
 from bundleopt.errors import ConfigurationError, DivergedError
-from bundleopt.irs_lqr import GradientMode, joint_covariance, linearize_trajectory, rollout
+from bundleopt.irs_lqr import GradientMode, joint_variances, linearize_trajectory, rollout
 from bundleopt.oracle import gauss_hermite_expectation
 from bundleopt.smoothing import (SmoothingDistribution, bundled_objective_estimate,
                                  jacobian_bundle_first_order, jacobian_bundle_zero_order)
@@ -350,12 +350,12 @@ class TestSmoothedPenaltyForces:
 
     def test_force_at_distance(self):
         sigma = 0.05
-        dist = SmoothingDistribution(np.diag([sigma**2, 0.02**2]))
+        dist = SmoothingDistribution([sigma**2, 0.02**2])
         f_n, _ = smoothed_penalty_forces(sigma, 0.0, self.PP, dist, 10000, seed=3)
         assert f_n.value > 0.0
 
     def test_zero_variance_reduces_to_plain_forces(self):
-        dist = SmoothingDistribution(np.zeros((2, 2)))
+        dist = SmoothingDistribution(np.zeros(2))
         f_n, f_t = smoothed_penalty_forces(-0.01, 0.05, self.PP, dist, 100, seed=0)
         ref_n, ref_t = penalty_forces(-0.01, 0.05, self.PP)
         assert f_n.value == pytest.approx(ref_n, rel=1e-14)
@@ -363,7 +363,7 @@ class TestSmoothedPenaltyForces:
 
     def test_stribeck_jump_removed(self):
         sigma_psi = 0.03
-        dist = SmoothingDistribution(np.diag([0.02**2, sigma_psi**2]))
+        dist = SmoothingDistribution([0.02**2, sigma_psi**2])
         eps = sigma_psi / 10.0
         n = 10**4
         lo = smoothed_penalty_forces(-0.01, self.PP.psi_s - eps, self.PP, dist, n, seed=5)[1]
@@ -541,9 +541,9 @@ class TestAdapters:
         setup = build_task("push_2d", {"model": "exact"})
         xs = rollout(setup.system, setup.mpc.initial_state, setup.u_init)
         mode = GradientMode(kind="first_order_bundle", samples=30)
-        cov = joint_covariance(0.01, mode, 3, 2)
+        variances = joint_variances(0.01, mode, 3, 2)
         calls.clear()
-        linearize_trajectory(setup.system, xs, setup.u_init, mode, cov, 0, 0)
+        linearize_trajectory(setup.system, xs, setup.u_init, mode, variances, 0, 0)
         assert calls == []
 
 

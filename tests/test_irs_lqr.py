@@ -275,11 +275,13 @@ class TestDeterminism:
             n, m = setup.mpc.state_dim, setup.mpc.input_dim
             for kind, bundle in bundles.items():
                 mode = GradientMode(kind=kind, samples=30)
-                cov = irs_lqr.joint_covariance(variance, mode, n, m)
-                lins = linearize_trajectory(setup.system, xs, setup.u_init, mode, cov, 11, 2)
+                variances = irs_lqr.joint_variances(variance, mode, n, m)
+                lins = linearize_trajectory(setup.system, xs, setup.u_init, mode, variances,
+                                            11, 2)
                 for t in (7, 0, 13):
                     a, b = bundle(setup.system, xs[t], setup.u_init[t],
-                                  SmoothingDistribution(cov), 30, derive_knot_seed(11, 2, t))
+                                  SmoothingDistribution(variances), 30,
+                                  derive_knot_seed(11, 2, t))
                     np.testing.assert_array_equal(a, lins[t].A)
                     np.testing.assert_array_equal(b, lins[t].B)
 
@@ -336,6 +338,28 @@ class TestTasks:
         setup = build_task("dubins_parking", {"goal": [1, 2.0, 0]})
         np.testing.assert_array_equal(setup.mpc.x_desired[0], [1.0, 2.0, 0.0])
 
+    @pytest.mark.parametrize("task, c_u, d_u", [
+        ("lti", None, None),
+        ("pendulum_swingup", None, None),
+        ("quadrotor_hover", None, None),
+        ("push_1d", [[1.0], [-1.0]], [3.0, 3.0]),
+        ("dubins_parking", [[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]],
+         [2.0, -0.0, 4.0, 4.0]),
+        ("push_2d", [[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]],
+         [1.5, 1.5, 1.5, -0.0]),
+    ])
+    def test_box_rows_of_every_task(self, task, c_u, d_u):
+        # each input's u_i <= high row, then its -u_i <= -low row; a low
+        # bound of 0.0 gives -0.0, and every zero of C_u is +0.0
+        mpc = build_task(task).mpc
+        if c_u is None:
+            assert mpc.C_u is None and mpc.d_u is None
+            return
+        for got, want in ((mpc.C_u, np.array(c_u)), (mpc.d_u, np.array(d_u))):
+            assert got.dtype == np.float64
+            np.testing.assert_array_equal(got, want)
+            np.testing.assert_array_equal(np.signbit(got), np.signbit(want))
+
 
 class TestOneCostForm:
     """Q and R are one matrix each and the sampling covariance one variance."""
@@ -349,7 +373,7 @@ class TestOneCostForm:
 
     def test_covariance_matrix_rejected(self):
         with pytest.raises(ConfigurationError, match="scalar variance"):
-            irs_lqr.joint_covariance(0.1 * np.eye(5), GradientMode("first_order_bundle"), 3, 2)
+            irs_lqr.joint_variances(0.1 * np.eye(5), GradientMode("first_order_bundle"), 3, 2)
 
 
 class TestMpcWindow:

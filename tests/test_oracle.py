@@ -51,7 +51,7 @@ class TestConvolutionOracle:
                     assert grad[0] == pytest.approx(ref_grad, rel=1e-12, abs=0.0)
 
     def test_two_dimensional_quadratic(self):
-        dist = SmoothingDistribution(np.diag([0.09, 0.04]))
+        dist = SmoothingDistribution([0.09, 0.04])
         value, grad = convolution_oracle(
             TestFunction.user(lambda p: p[0]**2 + 3.0 * p[1]**2,
                               gradient=lambda p: np.array([2*p[0], 6*p[1]])),
@@ -60,7 +60,7 @@ class TestConvolutionOracle:
         np.testing.assert_allclose(grad, [2.0, -6.0], rtol=1e-10)
 
     def test_score_function_gradient_without_analytic_gradient(self):
-        dist = SmoothingDistribution(np.diag([0.04, 0.04]))
+        dist = SmoothingDistribution([0.04, 0.04])
         _, grad = convolution_oracle(lambda p: float(p[0] + 2.0 * p[1]),
                                      [0.3, 0.1], dist, quadrature_points=31)
         np.testing.assert_allclose(grad, [1.0, 2.0], atol=1e-8)
@@ -71,7 +71,7 @@ class TestConvolutionOracle:
             convolution_oracle(lambda p: 0.0, np.zeros(4), dist)
 
     def test_zero_covariance_rejected(self):
-        dist = SmoothingDistribution(np.zeros((1, 1)))
+        dist = SmoothingDistribution(np.zeros(1))
         with pytest.raises(ConfigurationError):
             convolution_oracle(lambda p: 0.0, [0.0], dist)
 

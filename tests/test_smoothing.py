@@ -11,7 +11,7 @@ from bundleopt.smoothing import (SmoothingDistribution, bundled_objective_estima
                                  jacobian_bundle_first_order,
                                  jacobian_bundle_zero_order, sample_perturbations,
                                  variance_schedule, zero_order_gradient_bundle)
-from bundleopt.irs_lqr import GradientMode, joint_covariance, linearize_trajectory, rollout
+from bundleopt.irs_lqr import GradientMode, joint_variances, linearize_trajectory, rollout
 from bundleopt.systems import LinearSystem, Quadrotor
 from bundleopt.tasks import build_task
 
@@ -19,27 +19,39 @@ from oracles import CLOSED_FORMS, blended_jacobian_1d
 
 
 class TestSmoothingDistribution:
-    def test_rejects_non_psd(self):
+    def test_rejects_negative_variance(self):
         with pytest.raises(ConfigurationError):
-            SmoothingDistribution([[1.0, 0.0], [0.0, -0.5]])
+            SmoothingDistribution([1.0, -0.5])
 
-    def test_rejects_asymmetric(self):
+    def test_rejects_matrix(self):
         with pytest.raises(ConfigurationError):
-            SmoothingDistribution([[1.0, 0.5], [0.0, 1.0]])
+            SmoothingDistribution([[1.0, 0.0], [0.0, 1.0]])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite(self, bad):
+        with pytest.raises(ConfigurationError):
+            SmoothingDistribution([1.0, bad])
 
     def test_rejects_unknown_kind(self):
         with pytest.raises(TypeError):
-            SmoothingDistribution(np.eye(1), kind="uniform")
+            SmoothingDistribution([1.0], kind="uniform")
+
+    def test_samples_are_scaled_standard_normals(self):
+        variances = np.array([0.04, 0.0, 2.5, 0.0, 1e-6])
+        samples = sample_perturbations(SmoothingDistribution(variances), 50, seed=5)
+        expected = np.random.default_rng(5).standard_normal((50, 5)) * np.sqrt(variances)
+        np.testing.assert_array_equal(samples, expected)
+        assert np.all(samples[:, variances == 0.0] == 0.0)
 
     def test_symmetry_statistics(self):
         # zero-mean check: sample mean within 4 sigma/sqrt(N) per coordinate
         n = 10**5
         dist = SmoothingDistribution.isotropic(3, 1.0)
-        samples = dist.sample(n, seed=123)
+        samples = sample_perturbations(dist, n, seed=123)
         assert np.all(np.abs(samples.mean(axis=0)) < 4.0 / np.sqrt(n))
 
     def test_zero_covariance_samples_are_zero(self):
-        samples = sample_perturbations(SmoothingDistribution(np.zeros((2, 2))), 5, seed=9)
+        samples = sample_perturbations(SmoothingDistribution(np.zeros(2)), 5, seed=9)
         assert samples.shape == (5, 2)
         assert np.all(samples == 0.0)
 
@@ -52,8 +64,7 @@ class TestSmoothingDistribution:
         assert not np.array_equal(a, c)
 
     def test_frozen_coordinates_stay_zero(self):
-        cov = np.diag([0.0, 0.04])
-        samples = SmoothingDistribution(cov).sample(100, seed=1)
+        samples = sample_perturbations(SmoothingDistribution([0.0, 0.04]), 100, seed=1)
         assert np.all(samples[:, 0] == 0.0)
         assert np.any(samples[:, 1] != 0.0)
 
@@ -149,14 +160,13 @@ class TestZeroOrderBundle:
             zero_order_gradient_bundle(lambda x: 0.0, [0.0, 0.0, 0.0], dist, 2, seed=0)
 
     def test_rank_deficiency_raises(self):
-        # two perfectly correlated coordinates never span R^2
-        cov = np.array([[1.0, 1.0], [1.0, 1.0]])
-        dist = SmoothingDistribution(cov)
+        # a zero-variance coordinate leaves the samples on a line, never spanning R^2
+        dist = SmoothingDistribution([1.0, 0.0])
         with pytest.raises(SingularRegressionError):
             zero_order_gradient_bundle(lambda x: float(x[0]), [0.0, 0.0], dist,
                                        100, seed=0)
 
-    @pytest.mark.parametrize("cov", [0.04 * np.eye(2), np.zeros((2, 2))])
+    @pytest.mark.parametrize("cov", [np.full(2, 0.04), np.zeros(2)])
     def test_vectorized_2d_function_matches_its_scalar_twin(self, cov):
         def f(p):
             return p[0] * p[0] + 3.0 * p[1] * p[1]
@@ -208,7 +218,7 @@ class TestJacobianBundles:
                 return np.zeros((len(xs), 1, 1)), np.zeros((len(xs), 1, 1))
 
         sigma = 0.5
-        dist = SmoothingDistribution(np.diag([sigma**2, sigma**2]))
+        dist = SmoothingDistribution([sigma**2, sigma**2])
         sys = StepDynamics()
         a1, b1 = jacobian_bundle_first_order(sys, [0.0], [0.0], dist, 1000, seed=0)
         assert b1[0, 0] == 0.0
@@ -217,14 +227,14 @@ class TestJacobianBundles:
         assert abs(b0[0, 0] - density_at_zero) < 0.1 * density_at_zero
 
     def test_zero_covariance_falls_back_to_exact(self):
-        dist = SmoothingDistribution(np.zeros((5, 5)))
+        dist = SmoothingDistribution(np.zeros(5))
         a, b = jacobian_bundle_zero_order(self.sys, np.zeros(3), np.zeros(2),
                                           dist, 100, seed=0)
         np.testing.assert_array_equal(a, self.sys.A)
         np.testing.assert_array_equal(b, self.sys.B)
 
     def test_partially_frozen_zero_order_rejected(self):
-        dist = SmoothingDistribution(np.diag([0.0, 0.0, 0.0, 0.1, 0.1]))
+        dist = SmoothingDistribution([0.0, 0.0, 0.0, 0.1, 0.1])
         with pytest.raises(ConfigurationError):
             jacobian_bundle_zero_order(self.sys, np.zeros(3), np.zeros(2),
                                        dist, 100, seed=0)
@@ -236,7 +246,7 @@ class TestJacobianBundles:
         sys = ContactPush1D(params)
         sigma = 0.1
         command = 1.0 - 5.0 * sigma          # five sigma below the boundary
-        dist = SmoothingDistribution(np.diag([0.0, 0.0, sigma**2]))
+        dist = SmoothingDistribution([0.0, 0.0, sigma**2])
         a, b = jacobian_bundle_first_order(sys, [1.0, 0.0], [command], dist,
                                            10000, seed=0)
         a_ref, b_ref = blended_jacobian_1d(1.0, command, 0.0, params.c_ratio)
@@ -249,7 +259,7 @@ class TestJacobianBundles:
         params = Contact1DParams(m=1.0, h=0.1, k=100.0)
         sys = ContactPush1D(params)
         sigma = 0.1
-        dist = SmoothingDistribution(np.diag([0.0, 0.0, sigma**2]))
+        dist = SmoothingDistribution([0.0, 0.0, sigma**2])
         a, b = jacobian_bundle_first_order(sys, [1.0, 0.0], [1.0], dist,
                                            100000, seed=0)
         # equal-weight blend of the two pieces
@@ -266,7 +276,7 @@ class TestJacobianBundles:
         params = Contact1DParams(m=1.0, h=0.1, k=100.0)
         sys = ContactPush1D(params)
         sigma = 0.2
-        dist = SmoothingDistribution(sigma**2 * np.eye(3))
+        dist = SmoothingDistribution(np.full(3, sigma**2))
         n = 20000
         a1, b1 = jacobian_bundle_first_order(sys, [1.0, 0.0], [1.0], dist, n, seed=3)
         a0, b0 = jacobian_bundle_zero_order(sys, [1.0, 0.0], [1.0], dist, n, seed=4)
@@ -350,7 +360,7 @@ class TestStatisticalInvariants:
         # all samples sit on the nominal point; the only deviation left is
         # the rounding of the N-term mean
         f = get_test_function("wiggly_quadratic")
-        dist = SmoothingDistribution(np.zeros((1, 1)))
+        dist = SmoothingDistribution(np.zeros(1))
         est = bundled_objective_estimate(f, [0.3], dist, 10, seed=0)
         assert est.value == pytest.approx(float(f(0.3)), rel=1e-14)
         grad_est = first_order_gradient_bundle(f, f.gradient, [0.3], dist, 10, seed=0)
@@ -385,8 +395,8 @@ class TestOneBatchedCallPerKnot:
         for log in calls.values():
             log.clear()
         mode = GradientMode(kind=kind, samples=30)
-        cov = joint_covariance(0.01, mode, 12, 4)
-        linearize_trajectory(setup.system, xs, setup.u_init, mode, cov, 0, 0)
+        variances = joint_variances(0.01, mode, 12, 4)
+        linearize_trajectory(setup.system, xs, setup.u_init, mode, variances, 0, 0)
 
         assert calls["jacobians"] == []
         if kind == "first_order_bundle":
