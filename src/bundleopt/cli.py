@@ -120,8 +120,15 @@ CONTACT_PROBE_SCHEMA = {
 }
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """Raises argument errors as ConfigurationError instead of exiting."""
+
+    def error(self, message):
+        raise ConfigurationError(message)
+
+
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="bundleopt",
         description="Randomized-smoothing benchmark runner")
     sub = parser.add_subparsers(dest="verb", required=True)
@@ -133,7 +140,11 @@ def main(argv=None) -> int:
             p.add_argument("--seed", type=int, default=None,
                            help="override the config's seed(s)")
         p.add_argument("--jobs", type=int, default=1, help="worker processes")
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)       # --help still exits 0 here
+    except ConfigurationError as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return 2
     seed = getattr(args, "seed", None)
 
     level = {"error": logging.ERROR, "info": logging.INFO,
@@ -146,6 +157,8 @@ def main(argv=None) -> int:
     try:
         if seed is not None and seed < 0:
             raise ConfigurationError(f"--seed must be >= 0, got {seed}")
+        if args.jobs < 1:
+            raise ConfigurationError(f"--jobs must be >= 1, got {args.jobs}")
         config = _load_config(args.config, args.verb)
         if seed is not None:
             config.update({"seed": seed} if args.verb == "bundle-eval" else {"seeds": [seed]})
@@ -153,7 +166,7 @@ def main(argv=None) -> int:
         started = time.perf_counter()
         runner = {"bundle-eval": _run_bundle_eval, "plan": _run_plan,
                   "contact-probe": _run_contact_probe}[args.verb]
-        outputs = runner(config, args.out, max(1, args.jobs))
+        outputs = runner(config, args.out, args.jobs)
         _write_manifest(args.out, args.verb, config, outputs)
         log.info("%s finished in %.2fs -> %s", args.verb,
                  time.perf_counter() - started, ", ".join(outputs))

@@ -242,13 +242,16 @@ def step_2d_anitescu(state: Contact2DState, command, params: Contact2DParams
     presses hk*mu*|slip| harder, and saturated friction carries the box up
     to mu^2*|slip|/c beyond the exact model, with c = m/(h^2 k). So a
     command short of the face but inside the cone still drags the box.
+    Like step_2d_exact, it returns Python floats.
     """
     cx, cy = float(command[0]), float(command[1])
     y_c = params.contact_height
     hk = params.h * params.k
     mu = params.mu
     gap0 = state.ya - y_c
-    P = np.diag([params.m / params.h, hk, hk])
+    P = np.array([[params.m / params.h, 0.0, 0.0],
+                  [0.0, hk, 0.0],
+                  [0.0, 0.0, hk]])
     q = np.array([0.0, -hk * (cx - state.xa), -hk * (cy - state.ya)])
     G = np.array([[mu, -mu, -1.0],
                   [-mu, mu, -1.0]])
@@ -257,8 +260,8 @@ def step_2d_anitescu(state: Contact2DState, command, params: Contact2DParams
     if sol.status != "optimal":
         raise RuntimeError(
             f"contact QP unexpectedly {sol.status}; geometry guarantees feasibility")
-    dq = sol.z
-    lam_plus, lam_minus = sol.ineq_duals
+    dq = sol.z.tolist()
+    lam_plus, lam_minus = sol.ineq_duals.tolist()
     lam_n = lam_plus + lam_minus
     lam_t = mu * (lam_plus - lam_minus)
     nxt = Contact2DState(xu=state.xu + dq[0], xa=state.xa + dq[1], ya=state.ya + dq[2])

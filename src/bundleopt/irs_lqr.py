@@ -75,9 +75,10 @@ class MpcProblem:
 
     The running state cost Q (PSD) and input cost R (PD) apply at every
     step; Q_terminal weighs the final deviation. x_desired has T+1 rows.
-    Optional linear inequalities C_u u <= d_u (t < T) and C_x x <= d_x
-    (all t) apply at every step. start_index/initial_state select the MPC
-    window: the subproblem starts at knot j from the given state.
+    All four must be finite. Optional linear inequalities C_u u <= d_u
+    (t < T) and C_x x <= d_x (all t) apply at every step.
+    start_index/initial_state select the MPC window: the subproblem starts
+    at knot j from the given state.
     """
 
     horizon: int
@@ -107,6 +108,7 @@ class MpcProblem:
         if self.x_desired.shape != (T + 1, n):
             raise ConfigurationError(
                 f"x_desired must have shape {(T + 1, n)}, got {self.x_desired.shape}")
+        _check_finite(self.x_desired, "x_desired")
         _check_psd(self.Q, "Q")
         _check_pd(self.R, "R")
         _check_psd(self.Q_terminal, "Q_terminal")
@@ -526,6 +528,7 @@ def stop_reason(costs) -> str | None:
 
 
 def _check_psd(mat: np.ndarray, name: str):
+    _check_finite(mat, name)
     if not np.allclose(mat, mat.T, atol=1e-10):
         raise ConfigurationError(f"{name} must be symmetric")
     if np.linalg.eigvalsh(mat).min() < -1e-10:
@@ -533,7 +536,13 @@ def _check_psd(mat: np.ndarray, name: str):
 
 
 def _check_pd(mat: np.ndarray, name: str):
+    _check_finite(mat, name)
     if not np.allclose(mat, mat.T, atol=1e-10):
         raise ConfigurationError(f"{name} must be symmetric")
     if np.linalg.eigvalsh(mat).min() <= 0.0:
         raise ConfigurationError(f"{name} must be positive definite")
+
+
+def _check_finite(mat: np.ndarray, name: str):
+    if not np.isfinite(mat).all():
+        raise ConfigurationError(f"{name} must be finite")

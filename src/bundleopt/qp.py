@@ -1,19 +1,19 @@
 """Dense strictly-convex quadratic programming with inequality constraints.
 
 Solves  min 1/2 z'Pz + q'z  s.t.  Gz <= h  for small dense problems with a
-positive-definite P by a dual active-set method (Goldfarb-Idnani): start at
-the unconstrained optimum, or at the optimum with a given start set of rows
-held as equalities (a warm start, e.g. from the previous MPC window), then
-repeatedly add the most violated inequality, taking partial steps that
-drop constraints whose multipliers would go negative. Step directions come
-from a cached Cholesky factor of the Hessian and the columns P^{-1} g_i of
-the constraint normals, formed only for rows in the start set or entering
-the active set (one batched Cholesky solve per fill); the Gram entries
-of the active rows come from those columns, so each active-set iteration
-costs only a small solve in the active set's dimension and no work is
-spent on rows that never become active. Finite termination and
-nonnegative multipliers are properties of the method; a final re-solve on
-the optimal active set, in sorted row order, polishes primal and dual
+finite, symmetric, positive-definite P by a dual active-set method
+(Goldfarb-Idnani): start at the unconstrained optimum, or at the optimum
+with a given start set of rows held as equalities (a warm start, e.g. from
+the previous MPC window), then repeatedly add the most violated inequality,
+taking partial steps that drop constraints whose multipliers would go
+negative. Step directions come from a cached Cholesky factor of the Hessian
+and the columns P^{-1} g_i of the constraint normals, formed only for rows
+in the start set or entering the active set (one batched Cholesky solve per
+fill); the Gram entries of the active rows come from those columns, so each
+active-set iteration costs only a small solve in the active set's dimension
+and no work is spent on rows that never become active. Finite termination
+and nonnegative multipliers are properties of the method; a final re-solve
+on the optimal active set, in sorted row order, polishes primal and dual
 values to linear-algebra precision, so they depend on that set and not on
 the path that reached it.
 
@@ -22,12 +22,14 @@ so model-predictive callers can degrade gracefully.
 
 The Cholesky factorizations and solves go through scipy's LAPACK wrappers,
 which are imported on the first factorization rather than with the
-package: plans without inequalities never load scipy.
+package. Validating P is that first factorization, so scipy loads when
+the first QpProblem is built; plans without inequalities never load it.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,9 +47,12 @@ _STEP_TOL = 1e-12                     # smallest usable step denominator, relati
 class QpProblem:
     """min 1/2 z'Pz + q'z  s.t.  Gz <= h.
 
-    P must be symmetric with minimum eigenvalue above 1e-9 (checked at
-    construction via a shifted Cholesky factorization). G and h are given
-    together or not at all.
+    P must be finite and symmetric (np.allclose's test against its
+    transpose), with minimum eigenvalue above 1e-9. Definiteness is checked
+    at construction by LAPACK's Cholesky factorization of P - 1e-9 I, read
+    from the lower triangle as numpy's is; the first QpProblem built
+    therefore loads scipy's LAPACK. G and h are given together or not at
+    all.
     """
 
     P: np.ndarray
@@ -61,10 +66,15 @@ class QpProblem:
         n = self.q.shape[0]
         if self.P.shape != (n, n):
             raise ConfigurationError(f"P must be {n}x{n}, got {self.P.shape}")
-        if not np.allclose(self.P, self.P.T, atol=1e-10 * max(1.0, np.abs(self.P).max())):
+        if not np.isfinite(self.P).all():
+            raise ConfigurationError("P must be finite")
+        # np.allclose(P, P.T, atol) spelled out: its default rtol, finite values only
+        atol = 1e-10 * max(1.0, np.abs(self.P).max())
+        if not (np.abs(self.P - self.P.T) <= atol + 1e-5 * np.abs(self.P.T)).all():
             raise ConfigurationError("P must be symmetric")
         try:
-            np.linalg.cholesky(self.P - _MIN_EIG * np.eye(n))
+            # dpotrf reads the upper triangle of the transpose: P's lower one
+            _cholesky((self.P - _MIN_EIG * np.eye(n)).T)
         except np.linalg.LinAlgError:
             raise ConfigurationError(
                 f"P must be positive definite with min eigenvalue > {_MIN_EIG}") from None
@@ -138,14 +148,15 @@ def _dual_active_set(P, q, G, h, start=()):
                           <= _STEP_TOL * np.maximum(1.0, np.diag(gram))):
                     raise np.linalg.LinAlgError("start rows are linearly dependent")
                 lam = _cho_solve(factor, G[active] @ z_free - h[active])
-                k = int(np.argmin(lam))
+                k = int(lam.argmin())
                 if lam[k] >= 0.0:
                     z = z_free - pig[:, active] @ lam
                     lam_active = list(lam)
                     break
                 iters += 1
+                keep = [i for i in range(len(active)) if i != k]
                 del active[k]
-                gram = np.delete(np.delete(gram, k, 0), k, 1)
+                gram = gram[keep][:, keep]
         except np.linalg.LinAlgError:
             active, gram = [], np.zeros((0, 0))
 
@@ -154,7 +165,7 @@ def _dual_active_set(P, q, G, h, start=()):
         resid = G @ z - h
         if active:
             resid[active] = 0.0        # kept exactly active
-        worst = int(np.argmax(resid))
+        worst = int(resid.argmax())
         if resid[worst] <= _FEAS_TOL:
             return _polish(G, h, z_free, chol, active, "optimal", iters)
         if not formed[worst]:
@@ -162,7 +173,7 @@ def _dual_active_set(P, q, G, h, start=()):
             formed[worst] = True
         col = pig[:, worst]
         g_ww = float(G[worst] @ col)
-        g_aw = G[active] @ col
+        g_aw = G[active] @ col if active else np.zeros(0)
         violation = resid[worst]
         denom_tol = _STEP_TOL * max(1.0, g_ww)
         lam_new = 0.0                     # accumulates over partial steps
@@ -184,16 +195,16 @@ def _dual_active_set(P, q, G, h, start=()):
                     t_dual = lam_i / r_i
                     blocker = k
             t = min(t_primal, t_dual)
-            if not np.isfinite(t):
+            if not math.isfinite(t):           # also a NaN step
                 return None, None, sorted(active), "infeasible", iters
             z = z - t * u
             lam_active = [li - t * ri for li, ri in zip(lam_active, r)]
             lam_new += t
             violation -= t * denom
             if t_dual < t_primal:
+                keep = [i for i in range(len(active)) if i != blocker]
                 del active[blocker], lam_active[blocker]
-                gram = np.delete(np.delete(gram, blocker, 0), blocker, 1)
-                g_aw = np.delete(g_aw, blocker)
+                gram, g_aw = gram[keep][:, keep], g_aw[keep]
                 continue
             gram = _border(gram, g_aw, g_ww)
             active.append(worst)

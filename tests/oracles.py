@@ -1,12 +1,13 @@
 """Independent reference implementations used to check the package.
 
 Everything here deliberately avoids the code paths under test: closed-form
-Gaussian-smoothing identities, brute-force active-set enumeration for QPs,
-a QP's KKT residual, equality elimination on top of the inequality QP
-solver, an affine Riccati recursion for finite-horizon tracking LQR, the
-stacked (uncondensed) MPC window QP, a complementarity-enumeration solver
-for the 1D contact step and the residuals of its defining equations, and
-the identities behind linear models and the pendulum's energy.
+Gaussian-smoothing identities, the QP problem's acceptance rule,
+brute-force active-set enumeration for QPs, a QP's KKT residual, equality
+elimination on top of the inequality QP solver, an affine Riccati
+recursion for finite-horizon tracking LQR, the stacked (uncondensed) MPC
+window QP, a complementarity-enumeration solver for the 1D contact step
+and the residuals of its defining equations, and the identities behind
+linear models and the pendulum's energy.
 """
 
 import itertools
@@ -57,6 +58,24 @@ CLOSED_FORMS = {
 
 # ---------------------------------------------------------------------------
 # brute-force QP oracle
+
+
+def qp_problem_accepts(P) -> bool:
+    """QpProblem's rule for a finite P, through numpy instead of LAPACK calls.
+
+    P must be symmetric within np.allclose (atol 1e-10 * max(1, max|P|)),
+    and numpy's Cholesky, which reads the lower triangle, must factor
+    P - 1e-9 I.
+    """
+    n = P.shape[0]
+    if not np.allclose(P, P.T, atol=1e-10 * max(1.0, np.abs(P).max())):
+        return False
+    try:
+        np.linalg.cholesky(P - 1e-9 * np.eye(n))
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
 
 
 def enumerate_qp(P, q, G, h, A_eq=None, b_eq=None, tol=1e-9):

@@ -51,7 +51,8 @@ def test_unknown_config_key_exits_2(tmp_path, capsys):
 @pytest.mark.parametrize("case", ["negative_seed", "config_is_directory",
                                   "config_not_utf8", "out_is_file", "param_type",
                                   "unknown_key", "gamma_out_of_range",
-                                  "quadrature_points"])
+                                  "quadrature_points", "q_angle_infinite", "q_angle_nan",
+                                  "jobs_not_int", "jobs_zero"])
 def test_bad_arguments_exit_2_with_one_line(tmp_path, capsys, case):
     config, out, extra = tmp_path / "config.json", tmp_path / "out", []
     config.write_text(json.dumps(PLAN))
@@ -68,6 +69,15 @@ def test_bad_arguments_exit_2_with_one_line(tmp_path, capsys, case):
         config.write_text(json.dumps({**PLAN, "params": {"horizon": "x"}}))
     elif case == "unknown_key":
         config.write_text(json.dumps({**PLAN, "bogus": 1}))
+    elif case in ("q_angle_infinite", "q_angle_nan"):
+        # json writes and reads these as Infinity and NaN
+        q_angle = float("inf" if case == "q_angle_infinite" else "nan")
+        config.write_text(json.dumps({**PLAN, "task": "pendulum_swingup",
+                                      "params": {"q_angle": q_angle}}))
+    elif case == "jobs_not_int":
+        extra = ["--jobs", "abc"]
+    elif case == "jobs_zero":
+        extra = ["--jobs", "0"]
     elif case == "quadrature_points":
         # bundle-eval's 1D oracle never read it, so the key is gone
         verb = "bundle-eval"
@@ -87,6 +97,12 @@ def test_bad_arguments_exit_2_with_one_line(tmp_path, capsys, case):
         assert "'quadrature_points' was unexpected" in err
     elif case == "gamma_out_of_range":
         assert "$.schedule.gamma" in err
+    elif case.startswith("q_angle"):
+        assert "Q must be finite" in err
+    elif case == "jobs_not_int":
+        assert "argument --jobs: invalid int value: 'abc'" in err
+    elif case == "jobs_zero":
+        assert "--jobs must be >= 1" in err
 
 
 def test_jobs_beyond_the_run_count_start_one_worker_per_run(tmp_path, monkeypatch):
@@ -164,17 +180,25 @@ def test_diverged_column_is_the_planner_stop_rule(tmp_path, monkeypatch, costs, 
     assert [row["diverged"] for row in rows] == [diverged] * len(costs)
 
 
-def test_contact_probe_has_no_seed(tmp_path):
+def test_contact_probe_has_no_seed(tmp_path, capsys):
     # the probe is deterministic quadrature, so it takes no --seed
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"state": [0.0, 0.0, 0.7], "sigma": 0.06,
                                   "grid": {"x": {"start": 0.0, "stop": 0.1, "count": 2},
                                            "y": {"start": 0.5, "stop": 0.6, "count": 2}}}))
-    with pytest.raises(SystemExit) as exc:
-        cli.main(["contact-probe", "--config", str(config), "--out", str(tmp_path / "out"),
-                  "--seed", "1"])
-    assert exc.value.code == 2
+    code = cli.main(["contact-probe", "--config", str(config), "--out", str(tmp_path / "out"),
+                     "--seed", "1"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err == "config error: unrecognized arguments: --seed 1\n"
     assert not (tmp_path / "out").exists()
+
+
+def test_help_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["plan", "--help"])
+    assert exc.value.code == 0
+    assert "--jobs" in capsys.readouterr().out
 
 
 def test_contact_probe_bundles_equal_per_node_steps():

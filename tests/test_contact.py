@@ -237,6 +237,17 @@ class TestStep2DAnitescu:
             modes.add(diag.mode)
         assert modes == {"separation", "sticking", "sliding_up", "sliding_down"}
 
+    def test_returns_python_floats(self):
+        # as step_2d_exact does, in every mode: no numpy scalars leak out
+        state = Contact2DState(0.0, 0.0, 0.7)
+        modes = set()
+        for cmd in ((0.1, 1.1), (0.02, 0.5), (0.6, 0.5), (-0.6, 0.5)):
+            nxt, diag = step_2d_anitescu(state, cmd, P2)
+            values = (nxt.xu, nxt.xa, nxt.ya, diag.lambda_n, diag.lambda_t, diag.gap)
+            assert [type(v) for v in values] == [float] * 6
+            modes.add(diag.mode)
+        assert modes == {"separation", "sticking", "sliding_up", "sliding_down"}
+
     def test_impulses_come_from_duals(self):
         state = Contact2DState(0.0, 0.0, 0.7)
         _, diag = step_2d_anitescu(state, (0.3, 0.5), P2)

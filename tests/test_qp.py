@@ -6,7 +6,7 @@ import pytest
 from bundleopt.errors import ConfigurationError
 from bundleopt.qp import QpProblem, _dual_active_set, solve_qp
 
-from oracles import enumerate_qp, kkt_residual, random_qp, solve_eq_qp
+from oracles import enumerate_qp, kkt_residual, qp_problem_accepts, random_qp, solve_eq_qp
 
 
 class TestConstruction:
@@ -17,6 +17,38 @@ class TestConstruction:
     def test_rejects_tiny_eigenvalue(self):
         with pytest.raises(ConfigurationError):
             QpProblem(P=np.diag([1.0, 1e-12]), q=np.zeros(2))
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_rejects_non_finite_cost(self, bad):
+        with pytest.raises(ConfigurationError, match="P must be finite"):
+            QpProblem(P=np.diag([bad, 1.0]), q=np.zeros(2))
+
+    def test_validation_matches_reference_rule(self):
+        # Smallest eigenvalue a hair either side of the 1e-9 threshold, plus
+        # asymmetric noise from far inside to far outside the symmetry
+        # tolerance: where P's two triangles disagree about definiteness,
+        # only a factorization of the lower one agrees with numpy's.
+        rng = np.random.default_rng(0)
+        count, mismatches, accepted = 2_000, [], 0
+        for n in range(1, 6):
+            basis = np.linalg.qr(rng.standard_normal((count, n, n)))[0]
+            eigs = rng.uniform(0.1, 3.0, (count, n))
+            gap = rng.choice([-1.0, 1.0], count) * 10.0 ** rng.uniform(-16, -6, count)
+            eigs[:, 0] = 1e-9 + gap
+            scale = 10.0 ** rng.uniform(-13, -4, (count, 1, 1))
+            noise = rng.standard_normal((count, n, n)) * scale
+            for i, P in enumerate((basis * eigs[:, None, :]) @ basis.transpose(0, 2, 1) + noise):
+                want = qp_problem_accepts(P)
+                try:
+                    QpProblem(P=P, q=np.zeros(n))
+                    got = True
+                except ConfigurationError:
+                    got = False
+                if got != want:
+                    mismatches.append((n, i))
+                accepted += want
+        assert mismatches == []
+        assert 2_000 < accepted < 8_000
 
     def test_rejects_mismatched_rows(self):
         with pytest.raises(ConfigurationError):
