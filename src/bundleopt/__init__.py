@@ -27,8 +27,7 @@ from .smoothing import (BundleEstimate, SmoothingDistribution,
                         sample_perturbations, variance_schedule,
                         zero_order_gradient_bundle)
 from .systems import (DubinsCar, DynamicalSystem, LinearizedDynamics, LinearSystem,
-                      Pendulum, Quadrotor, finite_difference_jacobians,
-                      linearize_exact)
+                      Pendulum, Quadrotor, linearize_exact)
 from .tasks import TASK_BUILDERS, TaskSetup, build_task
 
 __version__ = "0.1.0"

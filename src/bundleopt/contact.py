@@ -29,6 +29,7 @@ array pass. Only the Anitescu model loops its scalar stepper over rows.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -63,6 +64,14 @@ _TIE_TOL = 1e-9
 _MODES_2D = (MODE_SEPARATION, MODE_STICKING, MODE_SLIDING_UP, MODE_SLIDING_DOWN)
 
 
+def _require_positive(obj) -> None:
+    """Raise ConfigurationError naming obj's first attribute not finite and positive."""
+    for name, value in vars(obj).items():
+        if not 0.0 < value < math.inf:
+            raise ConfigurationError(
+                f"{type(obj).__name__}.{name} must be finite and positive, got {value}")
+
+
 @dataclass(frozen=True)
 class Contact1DParams:
     """1D pusher: unactuated mass m, timestep h, controller stiffness k."""
@@ -71,9 +80,7 @@ class Contact1DParams:
     h: float = 0.1
     k: float = 100.0
 
-    def __post_init__(self):
-        if min(self.m, self.h, self.k) <= 0.0:
-            raise ConfigurationError("contact parameters must be positive")
+    __post_init__ = _require_positive
 
     @property
     def c_ratio(self) -> float:
@@ -134,30 +141,18 @@ def step_1d(state: Contact1DState, params: Contact1DParams
 
 
 @dataclass(frozen=True)
-class Contact2DParams:
+class Contact2DParams(Contact1DParams):
     """2D pusher: box mass m slides along x, robot sphere presses from above.
 
-    The square box (side 2*box_half_width) rests on a frictionless floor;
-    its top face sits at 2*box_half_width. Contact occurs when the sphere
-    center drops to contact_height = top + sphere_radius. mu is the
-    Coulomb friction coefficient of the face.
+    m, h and k are the 1D pusher's. The square box (side 2*box_half_width)
+    rests on a frictionless floor; its top face sits at 2*box_half_width.
+    Contact occurs when the sphere center drops to contact_height = top +
+    sphere_radius. mu is the Coulomb friction coefficient of the face.
     """
 
-    m: float = 1.0
-    h: float = 0.1
-    k: float = 100.0
     mu: float = 0.5
     box_half_width: float = 0.25
     sphere_radius: float = 0.1
-
-    def __post_init__(self):
-        if min(self.m, self.h, self.k, self.mu,
-               self.box_half_width, self.sphere_radius) <= 0.0:
-            raise ConfigurationError("contact parameters must be positive")
-
-    @property
-    def c_ratio(self) -> float:
-        return self.m / (self.h**2 * self.k)
 
     @property
     def contact_height(self) -> float:
@@ -299,9 +294,7 @@ class PenaltyParams:
     psi_s: float = 0.1
     mu_d: float = 0.5
 
-    def __post_init__(self):
-        if min(self.k_n, self.viscous_slope, self.psi_s, self.mu_d) <= 0.0:
-            raise ConfigurationError("penalty parameters must be positive")
+    __post_init__ = _require_positive
 
 
 def penalty_forces(phi, psi, params: PenaltyParams):
@@ -331,11 +324,13 @@ class PenaltyPush1D(DynamicalSystem):
     the robot is a damped proportional servo pulled toward the command and
     pushed back by the contact force. The step is piecewise linear, so
     d xu'/d xa jumps from 0 to h^2 * normal_stiffness / box_mass at
-    contact; the Jacobians are the inherited central differences. Needs a
-    small step for the stiff spring: h * sqrt(normal_stiffness / box_mass)
-    <= 0.2 for the box and h * normal_stiffness / robot_damping < 2 for the
-    robot's explicit servo step; the defaults give 0.2 and 1. A batch with
-    any entry beyond 1e6 raises DivergedError.
+    contact (right-sided at xa == xu, as ContactPush1D). The Jacobians
+    depend only on the state, so the first-order bundle, which perturbs
+    only the inputs (irs_lqr.joint_variances), is the exact linearization.
+    Needs a small step for the stiff spring: h * sqrt(normal_stiffness /
+    box_mass) <= 0.2 for the box and h * normal_stiffness / robot_damping <
+    2 for the robot's explicit servo step; the defaults give 0.2 and 1. A
+    batch with any entry beyond 1e6 raises DivergedError.
     """
 
     state_dim = 3
@@ -350,6 +345,7 @@ class PenaltyPush1D(DynamicalSystem):
         self.robot_stiffness = robot_stiffness
         self.robot_damping = robot_damping
         self.h = h
+        _require_positive(self)
 
     def step_batch(self, xs, us):
         h = self.h
@@ -363,6 +359,15 @@ class PenaltyPush1D(DynamicalSystem):
                 "penalty integration diverged; reduce the timestep h (currently "
                 f"h*sqrt(k_n/m) = {h * np.sqrt(self.normal_stiffness / self.box_mass):.3f})")
         return nxt
+
+    def jacobians_batch(self, xs, us):
+        h, servo = self.h, self.h * self.robot_stiffness / self.robot_damping
+        g = h * self.normal_stiffness / self.box_mass          # d vu'/d(xa - xu) in contact
+        e = h * self.normal_stiffness / self.robot_damping     # -d xa'/d(xa - xu) in contact
+        free = [[1.0, h, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0 - servo]]
+        touching = [[1.0 - h * g, h, h * g], [-g, 1.0, g], [e, 0.0, 1.0 - servo - e]]
+        a = np.where((xs[:, 2] >= xs[:, 0])[:, None, None], touching, free)
+        return a, np.tile([[0.0], [0.0], [servo]], (xs.shape[0], 1, 1))
 
 
 # ---------------------------------------------------------------------------
@@ -406,9 +411,9 @@ class ContactPush1D(DynamicalSystem):
 class ContactPush2D(DynamicalSystem):
     """2D frictional pusher as a (xu, xa, ya) system with command inputs.
 
-    An exact-model batch is one array pass whose rows equal step_2d_exact
-    bit for bit; its Jacobians are each row's mode's. The Anitescu model
-    runs its scalar stepper per row and inherits central differences.
+    Each row gets its contact mode's constant Jacobians. An exact-model
+    batch is one array pass whose rows equal step_2d_exact bit for bit; the
+    Anitescu model runs step_2d_anitescu per row and reads its mode.
     """
 
     state_dim = 3
@@ -421,8 +426,8 @@ class ContactPush2D(DynamicalSystem):
         if model not in ("exact", "anitescu"):
             raise ConfigurationError(f"unknown contact model {model!r}")
         self.params = params
-        self.model = model
-        tables = [_exact_2d_mode_jacobians(mode, params) for mode in _MODES_2D]
+        self._rows = self._exact_rows if model == "exact" else self._anitescu_rows
+        tables = [_mode_jacobians(mode, params, model) for mode in _MODES_2D]
         self._mode_a, self._mode_b = (np.array(t) for t in zip(*tables))
 
     def _exact_rows(self, xs, us):
@@ -446,30 +451,41 @@ class ContactPush2D(DynamicalSystem):
         return mode, np.stack([nxt_u, nxt_a, np.where(mode == 0, us[:, 1], p.contact_height)],
                               axis=1)
 
+    def _anitescu_rows(self, xs, us):
+        """Mode indices and next states of the Anitescu model, one QP step per row."""
+        steps = [step_2d_anitescu(Contact2DState(*x), u, self.params)
+                 for x, u in zip(xs.tolist(), us.tolist())]
+        return ([_MODES_2D.index(diag.mode) for _, diag in steps],
+                np.array([(nxt.xu, nxt.xa, nxt.ya) for nxt, _ in steps]))
+
     def step_batch(self, xs, us):
-        if self.model == "exact":
-            return self._exact_rows(xs, us)[1]
-        steps = (step_2d_anitescu(Contact2DState(*x.tolist()), u.tolist(), self.params)[0]
-                 for x, u in zip(xs, us))
-        return np.array([(nxt.xu, nxt.xa, nxt.ya) for nxt in steps])
+        return self._rows(xs, us)[1]
 
     def jacobians_batch(self, xs, us):
-        if self.model == "anitescu":
-            return super().jacobians_batch(xs, us)
-        mode = self._exact_rows(xs, us)[0]
+        mode = self._rows(xs, us)[0]
         return self._mode_a[mode], self._mode_b[mode]
 
 
-def _exact_2d_mode_jacobians(mode: str, params: Contact2DParams):
+def _mode_jacobians(mode: str, params: Contact2DParams, model: str):
+    """(d step/dx, d step/du) of one contact mode, constant within it.
+
+    Separation and sticking are the same in both models. In a sliding mode
+    (r = +mu up, -mu down) the Anitescu QP has one active cone row, and its
+    KKT system gives lambda = (y_c - cy + r(cx - xa))/D, D = (1+mu^2)/hk +
+    mu^2 h/m; then xu' = xu + rh lambda/m, xa' = cx - r lambda/hk, ya' = cy + lambda/hk.
+    """
     c, mu = params.c_ratio, params.mu
     s = 1.0 / (1.0 + c)
     a = np.diag([1.0, 0.0, 0.0])
     if mode == MODE_SEPARATION:
-        b = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
-    elif mode == MODE_STICKING:
+        return a, np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+    if mode == MODE_STICKING:
         a[0, 1], a[1, 1] = -s, c * s
-        b = np.array([[s, 0.0], [s, 0.0], [0.0, 0.0]])
-    else:
-        sign = 1.0 if mode == MODE_SLIDING_UP else -1.0
-        b = np.array([[0.0, -sign * mu / c], [1.0, sign * mu], [0.0, 0.0]])
-    return a, b
+        return a, np.array([[s, 0.0], [s, 0.0], [0.0, 0.0]])
+    r = mu if mode == MODE_SLIDING_UP else -mu
+    if model == "exact":
+        return a, np.array([[0.0, -r / c], [1.0, r], [0.0, 0.0]])
+    g = 1.0 / (1.0 + mu * mu + mu * mu / c)           # 1 / (hk D)
+    q = mu * mu * g
+    a[0, 1], a[1, 1], a[2, 1] = -q / c, q, -r * g
+    return a, np.array([[q / c, -r * g / c], [1.0 - q, r * g], [r * g, 1.0 - g]])

@@ -247,7 +247,9 @@ def joint_variances(cov0, mode: GradientMode, state_dim: int, input_dim: int) ->
     cov0 is the per-coordinate variance of the input perturbations; the
     zero-order mode also perturbs the state at the same variance (its
     regression needs excitation in every direction), while the first-order
-    mode leaves states unperturbed (variance 0).
+    mode leaves states unperturbed (variance 0). So on a system whose
+    Jacobians depend only on the state, such as PenaltyPush1D, the
+    first-order bundle is the exact linearization.
     """
     cov0 = np.asarray(cov0, dtype=float)
     if cov0.ndim != 0:

@@ -64,6 +64,8 @@ class QpProblem:
         self.P = np.asarray(self.P, dtype=float)
         self.q = np.asarray(self.q, dtype=float).ravel()
         n = self.q.shape[0]
+        if n == 0:
+            raise ConfigurationError("the QP needs at least one variable")
         if self.P.shape != (n, n):
             raise ConfigurationError(f"P must be {n}x{n}, got {self.P.shape}")
         if not np.isfinite(self.P).all():

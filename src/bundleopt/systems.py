@@ -8,9 +8,9 @@ Batch protocol: a system's primitives are step_batch(xs, us), the next
 states of N (state, input) rows, shape (N, n), and jacobians_batch(xs,
 us), the Jacobians (d step/dx, d step/du) at each row, shapes (N, n, n)
 and (N, n, m). The physics of each system is written once, in batch form;
-step(x, u) and jacobians(x, u) are their batch of one. A system without
-analytic Jacobians inherits batched central differences (absolute step
-1e-6): one step_batch call on all 2(n+m)N perturbed rows.
+step(x, u) and jacobians(x, u) are their batch of one. Every system
+states its Jacobians analytically; a piecewise system gives each row its
+piece's.
 
 Determinism rule: row i of a batch equals the batch-of-one result for
 that row bit for bit, whatever the batch size. So the physics uses
@@ -28,7 +28,6 @@ import numpy as np
 __all__ = [
     "DynamicalSystem",
     "LinearizedDynamics",
-    "finite_difference_jacobians",
     "linearize_exact",
     "Pendulum",
     "DubinsCar",
@@ -36,17 +35,15 @@ __all__ = [
     "LinearSystem",
 ]
 
-FD_STEP = 1e-6
-
 
 class DynamicalSystem:
     """Deterministic discrete-time dynamics x_{t+1} = step(x_t, u_t).
 
-    Subclasses implement step_batch and, when they have analytic
-    Jacobians, jacobians_batch (see the module docstring). step and
-    jacobians are defined here once, but every subclass also binds them
-    in its own class body: the benchmark's tracer (perfbench/spans.py)
-    wraps the step, step_batch and jacobians that each class defines.
+    Subclasses implement step_batch and jacobians_batch (see the module
+    docstring). step and jacobians are defined here once, but every
+    subclass also binds them in its own class body: the benchmark's tracer
+    (perfbench/spans.py) wraps the step, step_batch and jacobians that each
+    class defines.
     """
 
     state_dim: int
@@ -58,8 +55,8 @@ class DynamicalSystem:
 
     def jacobians_batch(self, xs: np.ndarray, us: np.ndarray
                         ) -> tuple[np.ndarray, np.ndarray]:
-        """(d step/dx, d step/du) at each row; default batched central differences."""
-        return finite_difference_jacobians(self.step_batch, xs, us)
+        """(d step/dx, d step/du) at each row, shapes (N, n, n) and (N, n, m)."""
+        raise NotImplementedError
 
     def step(self, x: np.ndarray, u: np.ndarray) -> np.ndarray:
         """step_batch on a batch of one."""
@@ -73,25 +70,6 @@ class DynamicalSystem:
 
 def _one_row(v) -> np.ndarray:
     return np.asarray(v, dtype=float)[None, :]
-
-
-def finite_difference_jacobians(step_batch, xs, us):
-    """Central-difference Jacobians of a batched step at each row of (xs, us).
-
-    Makes one step_batch call on all 2(n+m)N perturbed rows and returns
-    (A, B) with shapes (N, n', n) and (N, n', m), n' the output size.
-    """
-    xs = np.asarray(xs, dtype=float)
-    us = np.asarray(us, dtype=float)
-    n = xs.shape[1]
-    z = np.concatenate([xs, us], axis=1)
-    rows, d = z.shape
-    e = FD_STEP * np.eye(d)
-    probes = np.concatenate([z[:, None, :] + e, z[:, None, :] - e], axis=1).reshape(-1, d)
-    f = np.asarray(step_batch(probes[:, :n], probes[:, n:]), dtype=float)
-    f = f.reshape(rows, 2, d, -1)
-    jac = ((f[:, 0] - f[:, 1]) / (2 * FD_STEP)).transpose(0, 2, 1)
-    return jac[:, :, :n], jac[:, :, n:]
 
 
 @dataclass(frozen=True)

@@ -6,8 +6,9 @@ brute-force active-set enumeration for QPs, a QP's KKT residual, equality
 elimination on top of the inequality QP solver, an affine Riccati
 recursion for finite-horizon tracking LQR, the stacked (uncondensed) MPC
 window QP, a complementarity-enumeration solver for the 1D contact step
-and the residuals of its defining equations, and the identities behind
-linear models and the pendulum's energy.
+and the residuals of its defining equations, central-difference
+Jacobians of a batched step, and the identities behind linear models and
+the pendulum's energy.
 """
 
 import itertools
@@ -391,6 +392,32 @@ def blended_jacobian_1d(xu, command, sigma, c_ratio):
     a = p_contact * a_con + (1.0 - p_contact) * a_sep
     b = p_contact * b_con + (1.0 - p_contact) * b_sep
     return a, b
+
+
+# ---------------------------------------------------------------------------
+# finite-difference Jacobians
+
+
+FD_STEP = 1e-6
+
+
+def finite_difference_jacobians(step_batch, xs, us):
+    """Central-difference Jacobians of a batched step at each row of (xs, us).
+
+    Makes one step_batch call on all 2(n+m)N perturbed rows and returns
+    (A, B) with shapes (N, n', n) and (N, n', m), n' the output size.
+    """
+    xs = np.asarray(xs, dtype=float)
+    us = np.asarray(us, dtype=float)
+    n = xs.shape[1]
+    z = np.concatenate([xs, us], axis=1)
+    rows, d = z.shape
+    e = FD_STEP * np.eye(d)
+    probes = np.concatenate([z[:, None, :] + e, z[:, None, :] - e], axis=1).reshape(-1, d)
+    f = np.asarray(step_batch(probes[:, :n], probes[:, n:]), dtype=float)
+    f = f.reshape(rows, 2, d, -1)
+    jac = ((f[:, 0] - f[:, 1]) / (2 * FD_STEP)).transpose(0, 2, 1)
+    return jac[:, :, :n], jac[:, :, n:]
 
 
 # ---------------------------------------------------------------------------

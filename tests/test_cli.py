@@ -194,6 +194,19 @@ def test_contact_probe_has_no_seed(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("k", [float("inf"), float("nan")])
+def test_contact_probe_names_a_non_finite_parameter(tmp_path, capsys, k):
+    config = tmp_path / "config.json"
+    # json writes and reads these as Infinity and NaN
+    config.write_text(json.dumps({"system": {"k": k}, "state": [0.0, 0.0, 0.7], "sigma": 0.06,
+                                  "grid": {"x": {"start": 0.0, "stop": 0.1, "count": 2},
+                                           "y": {"start": 0.5, "stop": 0.6, "count": 2}}}))
+    code = cli.main(["contact-probe", "--config", str(config), "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err == f"config error: Contact2DParams.k must be finite and positive, got {k}\n"
+
+
 def test_help_exits_0(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["plan", "--help"])

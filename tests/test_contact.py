@@ -1,5 +1,6 @@
 """Tests for the contact models."""
 
+import itertools
 import math
 
 import numpy as np
@@ -8,17 +9,16 @@ import pytest
 from bundleopt import contact
 from bundleopt.contact import (Contact1DParams, Contact1DState, Contact2DParams,
                                Contact2DState, ContactPush1D, ContactPush2D,
-                               PenaltyParams, PenaltyPush1D, _exact_2d_mode_jacobians,
+                               PenaltyParams, PenaltyPush1D, _mode_jacobians,
                                penalty_forces, step_1d, step_2d_anitescu, step_2d_exact)
 from bundleopt.errors import ConfigurationError, DivergedError
 from bundleopt.irs_lqr import GradientMode, joint_variances, linearize_trajectory, rollout
 from bundleopt.oracle import gauss_hermite_expectation
 from bundleopt.smoothing import (SmoothingDistribution, bundled_objective_estimate,
                                  jacobian_bundle_first_order, jacobian_bundle_zero_order)
-from bundleopt.systems import finite_difference_jacobians
 from bundleopt.tasks import build_task
 
-from oracles import kkt_residual, lcp_oracle_1d, residuals_1d
+from oracles import finite_difference_jacobians, kkt_residual, lcp_oracle_1d, residuals_1d
 from test_systems import assert_batch_rows_match
 
 P1 = Contact1DParams(m=1.0, h=0.1, k=100.0)        # c_ratio = 1
@@ -449,7 +449,8 @@ class TestPenaltyJacobianBundles:
     N = 10**4
 
     def test_exact_jacobian_jumps_at_contact(self):
-        for xa, expected in ((-1e-3, 0.0), (1e-3, self.JUMP)):
+        # right-sided: the contact piece applies from xa == xu on
+        for xa, expected in ((-1e-3, 0.0), (0.0, self.JUMP), (1e-3, self.JUMP)):
             a, _ = self.SYSTEM.jacobians(np.array([0.0, 0.0, xa]), np.zeros(1))
             assert a[0, 2] == pytest.approx(expected, abs=1e-9)
 
@@ -477,6 +478,32 @@ class TestPenaltyJacobianBundles:
             a, _ = jacobian_bundle_zero_order(self.SYSTEM, x, u, dist, self.N, seed)
             assert abs(a[0, 2] - expected) <= zero_order_bound
 
+    def test_first_order_bundle_is_the_exact_linearization(self):
+        # First-order mode perturbs only the command, and the Jacobians
+        # depend only on the state, so every sample has the exact Jacobians.
+        sys = PenaltyPush1D(normal_stiffness=1e3, h=0.005)
+        us = np.full((60, 1), 3.0)
+        xs = rollout(sys, np.array([1.0, 0.0, 0.0]), us)
+        assert {bool(x[2] >= x[0]) for x in xs[:-1]} == {False, True}   # both pieces
+        mode = GradientMode(kind="first_order_bundle", samples=50)
+        bundled = linearize_trajectory(sys, xs, us, mode, joint_variances(0.25, mode, 3, 1),
+                                       0, 0)
+        exact = linearize_trajectory(sys, xs, us, GradientMode(), None, 0, 0)
+        for lin_bundle, lin_exact in zip(bundled, exact):
+            np.testing.assert_allclose(lin_bundle.A, lin_exact.A, rtol=1e-12)
+            np.testing.assert_allclose(lin_bundle.B, lin_exact.B, rtol=1e-12)
+
+
+class TestParameterValidation:
+    @pytest.mark.parametrize("bad", [0.0, -1.0, math.inf, math.nan])
+    @pytest.mark.parametrize("cls, name", [
+        (Contact1DParams, "k"), (Contact2DParams, "mu"), (Contact2DParams, "sphere_radius"),
+        (PenaltyParams, "psi_s"), (PenaltyPush1D, "normal_stiffness"), (PenaltyPush1D, "h")])
+    def test_rejects_parameter_by_name(self, cls, name, bad):
+        with pytest.raises(ConfigurationError,
+                           match=rf"^{cls.__name__}\.{name} must be finite and positive"):
+            cls(**{name: bad})
+
 
 class TestAdapters:
     def test_push_1d_jacobians_match_fd_within_modes(self):
@@ -496,16 +523,38 @@ class TestAdapters:
         for i in range(50):
             np.testing.assert_array_equal(batch[i], sys.step(xs[i], us[i]))
 
-    def test_push_2d_exact_jacobians_match_fd_within_modes(self):
-        sys = ContactPush2D(P2, model="exact")
-        probes = [([0.0, 0.0, 0.7], [0.3, 0.9]),    # separation
-                  ([0.0, 0.0, 0.7], [0.02, 0.5]),   # sticking
-                  ([0.0, 0.0, 0.7], [0.4, 0.5])]    # sliding
-        for x, u in probes:
-            a, b = sys.jacobians(np.array(x), np.array(u))
-            a_fd, b_fd = finite_difference_jacobians(sys.step_batch, [x], [u])
-            np.testing.assert_allclose(a, a_fd[0], atol=1e-6)
-            np.testing.assert_allclose(b, b_fd[0], atol=1e-6)
+    @pytest.mark.parametrize("mode", ["separation", "sticking", "sliding_up", "sliding_down"])
+    @pytest.mark.parametrize("model", ["exact", "anitescu"])
+    def test_push_2d_jacobians_match_fd_within_modes(self, model, mode):
+        sys = ContactPush2D(P2, model=model)
+        stepper = step_2d_exact if model == "exact" else step_2d_anitescu
+        x = [0.0, 0.0, 0.7]
+        u = {"separation": [0.3, 0.9], "sticking": [0.02, 0.5],
+             "sliding_up": [0.4, 0.5], "sliding_down": [-0.4, 0.5]}[mode]
+        # Each mode's region is convex, so a cube whose corners share the
+        # mode holds the ball: the probe is at least 1e-4 from any boundary.
+        for offset in itertools.product((-1e-4, 1e-4), repeat=5):
+            corner = np.add(x + u, offset)
+            assert stepper(Contact2DState(*corner[:3]), corner[3:], P2)[1].mode == mode
+        a, b = sys.jacobians(np.array(x), np.array(u))
+        a_fd, b_fd = finite_difference_jacobians(sys.step_batch, [x], [u])
+        np.testing.assert_allclose(a, a_fd[0], atol=1e-6)
+        np.testing.assert_allclose(b, b_fd[0], atol=1e-6)
+
+    def test_anitescu_jacobians_make_one_step_per_row(self, monkeypatch):
+        calls = []
+
+        def spy(*args, _original=step_2d_anitescu):
+            calls.append(args)
+            return _original(*args)
+
+        monkeypatch.setattr(contact, "step_2d_anitescu", spy)
+        rng = np.random.default_rng(5)
+        xs = np.column_stack([rng.uniform(-0.2, 0.2, 9), rng.uniform(-0.2, 0.2, 9),
+                              rng.uniform(0.55, 0.8, 9)])
+        us = np.column_stack([rng.uniform(-0.6, 0.6, 9), rng.uniform(0.4, 0.9, 9)])
+        ContactPush2D(P2, model="anitescu").jacobians_batch(xs, us)
+        assert len(calls) == 9
 
     def test_unknown_model_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -594,7 +643,7 @@ class TestExactBatchMatchesScalar:
             ref, diag = step_2d_exact(Contact2DState(*x), u, P2)
             expected = np.array([ref.xu, ref.xa, ref.ya])
             np.testing.assert_array_equal(nxt[i].view(np.int64), expected.view(np.int64))
-            a_ref, b_ref = _exact_2d_mode_jacobians(diag.mode, P2)
+            a_ref, b_ref = _mode_jacobians(diag.mode, P2, "exact")
             np.testing.assert_array_equal(a[i], a_ref)
             np.testing.assert_array_equal(b[i], b_ref)
             modes.append(diag.mode)

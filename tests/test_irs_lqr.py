@@ -219,9 +219,10 @@ PUSH_SETTINGS = {"cov0": 0.25, "schedule": ("geometric", 0.8), "max_iters": 20}
 BUNDLES = ("first_order_bundle", "zero_order_bundle")
 
 
-def _final_cost(setup, kind, seed):
+def _final_cost(setup, kind, seed, max_iters=PUSH_SETTINGS["max_iters"]):
     history = irs_lqr_run(setup.system, setup.mpc, GradientMode(kind=kind, samples=100),
-                          seed=seed, u_init=setup.u_init, **PUSH_SETTINGS)
+                          seed=seed, u_init=setup.u_init,
+                          **{**PUSH_SETTINGS, "max_iters": max_iters})
     return history[-1].cost
 
 
@@ -238,11 +239,15 @@ class TestHeadline:
             for kind in BUNDLES:
                 assert _final_cost(setup, kind, seed) <= 0.1 * exact
 
-    def test_push_2d_bundles_end_below_exact(self):
-        setup = build_task("push_2d")
-        exact = _final_cost(setup, "exact", 0)
+    # The paper pairs the bundles with Anitescu's relaxation; 6 iterations
+    # take first-order to 0.42 and zero-order to 1.77 against exact's 5.00.
+    @pytest.mark.parametrize("model", ["exact", "anitescu"])
+    def test_push_2d_bundles_end_below_exact(self, model):
+        setup = build_task("push_2d", {"model": model})
+        max_iters = {"exact": 20, "anitescu": 6}[model]
+        exact = _final_cost(setup, "exact", 0, max_iters)
         for kind in BUNDLES:
-            assert _final_cost(setup, kind, 0) < exact
+            assert _final_cost(setup, kind, 0, max_iters) < exact
 
 
 class TestDeterminism:

@@ -23,6 +23,10 @@ class TestConstruction:
         with pytest.raises(ConfigurationError, match="P must be finite"):
             QpProblem(P=np.diag([bad, 1.0]), q=np.zeros(2))
 
+    def test_rejects_empty_problem(self):
+        with pytest.raises(ConfigurationError, match="at least one variable"):
+            QpProblem(P=np.zeros((0, 0)), q=np.zeros(0))
+
     def test_validation_matches_reference_rule(self):
         # Smallest eigenvalue a hair either side of the 1e-9 threshold, plus
         # asymmetric noise from far inside to far outside the symmetry
