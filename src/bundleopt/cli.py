@@ -5,7 +5,7 @@ also take --seed:
 
 * bundle-eval: sweep a catalog test function over a grid, writing the
   Monte-Carlo bundled objective, the first/zero-order gradient bundles and
-  the oracle's smoothed value and gradient per point.
+  the function's closed-form smoothed value and gradient per point.
 * plan: run the trajectory optimizer on a catalog task for every
   (gradient mode, seed) pair, writing per-iteration costs and the final
   trajectories. The `diverged` column is 1 on every row of a run whose
@@ -33,6 +33,7 @@ import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import fields
 
 import numpy as np
 
@@ -103,7 +104,11 @@ PLAN_SCHEMA = {
 CONTACT_PROBE_SCHEMA = {
     "type": "object",
     "properties": {
-        "system": {"type": "object"},
+        "system": {
+            "type": "object",
+            "properties": {f.name: {"type": "number"} for f in fields(Contact2DParams)},
+            "additionalProperties": False,
+        },
         "state": {"type": "array", "items": {"type": "number"},
                   "minItems": 3, "maxItems": 3},
         "grid": {
@@ -329,8 +334,7 @@ def _run_plan(config: dict, out_dir: str, jobs: int):
 
 def _probe_point(item):
     """One grid point: the exact and Anitescu next box positions, then their bundles."""
-    config, cx, cy = item
-    params = Contact2DParams(**config.get("system", {}))
+    config, params, cx, cy = item
     state = np.asarray(config["state"], dtype=float)
     dist = SmoothingDistribution.isotropic(2, config["sigma"])
     points = config.get("quadrature_points", 41)
@@ -350,7 +354,8 @@ def _probe_point(item):
 def _run_contact_probe(config: dict, out_dir: str, jobs: int):
     xs = _grid_points(config["grid"]["x"])
     ys = _grid_points(config["grid"]["y"])
-    items = [(config, float(cx), float(cy)) for cx in xs for cy in ys]
+    params = Contact2DParams(**config.get("system", {}))
+    items = [(config, params, float(cx), float(cy)) for cx in xs for cy in ys]
     rows = _pmap(_probe_point, items, jobs)
     path = os.path.join(out_dir, "contact_probe.csv")
     _write_csv(path, ["x_command", "y_command", "exact", "anitescu",

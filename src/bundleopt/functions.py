@@ -1,17 +1,17 @@
-"""Catalog of scalar test functions used throughout the smoothing diagnostics.
+"""Catalog of scalar test functions for the smoothing diagnostics.
 
-All functions map R -> R (wrapped as dimension-1 vector functions for the
-estimators). Gradients follow the right-derivative convention at kinks and
-jumps: grad(x0) is the derivative of the piece valid on [x0, x0+eps).
-Each catalog function also carries its Gaussian smoothing in closed form,
-which oracle.convolution_oracle returns instead of integrating.
+Each function maps R -> R (wrapped as a dimension-1 vector function for
+the estimators) and is vectorized over numpy arrays. Gradients follow the
+right-derivative convention at kinks and jumps: grad(x0) is the
+derivative of the piece valid on [x0, x0+eps). Each function carries its
+Gaussian smoothing in closed form, which oracle.convolution_oracle returns.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable
+from dataclasses import dataclass
+from typing import Callable, ClassVar
 
 import numpy as np
 
@@ -22,34 +22,22 @@ __all__ = ["TestFunction", "get_test_function", "TEST_FUNCTION_IDS"]
 
 @dataclass(frozen=True)
 class TestFunction:
-    """A scalar function with the metadata the convolution oracle needs.
+    """A scalar test function, its gradient and its closed-form smoothing.
 
-    evaluate / gradient are vectorized over numpy arrays. `breakpoints`
-    lists the non-smooth points, `continuous` is False when the function
-    has a jump discontinuity there. `smoothed(x, sigma)`, when given, is
-    the closed-form (value, derivative) of E[f(x + w)], w ~ N(0, sigma^2).
+    evaluate / gradient are vectorized over numpy arrays. `smoothed(x, sigma)`
+    is the (value, derivative) of E[f(x + w)], w ~ N(0, sigma^2).
     """
 
     __test__ = False          # not a pytest class, despite the name
+    vectorized: ClassVar[bool] = True
 
     id: str
     evaluate: Callable[[np.ndarray], np.ndarray]
     gradient: Callable[[np.ndarray], np.ndarray]
-    breakpoints: tuple[float, ...] = ()
-    continuous: bool = True
-    vectorized: bool = field(default=True, repr=False)
-    smoothed: Callable[[float, float], tuple[float, float]] | None = field(
-        default=None, repr=False)
+    smoothed: Callable[[float, float], tuple[float, float]]
 
     def __call__(self, x):
         return self.evaluate(x)
-
-    @staticmethod
-    def user(evaluate, gradient=None, breakpoints=(), continuous=True,
-             vectorized=False) -> "TestFunction":
-        """Wrap an arbitrary callable for use with the estimators/oracle."""
-        return TestFunction("user", evaluate, gradient, tuple(breakpoints),
-                            continuous, vectorized)
 
 
 def _wiggly(x):
@@ -107,20 +95,16 @@ def _vee_smoothed(x, sigma):
             (2.0 * cdf - 1.0) - 2.0 * pdf / sigma)
 
 
-# The estimators batch-evaluate anything flagged as vectorized.
-for _fn in (_wiggly, _wiggly_grad, _heaviside, _heaviside_grad, _vee, _vee_grad):
+# The gradient bundle takes the gradients bare, so they carry the batch flag.
+for _fn in (_wiggly_grad, _heaviside_grad, _vee_grad):
     _fn.vectorized = True
 
 _CATALOG = {
-    "wiggly_quadratic": TestFunction(
-        "wiggly_quadratic", _wiggly, _wiggly_grad, breakpoints=(), continuous=True,
-        smoothed=_wiggly_smoothed),
-    "heaviside": TestFunction(
-        "heaviside", _heaviside, _heaviside_grad, breakpoints=(0.0,), continuous=False,
-        smoothed=_heaviside_smoothed),
-    "vee": TestFunction(
-        "vee", _vee, _vee_grad, breakpoints=(0.0,), continuous=False,
-        smoothed=_vee_smoothed),
+    "wiggly_quadratic": TestFunction("wiggly_quadratic", _wiggly, _wiggly_grad,
+                                     _wiggly_smoothed),
+    "heaviside": TestFunction("heaviside", _heaviside, _heaviside_grad,
+                              _heaviside_smoothed),
+    "vee": TestFunction("vee", _vee, _vee_grad, _vee_smoothed),
 }
 
 TEST_FUNCTION_IDS = tuple(_CATALOG)

@@ -1,7 +1,8 @@
 """Independent reference implementations used to check the package.
 
 Everything here deliberately avoids the code paths under test: closed-form
-Gaussian-smoothing identities, the QP problem's acceptance rule,
+Gaussian-smoothing identities, Gaussian smoothing by adaptive and
+Gauss-Hermite quadrature, the QP problem's acceptance rule,
 brute-force active-set enumeration for QPs, a QP's KKT residual, equality
 elimination on top of the inequality QP solver, an affine Riccati
 recursion for finite-horizon tracking LQR, the stacked (uncondensed) MPC
@@ -16,6 +17,7 @@ import math
 from typing import NamedTuple
 
 import numpy as np
+from scipy import integrate
 from scipy.linalg import block_diag, solve_triangular
 from scipy.stats import norm
 
@@ -55,6 +57,78 @@ CLOSED_FORMS = {
     "heaviside": smoothed_heaviside,
     "vee": smoothed_vee,
 }
+
+
+# ---------------------------------------------------------------------------
+# Gaussian smoothing by quadrature
+
+_TAIL_SIGMAS = 13.0
+
+
+def quadrature_smoothing(f, x, dist, points=201, grad_f=None, breakpoints=(),
+                         continuous=True):
+    """Value and gradient of E_w[f(x+w)] by quadrature, for dimension <= 3.
+
+    f maps a length-d vector to a scalar. In 1D, f(x+w) is integrated
+    against the Gaussian piece by piece between the breakpoints (kinks or
+    jumps) with scipy's adaptive `quad`, since polynomial rules lose their
+    accuracy on non-smooth integrands; in 2D and 3D by tensor Gauss-Hermite
+    quadrature with `points` nodes per coordinate. The gradient is the
+    smoothed grad_f when f is continuous and grad_f is given, and otherwise
+    the score-function identity d/dx_i E[f(x+w)] = E[f(x+w) w_i] / sigma_i^2,
+    which also captures jump discontinuities.
+    """
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    d = x.shape[0]
+    if dist.dimension != d:
+        raise ConfigurationError(
+            f"distribution dimension {dist.dimension} != point dimension {d}")
+    if d > 3:
+        raise ConfigurationError("quadrature smoothing supports dimension <= 3 only")
+    if dist.is_zero:
+        raise ConfigurationError("quadrature smoothing needs a nonzero variance")
+    use_grad = continuous and grad_f is not None
+
+    if d == 1:
+        sigma = float(dist.stddevs[0])
+        value = _piecewise_1d(f, x[0], sigma, breakpoints, moment=0)
+        if use_grad:
+            grad = _piecewise_1d(grad_f, x[0], sigma, breakpoints, moment=0)
+        else:
+            grad = _piecewise_1d(f, x[0], sigma, breakpoints, moment=1) / sigma**2
+        return value, np.array([grad])
+
+    nodes, weights = np.polynomial.hermite.hermgauss(points)
+    offsets = math.sqrt(2.0) * np.array(list(itertools.product(nodes, repeat=d))) \
+        * dist.stddevs
+    wgt = np.prod(list(itertools.product(weights, repeat=d)), axis=1) / math.pi ** (d / 2.0)
+    vals = np.array([_scalar(f, x + w) for w in offsets])
+    if use_grad:
+        grad = wgt @ np.array([np.asarray(grad_f(x + w), dtype=float).reshape(d)
+                               for w in offsets])
+    else:
+        grad = offsets.T @ (wgt * vals) / dist.variances
+    return float(wgt @ vals), grad
+
+
+def _scalar(f, point) -> float:
+    """f at one point (a length-d vector) as a float."""
+    return float(np.asarray(f(point), dtype=float).reshape(()))
+
+
+def _piecewise_1d(f, x, sigma, breakpoints, moment) -> float:
+    """Adaptive quadrature of f(x+w) * w**moment against the N(0, sigma^2) pdf."""
+    lo, hi = -_TAIL_SIGMAS * sigma, _TAIL_SIGMAS * sigma
+    cuts = sorted(b - x for b in breakpoints if lo < b - x < hi)
+    edges = [lo, *cuts, hi]
+    norm_const = 1.0 / (sigma * math.sqrt(2.0 * math.pi))
+
+    def integrand(w):
+        return (_scalar(f, np.array([x + w])) * w**moment * norm_const
+                * math.exp(-0.5 * (w / sigma) ** 2))
+
+    return sum(integrate.quad(integrand, a, b, epsabs=1e-13, epsrel=1e-11, limit=200)[0]
+               for a, b in zip(edges[:-1], edges[1:]))
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,12 @@ from bundleopt.irs_lqr import TrajectoryIterate
 
 PLAN = {"task": "push_1d", "modes": ["exact"], "sigma0": 0.25, "seeds": [0],
         "max_iters": 2}
+PROBE = {"state": [0.0, 0.0, 0.7], "sigma": 0.06,
+         "grid": {"x": {"start": 0.0, "stop": 0.1, "count": 2},
+                  "y": {"start": 0.5, "stop": 0.6, "count": 2}}}
+# contact-probe "system" values the schema rejects, by case name
+BAD_SYSTEMS = {"system_unknown_key": {"bogus": 1}, "system_k_string": {"k": "x"},
+               "system_k_bool": {"k": True}}
 
 
 def _plan(tmp_path, config):
@@ -52,7 +58,7 @@ def test_unknown_config_key_exits_2(tmp_path, capsys):
                                   "config_not_utf8", "out_is_file", "param_type",
                                   "unknown_key", "gamma_out_of_range",
                                   "quadrature_points", "q_angle_infinite", "q_angle_nan",
-                                  "jobs_not_int", "jobs_zero"])
+                                  "jobs_not_int", "jobs_zero", *BAD_SYSTEMS])
 def test_bad_arguments_exit_2_with_one_line(tmp_path, capsys, case):
     config, out, extra = tmp_path / "config.json", tmp_path / "out", []
     config.write_text(json.dumps(PLAN))
@@ -84,6 +90,9 @@ def test_bad_arguments_exit_2_with_one_line(tmp_path, capsys, case):
         config.write_text(json.dumps({"function": "heaviside", "sigma": 1.0,
                                       "grid": {"start": 0.0, "stop": 1.0, "count": 2},
                                       "quadrature_points": 201}))
+    elif case in BAD_SYSTEMS:
+        verb = "contact-probe"
+        config.write_text(json.dumps({**PROBE, "system": BAD_SYSTEMS[case]}))
     else:
         config.write_text(json.dumps({**PLAN, "schedule": {"policy": "geometric",
                                                            "gamma": 2}}))
@@ -103,6 +112,10 @@ def test_bad_arguments_exit_2_with_one_line(tmp_path, capsys, case):
         assert "argument --jobs: invalid int value: 'abc'" in err
     elif case == "jobs_zero":
         assert "--jobs must be >= 1" in err
+    elif case == "system_unknown_key":
+        assert "'bogus' was unexpected" in err
+    elif case in BAD_SYSTEMS:
+        assert "is not of type 'number' at $.system.k" in err
 
 
 def test_jobs_beyond_the_run_count_start_one_worker_per_run(tmp_path, monkeypatch):
@@ -183,9 +196,7 @@ def test_diverged_column_is_the_planner_stop_rule(tmp_path, monkeypatch, costs, 
 def test_contact_probe_has_no_seed(tmp_path, capsys):
     # the probe is deterministic quadrature, so it takes no --seed
     config = tmp_path / "config.json"
-    config.write_text(json.dumps({"state": [0.0, 0.0, 0.7], "sigma": 0.06,
-                                  "grid": {"x": {"start": 0.0, "stop": 0.1, "count": 2},
-                                           "y": {"start": 0.5, "stop": 0.6, "count": 2}}}))
+    config.write_text(json.dumps(PROBE))
     code = cli.main(["contact-probe", "--config", str(config), "--out", str(tmp_path / "out"),
                      "--seed", "1"])
     err = capsys.readouterr().err
@@ -198,9 +209,7 @@ def test_contact_probe_has_no_seed(tmp_path, capsys):
 def test_contact_probe_names_a_non_finite_parameter(tmp_path, capsys, k):
     config = tmp_path / "config.json"
     # json writes and reads these as Infinity and NaN
-    config.write_text(json.dumps({"system": {"k": k}, "state": [0.0, 0.0, 0.7], "sigma": 0.06,
-                                  "grid": {"x": {"start": 0.0, "stop": 0.1, "count": 2},
-                                           "y": {"start": 0.5, "stop": 0.6, "count": 2}}}))
+    config.write_text(json.dumps({**PROBE, "system": {"k": k}}))
     code = cli.main(["contact-probe", "--config", str(config), "--out", str(tmp_path / "out")])
     err = capsys.readouterr().err
     assert code == 2
@@ -226,7 +235,7 @@ def test_contact_probe_bundles_equal_per_node_steps():
     state, params = Contact2DState(*config["state"]), Contact2DParams()
     dist = SmoothingDistribution.isotropic(2, config["sigma"])
     for cx, cy in ((-0.4, 0.45), (0.1, 0.6), (0.35, 0.8)):
-        row = cli._probe_point((config, cx, cy))
+        row = cli._probe_point((config, params, cx, cy))
         for column, step in ((4, step_2d_exact), (5, step_2d_anitescu)):
             expected = gauss_hermite_expectation(
                 lambda c, step=step: step(state, (float(c[0]), float(c[1])), params)[0].xu,

@@ -1,8 +1,8 @@
 """Every name a bundleopt module imports is used in that module, every
 module-level private name (`_x`) is referenced somewhere in the package,
 and every name in a module's `__all__` exists and is a package export.
-Importing the package, and planning without inequalities, leave scipy and
-jsonschema unloaded.
+No module imports scipy.integrate. Importing the package, and planning
+without inequalities, leave scipy and jsonschema unloaded.
 
 `__init__.py` is exempt from the first check: its imports are the
 package's exports.
@@ -87,6 +87,39 @@ def test_checker_flags_an_orphan_private_name():
 def test_every_private_name_is_referenced():
     sources = {p.stem: p.read_text(encoding="utf-8") for p in sorted(SRC.glob("*.py"))}
     assert orphan_private_names(sources) == []
+
+
+def imported_modules(source: str) -> set[str]:
+    """Every module an import statement of `source` names, `from a import b` as a.b too."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names.update(a.name for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            names.add(node.module)
+            names.update(f"{node.module}.{a.name}" for a in node.names)
+    return names
+
+
+def imports_scipy_integrate(source: str) -> bool:
+    return any(name == "scipy.integrate" or name.startswith("scipy.integrate.")
+               for name in imported_modules(source))
+
+
+@pytest.mark.parametrize("source", [
+    "import scipy.integrate", "import scipy.integrate as si",
+    "from scipy import integrate", "from scipy.integrate import quad",
+    "def f():\n    from scipy import integrate\n"],
+    ids=["import", "import_as", "from_scipy", "from_integrate", "inside_function"])
+def test_checker_flags_a_scipy_integrate_import(source):
+    assert imports_scipy_integrate(source)
+    assert not imports_scipy_integrate("import scipy.linalg\nfrom scipy import linalg\n")
+
+
+def test_no_module_imports_scipy_integrate():
+    # the quadrature that needed it is a test reference (tests/oracles.py)
+    assert [p.name for p in sorted(SRC.glob("*.py"))
+            if imports_scipy_integrate(p.read_text(encoding="utf-8"))] == []
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)

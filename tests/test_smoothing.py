@@ -15,7 +15,7 @@ from bundleopt.irs_lqr import GradientMode, joint_variances, linearize_trajector
 from bundleopt.systems import LinearSystem, Quadrotor
 from bundleopt.tasks import build_task
 
-from oracles import CLOSED_FORMS, blended_jacobian_1d
+from oracles import CLOSED_FORMS, blended_jacobian_1d, quadrature_smoothing
 
 
 class TestSmoothingDistribution:
@@ -150,7 +150,7 @@ class TestZeroOrderBundle:
         est = zero_order_gradient_bundle(lambda x: float(x[0]) ** 2, [1.0], dist,
                                          200000, seed=4)
         # the smoothed quadratic has the same slope as the original at x=1
-        _, grad = convolution_oracle(lambda x: float(x[0]) ** 2, [1.0], dist, 201)
+        _, grad = quadrature_smoothing(lambda x: float(x[0]) ** 2, [1.0], dist)
         assert grad[0] == pytest.approx(2.0, abs=1e-9)
         assert abs(est.value[0] - 2.0) < 0.02
 
@@ -315,8 +315,8 @@ class TestVarianceSchedule:
 
 class TestStatisticalInvariants:
     def test_lemma_smoothed_gradient_is_gradient_of_smoothed(self):
-        # central difference of the quadrature value matches the quadrature
-        # gradient for every catalog function and several widths
+        # central difference of the closed-form smoothed value matches its
+        # closed-form gradient for every catalog function and several widths
         for fid in ("wiggly_quadratic", "heaviside", "vee"):
             f = get_test_function(fid)
             for sigma in (0.05, 0.2, 1.0):
