@@ -18,9 +18,11 @@ also take --seed:
 Configs are JSON, schema-validated with unknown keys rejected. Every run
 writes result CSVs (schema version stamped in a leading comment row) and
 a manifest echoing the effective configuration; outputs are byte-identical
-for a fixed seed regardless of --jobs. Wall-clock timings go to the log
-(BUNDLEOPT_LOG in {error, info, debug}), never into the result files.
-Exit codes: 0 success, 2 configuration error, 3 numerical failure.
+for a fixed seed regardless of --jobs. The --out directory is created
+only after the run has finished, so a failed run leaves none. Wall-clock
+timings go to the log (BUNDLEOPT_LOG in {error, info, debug}), never into
+the result files. Exit codes: 0 success, 2 configuration error, 3
+numerical failure.
 """
 
 from __future__ import annotations
@@ -167,14 +169,16 @@ def main(argv=None) -> int:
         config = _load_config(args.config, args.verb)
         if seed is not None:
             config.update({"seed": seed} if args.verb == "bundle-eval" else {"seeds": [seed]})
-        os.makedirs(args.out, exist_ok=True)
         started = time.perf_counter()
         runner = {"bundle-eval": _run_bundle_eval, "plan": _run_plan,
                   "contact-probe": _run_contact_probe}[args.verb]
-        outputs = runner(config, args.out, args.jobs)
-        _write_manifest(args.out, args.verb, config, outputs)
+        tables = runner(config, args.jobs)
+        os.makedirs(args.out, exist_ok=True)
+        for name, (header, rows) in tables.items():
+            _write_csv(os.path.join(args.out, name), header, rows)
+        _write_manifest(args.out, args.verb, config, tables)
         log.info("%s finished in %.2fs -> %s", args.verb,
-                 time.perf_counter() - started, ", ".join(outputs))
+                 time.perf_counter() - started, ", ".join(tables))
         return 0
     except (ConfigurationError, json.JSONDecodeError, UnicodeDecodeError, FileNotFoundError,
             NotADirectoryError, IsADirectoryError, FileExistsError) as exc:
@@ -270,14 +274,12 @@ def _bundle_eval_point(item):
             float(grad_zero.value[0]), float(grad_q[0])]
 
 
-def _run_bundle_eval(config: dict, out_dir: str, jobs: int):
+def _run_bundle_eval(config: dict, jobs: int):
     config = {"seed": 0, **config}
     xs = _grid_points(config["grid"])
     rows = _pmap(_bundle_eval_point, [(config, float(x), i) for i, x in enumerate(xs)], jobs)
-    path = os.path.join(out_dir, "bundle_eval.csv")
-    _write_csv(path, ["x", "bundled_mc", "bundled_oracle", "grad_first_order",
-                      "grad_zero_order", "grad_oracle"], rows)
-    return ["bundle_eval.csv"]
+    return {"bundle_eval.csv": (["x", "bundled_mc", "bundled_oracle", "grad_first_order",
+                                 "grad_zero_order", "grad_oracle"], rows)}
 
 
 # ---------------------------------------------------------------------------
@@ -308,7 +310,7 @@ def _plan_run(item):
     return result_rows, traj_rows, elapsed
 
 
-def _run_plan(config: dict, out_dir: str, jobs: int):
+def _run_plan(config: dict, jobs: int):
     items = [(config, kind, int(seed))
              for kind in config["modes"] for seed in config["seeds"]]
     results = _pmap(_plan_run, items, jobs)
@@ -318,14 +320,10 @@ def _run_plan(config: dict, out_dir: str, jobs: int):
     traj_rows = [row for res in results for row in res[1]]
     for (cfg, kind, seed), res in zip(items, results):
         log.info("plan %s mode=%s seed=%d: %.2fs", config["task"], kind, seed, res[2])
-    _write_csv(os.path.join(out_dir, "results.csv"),
-               ["task", "mode", "seed", "iteration", "cost",
-                "infeasible_steps", "diverged"], result_rows)
-    _write_csv(os.path.join(out_dir, "trajectory.csv"),
-               ["task", "mode", "seed", "t",
-                *[f"x{i}" for i in range(n)], *[f"u{i}" for i in range(m)]],
-               traj_rows)
-    return ["results.csv", "trajectory.csv"]
+    return {"results.csv": (["task", "mode", "seed", "iteration", "cost",
+                             "infeasible_steps", "diverged"], result_rows),
+            "trajectory.csv": (["task", "mode", "seed", "t", *[f"x{i}" for i in range(n)],
+                                *[f"u{i}" for i in range(m)]], traj_rows)}
 
 
 # ---------------------------------------------------------------------------
@@ -351,16 +349,14 @@ def _probe_point(item):
     return [cx, cy, *steps, *bundles]
 
 
-def _run_contact_probe(config: dict, out_dir: str, jobs: int):
+def _run_contact_probe(config: dict, jobs: int):
     xs = _grid_points(config["grid"]["x"])
     ys = _grid_points(config["grid"]["y"])
     params = Contact2DParams(**config.get("system", {}))
     items = [(config, params, float(cx), float(cy)) for cx in xs for cy in ys]
     rows = _pmap(_probe_point, items, jobs)
-    path = os.path.join(out_dir, "contact_probe.csv")
-    _write_csv(path, ["x_command", "y_command", "exact", "anitescu",
-                      "bundled_exact", "bundled_anitescu"], rows)
-    return ["contact_probe.csv"]
+    return {"contact_probe.csv": (["x_command", "y_command", "exact", "anitescu",
+                                   "bundled_exact", "bundled_anitescu"], rows)}
 
 
 if __name__ == "__main__":

@@ -30,9 +30,9 @@ both read it.
 
 Per-knot sample seeds derive deterministically from (run seed, iteration,
 knot index), so results are bit-identical regardless of how callers
-parallelize the per-knot work. Each knot's bundle draws its own samples
-and evaluates them in one batched call on the dynamics, so a knot's
-linearization does not depend on which other knots share the iteration.
+parallelize the per-knot work. Each knot draws its own samples, and an
+iteration's knots share a few batched calls on the dynamics, so a knot's
+linearization does not depend on which other knots share its call.
 """
 
 from __future__ import annotations
@@ -45,7 +45,7 @@ from . import qp as _qp
 from .errors import ConfigurationError
 from .smoothing import (SmoothingDistribution, jacobian_bundle_first_order,
                         jacobian_bundle_zero_order, variance_schedule)
-from .systems import DynamicalSystem, LinearizedDynamics, linearize_exact
+from .systems import DynamicalSystem, LinearizedDynamics, affine_models, linearize_exact
 
 __all__ = [
     "MpcProblem",
@@ -67,6 +67,8 @@ _SLACK_WEIGHT = 1e6
 _CONVERGENCE_RTOL = 1e-6
 _CONVERGENCE_STREAK = 3
 _DIVERGENCE_STREAK = 5
+# Bytes of Jacobians (rows x n x (n+m) floats) per bundle call; its peak is about twice that.
+_BATCH_BYTES = 128 * 1024
 
 
 @dataclass
@@ -266,31 +268,30 @@ def linearize_trajectory(sys: DynamicalSystem, xs, us, mode: GradientMode,
                          ) -> list[LinearizedDynamics]:
     """Per-knot linear models around a nominal trajectory.
 
-    `xs` must be the rollout of `us`: bundle offsets read f(x_t, u_t) at xs[t + 1].
+    `xs` must be the rollout of `us`: offsets read f(x_t, u_t) at xs[t + 1].
     `variances` are the joint (state, input) sampling variances for the
-    bundle modes; the exact mode never reads them. Each knot's bundle uses
-    that knot's own seed and one batched call on the dynamics. All-zero
+    bundle modes; the exact mode never reads them and makes one
+    jacobians_batch call. The bundle modes seed each knot on its own and
+    make one bundle call per group of knots, sized by _BATCH_BYTES. All-zero
     variances make every mode take the exact path, so degenerate-variance
     runs of all modes are bit-identical.
     """
     xs = np.asarray(xs, dtype=float)
     us = np.asarray(us, dtype=float)
-    T = us.shape[0]
+    (T, m), n = us.shape, xs.shape[1]
+    knots, nexts = xs[:T], xs[1:]
+    dist = None if mode.kind == "exact" else SmoothingDistribution(variances)
+    if dist is None or dist.is_zero:
+        return linearize_exact(sys, knots, us, nexts)
+    bundle = (jacobian_bundle_first_order if mode.kind == "first_order_bundle"
+              else jacobian_bundle_zero_order)
+    seeds = [derive_knot_seed(run_seed, iteration, t) for t in range(T)]
+    group = max(1, _BATCH_BYTES // (mode.samples * n * (n + m) * 8))
     lins = []
-    dist = None
-    if mode.kind != "exact":
-        dist = SmoothingDistribution(variances)
-    for t in range(T):
-        x_nom, u_nom = xs[t], us[t]
-        if mode.kind == "exact" or dist.is_zero:
-            lins.append(linearize_exact(sys, x_nom, u_nom))
-            continue
-        seed = derive_knot_seed(run_seed, iteration, t)
-        bundle = (jacobian_bundle_first_order if mode.kind == "first_order_bundle"
-                  else jacobian_bundle_zero_order)
-        a, b = bundle(sys, x_nom, u_nom, dist, mode.samples, seed)
-        c = xs[t + 1] - a @ x_nom - b @ u_nom
-        lins.append(LinearizedDynamics(A=a, B=b, c=c, x_nominal=x_nom, u_nominal=u_nom))
+    for start in range(0, T, group):
+        k = slice(start, start + group)
+        a, b = bundle(sys, knots[k], us[k], dist, mode.samples, seeds[k])
+        lins += affine_models(a, b, knots[k], us[k], nexts[k])
     return lins
 
 

@@ -11,10 +11,12 @@ Every perturbation density is a zero-mean Gaussian with independent
 coordinates, given by one variance per coordinate; a sample is a standard
 normal draw scaled by the standard deviations.
 
-The Jacobian bundles make one batched call on the dynamics per knot: the
-first-order bundle one jacobians_batch call on its n perturbed points,
-the zero-order bundle one step_batch call (see systems.py for the batch
-protocol).
+The Jacobian bundles take a stack of knots, each with its own seed and
+samples, and make one batched call on the dynamics for all of them: the
+first-order bundle one jacobians_batch call on every knot's n perturbed
+points, the zero-order bundle one step_batch call (see systems.py for the
+batch protocol). A knot's result does not depend on the other knots in
+its stack.
 
 Determinism contract: every estimator is a pure function of its inputs and
 the 64-bit seed. Samples come from numpy's PCG64 generator, and reductions
@@ -165,59 +167,61 @@ def zero_order_gradient_bundle(f, x, dist: SmoothingDistribution, n: int,
 
 
 def jacobian_bundle_first_order(dynamics, x_nom, u_nom, dist: SmoothingDistribution,
-                                n: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
+                                n: int, seeds) -> tuple[np.ndarray, np.ndarray]:
     """Monte-Carlo average of dynamics Jacobians at jointly perturbed points.
 
-    `dist` is over the stacked (state, input) perturbation of dimension
-    n_x + n_u; zero variances freeze the corresponding variables.
-    One jacobians_batch call evaluates all n points; the sum runs over the
-    samples in order. Returns (A_hat, B_hat).
+    x_nom (K, n_x) and u_nom (K, n_u) stack K knots (one knot is a stack
+    of one), each drawing n samples from its own seed. `dist` is over the
+    joint (state, input) perturbation; zero variances freeze variables.
+    One jacobians_batch call evaluates all K n points; each knot's sum runs
+    over its samples in order. Returns (A_hat, B_hat), (K, n_x, n_x) and
+    (K, n_x, n_u).
     """
-    x_nom = np.asarray(x_nom, dtype=float)
-    u_nom = np.asarray(u_nom, dtype=float)
-    nx, nu = x_nom.shape[0], u_nom.shape[0]
-    _check_joint_dim(dist, nx, nu)
-    z = sample_perturbations(dist, n, seed)
-    a, b = dynamics.jacobians_batch(x_nom + z[:, :nx], u_nom + z[:, nx:])
-    return np.sum(a, axis=0) / n, np.sum(b, axis=0) / n
+    x_nom, u_nom = _knots(x_nom, u_nom, dist, seeds)
+    z = np.stack([sample_perturbations(dist, n, seed) for seed in seeds])
+    (k, nx), nu = x_nom.shape, u_nom.shape[1]
+    jac = dynamics.jacobians_batch((x_nom[:, None] + z[:, :, :nx]).reshape(-1, nx),
+                                   (u_nom[:, None] + z[:, :, nx:]).reshape(-1, nu))
+    return tuple(np.sum(j.reshape(k, n, *j.shape[1:]), axis=1) / n for j in jac)
 
 
 def jacobian_bundle_zero_order(dynamics, x_nom, u_nom, dist: SmoothingDistribution,
-                               n: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
+                               n: int, seeds) -> tuple[np.ndarray, np.ndarray]:
     """Least-squares fit of the local dynamics from sampled deviations.
 
-    Regresses f(x+w_i, u+v_i) - f(x, u) onto the stacked perturbations
-    (w_i, v_i), giving the zero-order Jacobian bundle (A_hat, B_hat); one
-    step_batch call evaluates the nominal step and all n sampled steps.
+    Knots, seeds and shapes as in jacobian_bundle_first_order. Each knot
+    regresses f(x+w_i, u+v_i) - f(x, u) onto its perturbations (w_i, v_i);
+    one step_batch call evaluates every knot's nominal and n sampled steps.
     Requires n >= dim(x)+dim(u) samples and perturbation variance in every
     direction. With all variances exactly zero the fit degenerates and the
-    dynamics' own Jacobians at the nominal point are returned instead.
+    dynamics' own Jacobians at the knots are returned instead.
     """
-    x_nom = np.asarray(x_nom, dtype=float)
-    u_nom = np.asarray(u_nom, dtype=float)
-    nx, nu = x_nom.shape[0], u_nom.shape[0]
-    _check_joint_dim(dist, nx, nu)
+    x_nom, u_nom = _knots(x_nom, u_nom, dist, seeds)
     if dist.is_zero:
-        return dynamics.jacobians(x_nom, u_nom)
+        return dynamics.jacobians_batch(x_nom, u_nom)
     if np.any(dist.variances == 0.0):
         raise ConfigurationError(
             "zero-order Jacobian bundle needs perturbation variance in every "
             "state and input direction (or all variances exactly zero for the "
             "degenerate exact fallback)")
-    d = nx + nu
+    d = dist.dimension
     if n < d:
         raise ConfigurationError(
             f"zero-order Jacobian bundle needs at least dim(x)+dim(u)={d} samples, got {n}")
-    z = sample_perturbations(dist, n, seed)
-    # row 0 is the nominal point f(x, u), rows 1..n the sampled steps
-    f = np.asarray(dynamics.step_batch(np.concatenate([x_nom[None], x_nom + z[:, :nx]]),
-                                       np.concatenate([u_nom[None], u_nom + z[:, nx:]])),
-                   dtype=float)
-    dev = f[1:] - f[0]
-    gram = z.T @ z
+    z = np.stack([sample_perturbations(dist, n, seed) for seed in seeds])
+    (k, nx), nu = x_nom.shape, u_nom.shape[1]
+    # row 0 of each knot is the nominal point f(x, u), rows 1..n the sampled steps
+    xs = np.concatenate([x_nom[:, None], x_nom[:, None] + z[:, :, :nx]], axis=1)
+    us = np.concatenate([u_nom[:, None], u_nom[:, None] + z[:, :, nx:]], axis=1)
+    f = np.asarray(dynamics.step_batch(xs.reshape(-1, nx), us.reshape(-1, nu)),
+                   dtype=float).reshape(k, n + 1, nx)
+    dev = f[:, 1:] - f[:, :1]
+    zt = z.transpose(0, 2, 1)
+    gram = zt @ z
     _require_full_rank(gram, d)
-    coef = np.linalg.solve(gram, z.T @ dev).T
-    return coef[:, :nx], coef[:, nx:]
+    # coef[k] is the transpose of knot k's solve output, as a view
+    coef = np.linalg.solve(gram, zt @ dev).transpose(0, 2, 1)
+    return coef[:, :, :nx], coef[:, :, nx:]
 
 
 def variance_schedule(var0, k: int, policy: str = "geometric",
@@ -265,13 +269,18 @@ def _variance(summands: np.ndarray) -> np.ndarray:
 
 
 def _require_full_rank(gram: np.ndarray, d: int):
-    tol = 1e-12 * max(1.0, float(np.max(np.abs(gram))))
-    if np.linalg.matrix_rank(gram, tol=tol) < d:
+    tol = 1e-12 * np.maximum(1.0, np.max(np.abs(gram), axis=(-2, -1)))
+    if np.any(np.linalg.matrix_rank(gram, tol=tol) < d):
         raise SingularRegressionError(
             "perturbation samples do not span the space; raise the sample count n")
 
 
-def _check_joint_dim(dist: SmoothingDistribution, nx: int, nu: int):
-    if dist.dimension != nx + nu:
+def _knots(x_nom, u_nom, dist: SmoothingDistribution, seeds):
+    """Stacked knots as (K, n_x) and (K, n_u) float arrays, checked against K seeds and dist."""
+    x_nom, u_nom = np.asarray(x_nom, dtype=float), np.asarray(u_nom, dtype=float)
+    if (x_nom.ndim != 2 or u_nom.ndim != 2 or not len(x_nom) == len(u_nom) == len(seeds)
+            or x_nom.shape[1] + u_nom.shape[1] != dist.dimension):
         raise ConfigurationError(
-            f"distribution dimension {dist.dimension} != dim(x)+dim(u) = {nx + nu}")
+            f"knots must stack as (K, n_x), (K, n_u) with K seeds and n_x + n_u = "
+            f"{dist.dimension}, got {x_nom.shape}, {u_nom.shape} and {len(seeds)} seeds")
+    return x_nom, u_nom

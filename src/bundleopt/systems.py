@@ -7,16 +7,18 @@ DynamicalSystem interface.
 Batch protocol: a system's primitives are step_batch(xs, us), the next
 states of N (state, input) rows, shape (N, n), and jacobians_batch(xs,
 us), the Jacobians (d step/dx, d step/du) at each row, shapes (N, n, n)
-and (N, n, m). The physics of each system is written once, in batch form;
-step(x, u) and jacobians(x, u) are their batch of one. Every system
+and (N, n, m). step(x, u) and jacobians(x, u) are one row. Every system
 states its Jacobians analytically; a piecewise system gives each row its
-piece's.
+piece's. A smooth system writes its physics once, as elementwise formulas
+on state and input components: step_batch evaluates them on a batch's
+columns, step on one row's Python floats, skipping a batch of one's array
+overhead.
 
-Determinism rule: row i of a batch equals the batch-of-one result for
-that row bit for bit, whatever the batch size. So the physics uses
-elementwise arithmetic only, never a BLAS matrix product, whose
-summation order can change with the number of rows (a one-row product
-takes the matrix-vector path).
+Determinism rule: row i of a batch equals step and jacobians of that row
+bit for bit, whatever the batch size. So the physics uses elementwise
+arithmetic and numpy's own ufuncs only (np.sin of a float rounds as on an
+array), never a BLAS matrix product, whose summation order can change
+with the number of rows (a one-row product takes the matrix-vector path).
 """
 
 from __future__ import annotations
@@ -40,8 +42,9 @@ class DynamicalSystem:
     """Deterministic discrete-time dynamics x_{t+1} = step(x_t, u_t).
 
     Subclasses implement step_batch and jacobians_batch (see the module
-    docstring). step and jacobians are defined here once, but every
-    subclass also binds them in its own class body: the benchmark's tracer
+    docstring). step and jacobians default to a batch of one; the smooth
+    systems override step with their physics on floats. Every subclass
+    binds step and jacobians in its own class body: the benchmark's tracer
     (perfbench/spans.py) wraps the step, step_batch and jacobians that each
     class defines.
     """
@@ -72,6 +75,17 @@ def _one_row(v) -> np.ndarray:
     return np.asarray(v, dtype=float)[None, :]
 
 
+def _step_floats(self, x, u) -> np.ndarray:
+    """step of a system whose _next takes components: on the floats of one row."""
+    return np.array(self._next(*np.asarray(x, dtype=float).tolist(),
+                               *np.asarray(u, dtype=float).tolist()))
+
+
+def _step_columns(self, xs, us) -> np.ndarray:
+    """step_batch of a system whose _next takes components: on the columns."""
+    return np.stack(self._next(*xs.T, *us.T), axis=1)
+
+
 @dataclass(frozen=True)
 class LinearizedDynamics:
     """Affine model x_{t+1} ~ A x_t + B u_t + c around a nominal point.
@@ -87,14 +101,19 @@ class LinearizedDynamics:
     u_nominal: np.ndarray
 
 
-def linearize_exact(sys: DynamicalSystem, x_nom, u_nom) -> LinearizedDynamics:
-    """First-order Taylor model of the dynamics at (x_nom, u_nom)."""
-    x_nom = np.asarray(x_nom, dtype=float)
-    u_nom = np.asarray(u_nom, dtype=float)
-    a, b = sys.jacobians(x_nom, u_nom)
-    f0 = np.asarray(sys.step(x_nom, u_nom), dtype=float)
-    c = f0 - a @ x_nom - b @ u_nom
-    return LinearizedDynamics(A=a, B=b, c=c, x_nominal=x_nom, u_nominal=u_nom)
+def affine_models(a, b, x_nom, u_nom, x_next) -> list[LinearizedDynamics]:
+    """Per-knot models from stacked Jacobians, knots and next states x_next = step(knot)."""
+    return [LinearizedDynamics(A=a[k], B=b[k], c=x_next[k] - a[k] @ x_nom[k] - b[k] @ u_nom[k],
+                               x_nominal=x_nom[k], u_nominal=u_nom[k])
+            for k in range(len(x_nom))]
+
+
+def linearize_exact(sys: DynamicalSystem, x_nom, u_nom, x_next) -> list[LinearizedDynamics]:
+    """Taylor models at knots x_nom (K, n), u_nom (K, m), one jacobians_batch call.
+
+    One knot is a stack of one; x_next (K, n) is step at each knot.
+    """
+    return affine_models(*sys.jacobians_batch(x_nom, u_nom), x_nom, u_nom, x_next)
 
 
 # ---------------------------------------------------------------------------
@@ -111,7 +130,8 @@ class Pendulum(DynamicalSystem):
 
     state_dim = 2
     input_dim = 1
-    step = DynamicalSystem.step
+    step = _step_floats
+    step_batch = _step_columns
     jacobians = DynamicalSystem.jacobians
 
     def __init__(self, mass=1.0, length=1.0, gravity=9.81, damping=0.0, h=0.01):
@@ -121,13 +141,12 @@ class Pendulum(DynamicalSystem):
         self.damping = damping
         self.h = h
 
-    def step_batch(self, xs, us):
-        theta, omega = xs[:, 0], xs[:, 1]
+    def _next(self, theta, omega, torque):
         inertia = self.mass * self.length**2
-        accel = (us[:, 0] - self.damping * omega
+        accel = (torque - self.damping * omega
                  - self.mass * self.gravity * self.length * np.sin(theta)) / inertia
         omega_next = omega + self.h * accel
-        return np.stack([theta + self.h * omega_next, omega_next], axis=1)
+        return theta + self.h * omega_next, omega_next
 
     def jacobians_batch(self, xs, us):
         h = self.h
@@ -153,17 +172,16 @@ class DubinsCar(DynamicalSystem):
 
     state_dim = 3
     input_dim = 2
-    step = DynamicalSystem.step
+    step = _step_floats
+    step_batch = _step_columns
     jacobians = DynamicalSystem.jacobians
 
     def __init__(self, h=0.1):
         self.h = h
 
-    def step_batch(self, xs, us):
-        psi = xs[:, 2]
-        return np.stack([xs[:, 0] + self.h * us[:, 0] * np.cos(psi),
-                         xs[:, 1] + self.h * us[:, 0] * np.sin(psi),
-                         psi + self.h * us[:, 1]], axis=1)
+    def _next(self, px, py, psi, speed, turn):
+        return (px + self.h * speed * np.cos(psi), py + self.h * speed * np.sin(psi),
+                psi + self.h * turn)
 
     def jacobians_batch(self, xs, us):
         psi = xs[:, 2]
@@ -192,14 +210,13 @@ class QuadrotorParams:
     gravity: float = 9.81
 
 
-def _euler_trig(xs):
-    """sin and cos of roll, pitch and yaw (state columns 3-5)."""
-    roll, pitch, yaw = xs[:, 3], xs[:, 4], xs[:, 5]
+def _euler_trig(roll, pitch, yaw):
+    """sin and cos of roll, pitch and yaw."""
     return np.sin(roll), np.cos(roll), np.sin(pitch), np.cos(pitch), np.sin(yaw), np.cos(yaw)
 
 
 def _body_z_in_world(sr, cr, sp, cp, sy, cy):
-    return np.stack([cr * sp * cy + sr * sy, cr * sp * sy - sr * cy, cr * cp], axis=1)
+    return cr * sp * cy + sr * sy, cr * sp * sy - sr * cy, cr * cp
 
 
 class Quadrotor(DynamicalSystem):
@@ -214,7 +231,8 @@ class Quadrotor(DynamicalSystem):
 
     state_dim = 12
     input_dim = 4
-    step = DynamicalSystem.step
+    step = _step_floats
+    step_batch = _step_columns
     jacobians = DynamicalSystem.jacobians
 
     def __init__(self, params: QuadrotorParams = QuadrotorParams(), h=0.01):
@@ -231,34 +249,31 @@ class Quadrotor(DynamicalSystem):
                          [-larm, 0.0, larm, 0.0],
                          [kappa, -kappa, kappa, -kappa]])
 
-    def step_batch(self, xs, us):
+    def _next(self, px, py, pz, roll, pitch, yaw, vx, vy, vz, w0, w1, w2, u0, u1, u2, u3):
         pr, h = self.params, self.h
-        trig = _euler_trig(xs)
-        sr, cr, sp, cp, sy, cy = trig
-        tp = np.tan(xs[:, 4])
-        w = xs[:, 9:12]
-        w0, w1, w2 = w[:, 0], w[:, 1], w[:, 2]
-        u0, u1, u2, u3 = us[:, 0], us[:, 1], us[:, 2], us[:, 3]
-        inertia = np.asarray(pr.inertia)
-        torque = np.stack([pr.arm_length * (u1 - u3),
-                           pr.arm_length * (u2 - u0),
-                           pr.drag_to_thrust * (u0 - u1 + u2 - u3)], axis=1)
+        i0, i1, i2 = pr.inertia
+        sr, cr, sp, cp, sy, cy = _euler_trig(roll, pitch, yaw)
+        tp = np.tan(pitch)
         # body angular velocity -> ZYX Euler angle rates
-        euler_dot = np.stack([w0 + sr * tp * w1 + cr * tp * w2,
-                              cr * w1 - sr * w2,
-                              sr / cp * w1 + cr / cp * w2], axis=1)
-        accel = ((u0 + u1 + u2 + u3) / pr.mass)[:, None] * _body_z_in_world(*trig) \
-            - np.array([0.0, 0.0, pr.gravity])
-        omega_dot = (torque - np.cross(w, inertia * w)) / inertia
-        return np.concatenate([xs[:, 0:3] + h * xs[:, 6:9],
-                               xs[:, 3:6] + h * euler_dot,
-                               xs[:, 6:9] + h * accel,
-                               w + h * omega_dot], axis=1)
+        roll_rate = w0 + sr * tp * w1 + cr * tp * w2
+        pitch_rate = cr * w1 - sr * w2
+        yaw_rate = sr / cp * w1 + cr / cp * w2
+        thrust = (u0 + u1 + u2 + u3) / pr.mass
+        zx, zy, zz = _body_z_in_world(sr, cr, sp, cp, sy, cy)
+        # w' = I^{-1} (tau(u) - w x (I w))
+        iw0, iw1, iw2 = i0 * w0, i1 * w1, i2 * w2
+        wd0 = (pr.arm_length * (u1 - u3) - (w1 * iw2 - w2 * iw1)) / i0
+        wd1 = (pr.arm_length * (u2 - u0) - (w2 * iw0 - w0 * iw2)) / i1
+        wd2 = (pr.drag_to_thrust * (u0 - u1 + u2 - u3) - (w0 * iw1 - w1 * iw0)) / i2
+        return (px + h * vx, py + h * vy, pz + h * vz,
+                roll + h * roll_rate, pitch + h * pitch_rate, yaw + h * yaw_rate,
+                vx + h * (thrust * zx), vy + h * (thrust * zy), vz + h * (thrust * zz - pr.gravity),
+                w0 + h * wd0, w1 + h * wd1, w2 + h * wd2)
 
     def jacobians_batch(self, xs, us):
         pr, h = self.params, self.h
         rows = xs.shape[0]
-        trig = _euler_trig(xs)
+        trig = _euler_trig(*xs[:, 3:6].T)
         sr, cr, sp, cp, sy, cy = trig
         tp = sp / cp
         w0, w1, w2 = xs[:, 9], xs[:, 10], xs[:, 11]
@@ -285,7 +300,7 @@ class Quadrotor(DynamicalSystem):
         a[:, 6:9, 4] = scale * np.stack([cr * cp * cy, cr * cp * sy, -cr * sp], axis=1)
         a[:, 6:8, 5] = scale * np.stack([-cr * sp * sy + sr * cy, cr * sp * cy + sr * sy],
                                         axis=1)
-        b[:, 6:9, :] = (h / pr.mass) * _body_z_in_world(*trig)[:, :, None]
+        b[:, 6:9, :] = (h / pr.mass) * np.stack(_body_z_in_world(*trig), axis=1)[:, :, None]
 
         # rotational block: w+ = w + h I^{-1} (tau(u) - w x (I w))
         i0, i1, i2 = pr.inertia
@@ -303,7 +318,6 @@ class Quadrotor(DynamicalSystem):
 class LinearSystem(DynamicalSystem):
     """x_{t+1} = A x + B u + c; its own exact linearization everywhere."""
 
-    step = DynamicalSystem.step
     jacobians = DynamicalSystem.jacobians
 
     def __init__(self, A, B, c=None):
@@ -313,11 +327,16 @@ class LinearSystem(DynamicalSystem):
         self.state_dim = self.A.shape[0]
         self.input_dim = self.B.shape[1]
 
-    def step_batch(self, xs, us):
-        # Elementwise products summed along each row: the same arithmetic
-        # for every row whatever the batch size (see the module docstring).
-        return (np.sum(xs[:, None, :] * self.A, axis=2)
-                + np.sum(us[:, None, :] * self.B, axis=2) + self.c)
+    def _affine(self, x, u):
+        # Elementwise products summed along the last axis: the same
+        # arithmetic for a row and for every row of a batch.
+        return (np.sum(x[..., None, :] * self.A, axis=-1)
+                + np.sum(u[..., None, :] * self.B, axis=-1) + self.c)
+
+    step_batch = _affine
+
+    def step(self, x, u):
+        return self._affine(np.asarray(x, dtype=float), np.asarray(u, dtype=float))
 
     def jacobians_batch(self, xs, us):
         rows = xs.shape[0]

@@ -8,8 +8,8 @@ elimination on top of the inequality QP solver, an affine Riccati
 recursion for finite-horizon tracking LQR, the stacked (uncondensed) MPC
 window QP, a complementarity-enumeration solver for the 1D contact step
 and the residuals of its defining equations, central-difference
-Jacobians of a batched step, and the identities behind linear models and
-the pendulum's energy.
+Jacobians of a batched step, the per-knot trajectory linearization, and
+the identities behind linear models and the pendulum's energy.
 """
 
 import itertools
@@ -22,7 +22,10 @@ from scipy.linalg import block_diag, solve_triangular
 from scipy.stats import norm
 
 from bundleopt.errors import ConfigurationError
+from bundleopt.irs_lqr import derive_knot_seed
 from bundleopt.qp import QpProblem, solve_qp
+from bundleopt.smoothing import SmoothingDistribution, sample_perturbations
+from bundleopt.systems import LinearizedDynamics
 
 
 # ---------------------------------------------------------------------------
@@ -492,6 +495,47 @@ def finite_difference_jacobians(step_batch, xs, us):
     f = f.reshape(rows, 2, d, -1)
     jac = ((f[:, 0] - f[:, 1]) / (2 * FD_STEP)).transpose(0, 2, 1)
     return jac[:, :, :n], jac[:, :, n:]
+
+
+# ---------------------------------------------------------------------------
+# per-knot trajectory linearization
+
+
+def per_knot_linearization(sys, xs, us, mode, variances, run_seed, iteration):
+    """irs_lqr.linearize_trajectory one knot at a time, with its own calls.
+
+    Each knot draws its samples from derive_knot_seed and makes its own
+    call on the dynamics: the exact mode steps the knot itself, the
+    first-order bundle averages its n sampled Jacobians, the zero-order
+    bundle solves its own normal equations. All-zero variances take the
+    exact path.
+    """
+    xs = np.asarray(xs, dtype=float)
+    us = np.asarray(us, dtype=float)
+    nx = xs.shape[1]
+    dist = None if mode.kind == "exact" else SmoothingDistribution(variances)
+    lins = []
+    for t in range(us.shape[0]):
+        x_nom, u_nom = xs[t], us[t]
+        if dist is None or dist.is_zero:
+            a, b = sys.jacobians(x_nom, u_nom)
+            f0 = np.asarray(sys.step(x_nom, u_nom), dtype=float)
+            lins.append(LinearizedDynamics(A=a, B=b, c=f0 - a @ x_nom - b @ u_nom,
+                                           x_nominal=x_nom, u_nominal=u_nom))
+            continue
+        z = sample_perturbations(dist, mode.samples, derive_knot_seed(run_seed, iteration, t))
+        if mode.kind == "first_order_bundle":
+            a, b = sys.jacobians_batch(x_nom + z[:, :nx], u_nom + z[:, nx:])
+            a, b = np.sum(a, axis=0) / mode.samples, np.sum(b, axis=0) / mode.samples
+        else:
+            f = np.asarray(sys.step_batch(np.concatenate([x_nom[None], x_nom + z[:, :nx]]),
+                                          np.concatenate([u_nom[None], u_nom + z[:, nx:]])),
+                           dtype=float)
+            coef = np.linalg.solve(z.T @ z, z.T @ (f[1:] - f[0])).T
+            a, b = coef[:, :nx], coef[:, nx:]
+        lins.append(LinearizedDynamics(A=a, B=b, c=xs[t + 1] - a @ x_nom - b @ u_nom,
+                                       x_nominal=x_nom, u_nominal=u_nom))
+    return lins
 
 
 # ---------------------------------------------------------------------------

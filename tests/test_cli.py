@@ -216,6 +216,21 @@ def test_contact_probe_names_a_non_finite_parameter(tmp_path, capsys, k):
     assert err == f"config error: Contact2DParams.k must be finite and positive, got {k}\n"
 
 
+@pytest.mark.parametrize("verb, config", [
+    ("contact-probe", {**PROBE, "system": {"k": -1}}),
+    ("plan", {**PLAN, "params": {"horizon": 0}}),
+])
+def test_constructor_config_error_leaves_no_out(tmp_path, capsys, verb, config):
+    # the schema passes these; Contact2DParams and MpcProblem reject them
+    path, out = tmp_path / "config.json", tmp_path / "out"
+    path.write_text(json.dumps(config))
+    code = cli.main([verb, "--config", str(path), "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("config error") and err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_help_exits_0(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["plan", "--help"])

@@ -478,11 +478,11 @@ class TestPenaltyJacobianBundles:
             u = np.array([0.2])
             p = 0.5 * (1.0 + math.erf(offset / math.sqrt(2.0)))
             expected = self.JUMP * p
-            a, _ = jacobian_bundle_first_order(self.SYSTEM, x, u, dist, self.N, seed)
+            (a,), _ = jacobian_bundle_first_order(self.SYSTEM, [x], [u], dist, self.N, [seed])
             # each sampled entry is 0 or 0.04: a Bernoulli(p) summand
             clt_se = self.JUMP * math.sqrt(p * (1.0 - p) / self.N)
             assert abs(a[0, 2] - expected) <= 4.0 * clt_se
-            a, _ = jacobian_bundle_zero_order(self.SYSTEM, x, u, dist, self.N, seed)
+            (a,), _ = jacobian_bundle_zero_order(self.SYSTEM, [x], [u], dist, self.N, [seed])
             assert abs(a[0, 2] - expected) <= zero_order_bound
 
     def test_first_order_bundle_is_the_exact_linearization(self):

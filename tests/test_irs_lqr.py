@@ -14,7 +14,7 @@ from bundleopt.smoothing import (SmoothingDistribution, jacobian_bundle_first_or
 from bundleopt.systems import LinearizedDynamics, LinearSystem
 from bundleopt.tasks import build_task
 
-from oracles import assemble_mpc_qp, riccati_tracking, solve_eq_qp
+from oracles import assemble_mpc_qp, per_knot_linearization, riccati_tracking, solve_eq_qp
 
 # Inputs from the stacked oracle carry its 1e-8 Hessian ridge.
 STACKED_ATOL = 1e-6
@@ -125,7 +125,8 @@ class TestCondensedPath:
                          x_desired=np.zeros((T + 1, n)), C_x=c_x, d_x=np.array([0.5]),
                          initial_state=np.array([2.0, 0.0]))
         sys = LinearSystem(a, b)
-        lins = [irs_lqr.linearize_exact(sys, np.zeros(n), np.zeros(m))] * T
+        x0, u0 = np.zeros((1, n)), np.zeros((1, m))
+        lins = irs_lqr.linearize_exact(sys, x0, u0, sys.step_batch(x0, u0)) * T
         # The start state already breaks x0 <= 0.5: no input can repair that.
         res = mpc_solve(mpc, lins)
         assert res.relaxed
@@ -284,11 +285,66 @@ class TestDeterminism:
                 lins = linearize_trajectory(setup.system, xs, setup.u_init, mode, variances,
                                             11, 2)
                 for t in (7, 0, 13):
-                    a, b = bundle(setup.system, xs[t], setup.u_init[t],
-                                  SmoothingDistribution(variances), 30,
-                                  derive_knot_seed(11, 2, t))
+                    (a,), (b,) = bundle(setup.system, xs[t:t + 1], setup.u_init[t:t + 1],
+                                        SmoothingDistribution(variances), 30,
+                                        [derive_knot_seed(11, 2, t)])
                     np.testing.assert_array_equal(a, lins[t].A)
                     np.testing.assert_array_equal(b, lins[t].B)
+
+
+LINEARIZED_TASKS = [
+    pytest.param(task, params, variance, id="-".join([task, *params.values()]))
+    for task, params, variance in [
+        ("lti", {}, 0.25), ("pendulum_swingup", {}, 0.25), ("quadrotor_hover", {}, 0.01),
+        ("dubins_parking", {}, 0.25), ("push_1d", {}, 0.25),
+        ("push_2d", {"model": "exact"}, 0.25), ("push_2d", {"model": "anitescu"}, 0.25)]]
+
+
+class TestBatchedLinearization:
+    """linearize_trajectory stacks the knots; each knot's model is the per-knot one."""
+
+    @staticmethod
+    def _trajectory(task, params):
+        setup = build_task(task, params)
+        rng = np.random.default_rng(4)
+        us = setup.u_init + 0.3 * rng.standard_normal(setup.u_init.shape)
+        return setup, irs_lqr.rollout(setup.system, setup.mpc.initial_state, us), us
+
+    @pytest.mark.parametrize("kind", ["exact", "first_order_bundle", "zero_order_bundle"])
+    @pytest.mark.parametrize("task, params, variance", LINEARIZED_TASKS)
+    def test_equals_the_per_knot_oracle(self, task, params, variance, kind):
+        setup, xs, us = self._trajectory(task, params)
+        mode = GradientMode(kind=kind, samples=100)
+        variances = irs_lqr.joint_variances(variance, mode, setup.mpc.state_dim,
+                                            setup.mpc.input_dim)
+        got = linearize_trajectory(setup.system, xs, us, mode, variances, 5, 3)
+        expected = per_knot_linearization(setup.system, xs, us, mode, variances, 5, 3)
+        assert len(got) == len(expected) == setup.mpc.horizon
+        for lin, ref in zip(got, expected):
+            np.testing.assert_array_equal(lin.A, ref.A)
+            np.testing.assert_array_equal(lin.B, ref.B)
+            np.testing.assert_array_equal(lin.c, ref.c)
+
+    @pytest.mark.parametrize("kind", ["first_order_bundle", "zero_order_bundle"])
+    @pytest.mark.parametrize("task", ["quadrotor_hover", "pendulum_swingup", "lti"])
+    def test_peak_memory_of_one_linearization(self, task, kind):
+        # Each batched call is capped; stacking all 100-sample knots at once
+        # reached 5 MB on the quadrotor.
+        import tracemalloc
+
+        setup, xs, us = self._trajectory(task, {})
+        mode = GradientMode(kind=kind, samples=100)
+        variances = irs_lqr.joint_variances(0.01, mode, setup.mpc.state_dim,
+                                            setup.mpc.input_dim)
+        # a first call pays one-time allocations of numpy's random and linalg
+        linearize_trajectory(setup.system, xs, us, mode, variances, 0, 0)
+        tracemalloc.start()
+        try:
+            linearize_trajectory(setup.system, xs, us, mode, variances, 0, 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1_000_000
 
 
 class TestStopReason:

@@ -6,13 +6,14 @@ import pytest
 from bundleopt.errors import ConfigurationError, SingularRegressionError
 from bundleopt.functions import get_test_function
 from bundleopt.oracle import convolution_oracle
+from bundleopt import irs_lqr
 from bundleopt.smoothing import (SmoothingDistribution, bundled_objective_estimate,
                                  first_order_gradient_bundle,
                                  jacobian_bundle_first_order,
                                  jacobian_bundle_zero_order, sample_perturbations,
                                  variance_schedule, zero_order_gradient_bundle)
 from bundleopt.irs_lqr import GradientMode, joint_variances, linearize_trajectory, rollout
-from bundleopt.systems import LinearSystem, Quadrotor
+from bundleopt.systems import LinearSystem, Pendulum
 from bundleopt.tasks import build_task
 
 from oracles import CLOSED_FORMS, blended_jacobian_1d, quadrature_smoothing
@@ -191,17 +192,17 @@ class TestJacobianBundles:
     def test_lti_first_order_exact(self):
         # averaging N identical Jacobians is exact up to summation rounding
         dist = SmoothingDistribution.isotropic(5, 0.5)
-        a, b = jacobian_bundle_first_order(self.sys, np.zeros(3), np.zeros(2),
-                                           dist, 20, seed=0)
-        np.testing.assert_allclose(a, self.sys.A, rtol=1e-13)
-        np.testing.assert_allclose(b, self.sys.B, rtol=1e-13)
+        a, b = jacobian_bundle_first_order(self.sys, np.zeros((1, 3)), np.zeros((1, 2)),
+                                           dist, 20, seeds=[0])
+        np.testing.assert_allclose(a[0], self.sys.A, rtol=1e-13)
+        np.testing.assert_allclose(b[0], self.sys.B, rtol=1e-13)
 
     def test_lti_zero_order_exact(self):
         dist = SmoothingDistribution.isotropic(5, 0.5)
-        a, b = jacobian_bundle_zero_order(self.sys, np.zeros(3), np.zeros(2),
-                                          dist, 40, seed=1)
-        np.testing.assert_allclose(a, self.sys.A, atol=1e-8)
-        np.testing.assert_allclose(b, self.sys.B, atol=1e-8)
+        a, b = jacobian_bundle_zero_order(self.sys, np.zeros((1, 3)), np.zeros((1, 2)),
+                                          dist, 40, seeds=[1])
+        np.testing.assert_allclose(a[0], self.sys.A, atol=1e-8)
+        np.testing.assert_allclose(b[0], self.sys.B, atol=1e-8)
 
     def test_heaviside_dynamics_zero_order_sees_jump(self):
         class StepDynamics:
@@ -220,24 +221,34 @@ class TestJacobianBundles:
         sigma = 0.5
         dist = SmoothingDistribution([sigma**2, sigma**2])
         sys = StepDynamics()
-        a1, b1 = jacobian_bundle_first_order(sys, [0.0], [0.0], dist, 1000, seed=0)
-        assert b1[0, 0] == 0.0
-        _, b0 = jacobian_bundle_zero_order(sys, [0.0], [0.0], dist, 10**5, seed=0)
+        a1, b1 = jacobian_bundle_first_order(sys, [[0.0]], [[0.0]], dist, 1000, seeds=[0])
+        assert b1[0, 0, 0] == 0.0
+        _, b0 = jacobian_bundle_zero_order(sys, [[0.0]], [[0.0]], dist, 10**5, seeds=[0])
         density_at_zero = 1.0 / (sigma * np.sqrt(2 * np.pi))
-        assert abs(b0[0, 0] - density_at_zero) < 0.1 * density_at_zero
+        assert abs(b0[0, 0, 0] - density_at_zero) < 0.1 * density_at_zero
 
     def test_zero_covariance_falls_back_to_exact(self):
         dist = SmoothingDistribution(np.zeros(5))
-        a, b = jacobian_bundle_zero_order(self.sys, np.zeros(3), np.zeros(2),
-                                          dist, 100, seed=0)
-        np.testing.assert_array_equal(a, self.sys.A)
-        np.testing.assert_array_equal(b, self.sys.B)
+        a, b = jacobian_bundle_zero_order(self.sys, np.zeros((1, 3)), np.zeros((1, 2)),
+                                          dist, 100, seeds=[0])
+        np.testing.assert_array_equal(a[0], self.sys.A)
+        np.testing.assert_array_equal(b[0], self.sys.B)
+
+    @pytest.mark.parametrize("bundle", [jacobian_bundle_first_order, jacobian_bundle_zero_order])
+    def test_one_knot_is_a_stack_of_one(self, bundle):
+        dist = SmoothingDistribution.isotropic(5, 0.5)
+        with pytest.raises(ConfigurationError, match="stack"):
+            bundle(self.sys, np.zeros(3), np.zeros(2), dist, 40, seeds=[0])
+        with pytest.raises(ConfigurationError, match="stack"):
+            bundle(self.sys, np.zeros((2, 3)), np.zeros((2, 2)), dist, 40, seeds=[0])
+        a, b = bundle(self.sys, np.zeros((1, 3)), np.zeros((1, 2)), dist, 40, seeds=[0])
+        assert a.shape == (1, 3, 3) and b.shape == (1, 3, 2)
 
     def test_partially_frozen_zero_order_rejected(self):
         dist = SmoothingDistribution([0.0, 0.0, 0.0, 0.1, 0.1])
         with pytest.raises(ConfigurationError):
-            jacobian_bundle_zero_order(self.sys, np.zeros(3), np.zeros(2),
-                                       dist, 100, seed=0)
+            jacobian_bundle_zero_order(self.sys, np.zeros((1, 3)), np.zeros((1, 2)),
+                                       dist, 100, seeds=[0])
 
     def test_contact_jacobian_blend_far_from_boundary(self):
         from bundleopt.contact import Contact1DParams, ContactPush1D
@@ -247,11 +258,11 @@ class TestJacobianBundles:
         sigma = 0.1
         command = 1.0 - 5.0 * sigma          # five sigma below the boundary
         dist = SmoothingDistribution([0.0, 0.0, sigma**2])
-        a, b = jacobian_bundle_first_order(sys, [1.0, 0.0], [command], dist,
-                                           10000, seed=0)
+        a, b = jacobian_bundle_first_order(sys, [[1.0, 0.0]], [[command]], dist,
+                                           10000, seeds=[0])
         a_ref, b_ref = blended_jacobian_1d(1.0, command, 0.0, params.c_ratio)
-        assert np.max(np.abs(a - a_ref)) < 1e-3
-        assert np.max(np.abs(b - b_ref)) < 1e-3
+        assert np.max(np.abs(a[0] - a_ref)) < 1e-3
+        assert np.max(np.abs(b[0] - b_ref)) < 1e-3
 
     def test_contact_jacobian_blend_at_boundary(self):
         from bundleopt.contact import Contact1DParams, ContactPush1D
@@ -260,8 +271,8 @@ class TestJacobianBundles:
         sys = ContactPush1D(params)
         sigma = 0.1
         dist = SmoothingDistribution([0.0, 0.0, sigma**2])
-        a, b = jacobian_bundle_first_order(sys, [1.0, 0.0], [1.0], dist,
-                                           100000, seed=0)
+        (a,), (b,) = jacobian_bundle_first_order(sys, [[1.0, 0.0]], [[1.0]], dist,
+                                                 100000, seeds=[0])
         # equal-weight blend of the two pieces
         blend = 0.5 / (1.0 + params.c_ratio)
         assert b[0, 0] == pytest.approx(blend, rel=0.02)
@@ -278,8 +289,8 @@ class TestJacobianBundles:
         sigma = 0.2
         dist = SmoothingDistribution(np.full(3, sigma**2))
         n = 20000
-        a1, b1 = jacobian_bundle_first_order(sys, [1.0, 0.0], [1.0], dist, n, seed=3)
-        a0, b0 = jacobian_bundle_zero_order(sys, [1.0, 0.0], [1.0], dist, n, seed=4)
+        a1, b1 = jacobian_bundle_first_order(sys, [[1.0, 0.0]], [[1.0]], dist, n, seeds=[3])
+        a0, b0 = jacobian_bundle_zero_order(sys, [[1.0, 0.0]], [[1.0]], dist, n, seeds=[4])
         # three standard errors of the first-order estimate (entries are
         # Bernoulli blends, variance <= 0.25/n per entry)
         tol = 3.0 * np.sqrt(0.25 / n) * 3.0
@@ -377,34 +388,52 @@ class TestStatisticalInvariants:
         assert np.array_equal(a.empirical_variance, b.empirical_variance)
 
 
-class TestOneBatchedCallPerKnot:
-    """The bundles evaluate a knot's samples in one call, not one per sample."""
+class TestOneBatchedCallPerGroup:
+    """A trajectory's bundles evaluate a whole group of knots in one call on the dynamics."""
 
     @pytest.mark.parametrize("kind", ["first_order_bundle", "zero_order_bundle"])
-    def test_quadrotor_linearization(self, kind, monkeypatch):
+    @pytest.mark.parametrize("task", ["quadrotor_hover", "pendulum_swingup"])
+    def test_linearization_calls(self, task, kind, monkeypatch):
+        setup = build_task(task)
+        cls = type(setup.system)
         calls = {name: [] for name in ("step", "step_batch", "jacobians", "jacobians_batch")}
         for name, log in calls.items():
-            def spy(self, x, u, _original=getattr(Quadrotor, name), _log=log):
+            def spy(self, x, u, _original=getattr(cls, name), _log=log):
                 _log.append(np.array(x))
                 return _original(self, x, u)
-            monkeypatch.setattr(Quadrotor, name, spy)
+            monkeypatch.setattr(cls, name, spy)
 
-        setup = build_task("quadrotor_hover")
         xs = rollout(setup.system, setup.mpc.initial_state, setup.u_init)
-        T = setup.mpc.horizon
+        T, n, m = setup.mpc.horizon, setup.mpc.state_dim, setup.mpc.input_dim
         for log in calls.values():
             log.clear()
-        mode = GradientMode(kind=kind, samples=30)
-        variances = joint_variances(0.01, mode, 12, 4)
-        linearize_trajectory(setup.system, xs, setup.u_init, mode, variances, 0, 0)
+        mode = GradientMode(kind=kind, samples=100)
+        linearize_trajectory(setup.system, xs, setup.u_init, mode,
+                             joint_variances(0.01, mode, n, m), 0, 0)
 
-        assert calls["jacobians"] == []
+        # A group's Jacobian entries fill at most the budget, or it is one knot.
+        group = max(1, irs_lqr._BATCH_BYTES // (100 * n * (n + m) * 8))
+        knots = [min(group, T - start) for start in range(0, T, group)]
+        assert len(knots) > 1 and (group > 1) == (task == "pendulum_swingup")
+        assert calls["step"] == [] and calls["jacobians"] == []
         if kind == "first_order_bundle":
-            assert [len(x) for x in calls["jacobians_batch"]] == [30] * T
-            assert calls["step"] == []             # offsets come from the stored rollout
+            assert calls["step_batch"] == []       # offsets come from the stored rollout
+            assert [len(x) for x in calls["jacobians_batch"]] == [k * 100 for k in knots]
         else:
             assert calls["jacobians_batch"] == []
-            # row 0 of each knot's one call is the fit's f(x_t, u_t)
-            assert [len(x) for x in calls["step_batch"]] == [31] * T
-            assert all(np.array_equal(x[0], knot) for x, knot in zip(calls["step_batch"], xs[:T]))
-            assert calls["step"] == []
+            # each knot's first row is the fit's f(x_t, u_t)
+            assert [len(x) for x in calls["step_batch"]] == [k * 101 for k in knots]
+            firsts = np.concatenate([x[::101] for x in calls["step_batch"]])
+            np.testing.assert_array_equal(firsts, xs[:T])
+
+    def test_exact_linearization_is_one_jacobians_call(self, monkeypatch):
+        setup = build_task("pendulum_swingup")
+        xs = rollout(setup.system, setup.mpc.initial_state, setup.u_init)
+        calls = []
+
+        def spy(self, x, u, _original=Pendulum.jacobians_batch):
+            calls.append(len(x))
+            return _original(self, x, u)
+        monkeypatch.setattr(Pendulum, "jacobians_batch", spy)
+        linearize_trajectory(setup.system, xs, setup.u_init, GradientMode(), None, 0, 0)
+        assert calls == [setup.mpc.horizon]

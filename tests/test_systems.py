@@ -54,7 +54,7 @@ class TestPendulum:
         us = np.array([[0.7], [-0.2]])
         batch = sys.step_batch(xs, us)
         for i in range(2):
-            np.testing.assert_allclose(batch[i], sys.step(xs[i], us[i]), rtol=1e-15)
+            np.testing.assert_array_equal(batch[i], sys.step(xs[i], us[i]))
 
 
 class TestDubins:
@@ -100,7 +100,8 @@ class TestLinearization:
         rng = np.random.default_rng(0)
         sys = LinearSystem(rng.standard_normal((3, 3)), rng.standard_normal((3, 2)),
                            rng.standard_normal(3))
-        lin = linearize_exact(sys, rng.standard_normal(3), rng.standard_normal(2))
+        x, u = rng.standard_normal((1, 3)), rng.standard_normal((1, 2))
+        (lin,) = linearize_exact(sys, x, u, sys.step_batch(x, u))
         np.testing.assert_array_equal(lin.A, sys.A)
         np.testing.assert_array_equal(lin.B, sys.B)
         np.testing.assert_allclose(lin.c, sys.c, atol=1e-12)
@@ -108,14 +109,14 @@ class TestLinearization:
     def test_affine_residual_identity(self):
         sys = Pendulum(damping=0.3, h=0.05)
         x, u = np.array([0.7, -0.4]), np.array([0.9])
-        lin = linearize_exact(sys, x, u)
         f0 = sys.step(x, u)
+        (lin,) = linearize_exact(sys, x[None], u[None], f0[None])
         assert linearization_residual(lin, f0) <= 1e-8
         np.testing.assert_allclose(linear_prediction(lin, x, u), f0, atol=1e-12)
 
     def test_pendulum_structure(self):
         sys = Pendulum(mass=1.0, length=1.0, gravity=9.81, damping=0.1, h=0.01)
-        lin = linearize_exact(sys, np.zeros(2), np.zeros(1))
+        (lin,) = linearize_exact(sys, np.zeros((1, 2)), np.zeros((1, 1)), np.zeros((1, 2)))
         # leading-order structure of the semi-implicit step at the bottom
         assert lin.A[0, 1] == pytest.approx(0.01, rel=1e-2)
         assert lin.A[1, 0] == pytest.approx(-9.81 * 0.01, rel=1e-12)
@@ -123,7 +124,8 @@ class TestLinearization:
 
     def test_dubins_velocity_coupling(self):
         sys = DubinsCar(h=0.1)
-        lin = linearize_exact(sys, np.zeros(3), np.array([1.0, 0.0]))
+        x, u = np.zeros((1, 3)), np.array([[1.0, 0.0]])
+        (lin,) = linearize_exact(sys, x, u, sys.step_batch(x, u))
         # dy+/dpsi = h * v at psi = 0
         assert lin.A[1, 2] == pytest.approx(0.1, rel=1e-12)
 
@@ -155,18 +157,20 @@ class TestLinearization:
             assert pieces == {False, True}
 
 
+SMOOTH_SYSTEMS = [
+    lambda: Pendulum(damping=0.25, h=0.02),
+    lambda: DubinsCar(h=0.1),
+    lambda: Quadrotor(h=0.01),
+    lambda: LinearSystem(np.arange(16.0).reshape(4, 4) / 7.0 - 1.0,
+                         np.arange(8.0).reshape(4, 2) / 3.0, np.full(4, 0.1)),
+    # 10 terms in each row of A x: past numpy's 8-way unrolled sum
+    lambda: LinearSystem(np.sin(np.arange(100.0)).reshape(10, 10),
+                         np.cos(np.arange(30.0)).reshape(10, 3)),
+]
+
+
 class TestBatchProtocol:
-    @pytest.mark.parametrize("make", [
-        lambda: Pendulum(damping=0.25, h=0.02),
-        lambda: DubinsCar(h=0.1),
-        lambda: Quadrotor(h=0.01),
-        lambda: LinearSystem(np.arange(16.0).reshape(4, 4) / 7.0 - 1.0,
-                             np.arange(8.0).reshape(4, 2) / 3.0, np.full(4, 0.1)),
-        # 10 terms in each row of A x: past numpy's 8-way unrolled sum
-        lambda: LinearSystem(np.sin(np.arange(100.0)).reshape(10, 10),
-                             np.cos(np.arange(30.0)).reshape(10, 3)),
-        lambda: PenaltyPush1D(),
-    ])
+    @pytest.mark.parametrize("make", SMOOTH_SYSTEMS + [lambda: PenaltyPush1D()])
     @pytest.mark.parametrize("rows", [1, 7, 100])
     def test_batch_rows_equal_batch_of_one(self, make, rows):
         sys = make()
@@ -174,3 +178,14 @@ class TestBatchProtocol:
         xs = rng.uniform(-1.0, 1.0, (rows, sys.state_dim))
         us = rng.uniform(-1.0, 1.0, (rows, sys.input_dim))
         assert_batch_rows_match(sys, xs, us)
+
+    @pytest.mark.parametrize("make", SMOOTH_SYSTEMS)
+    def test_one_row_step_equals_its_batch_row(self, make):
+        # step evaluates the physics on floats, step_batch on columns
+        sys = make()
+        rng = np.random.default_rng(3)
+        xs = rng.uniform(-3.0, 3.0, (10_000, sys.state_dim))
+        us = rng.uniform(-3.0, 3.0, (10_000, sys.input_dim))
+        batch = sys.step_batch(xs, us)
+        rows = np.array([sys.step(x, u) for x, u in zip(xs, us)])
+        np.testing.assert_array_equal(rows, batch)
