@@ -287,8 +287,7 @@ def _run_bundle_eval(config: dict, jobs: int):
 
 
 def _plan_run(item):
-    config, mode_kind, seed = item
-    task = build_task(config["task"], config.get("params"))
+    config, task, mode_kind, seed = item
     schedule_cfg = config.get("schedule", {"policy": "geometric", "gamma": 0.8})
     schedule = (schedule_cfg["policy"], schedule_cfg.get("gamma", 0.8))
     mode = GradientMode(kind=mode_kind, samples=config.get("samples", 100))
@@ -311,14 +310,14 @@ def _plan_run(item):
 
 
 def _run_plan(config: dict, jobs: int):
-    items = [(config, kind, int(seed))
+    task = build_task(config["task"], config.get("params"))
+    items = [(config, task, kind, int(seed))
              for kind in config["modes"] for seed in config["seeds"]]
     results = _pmap(_plan_run, items, jobs)
-    task = build_task(config["task"], config.get("params"))
     n, m = task.mpc.state_dim, task.mpc.input_dim
     result_rows = [row for res in results for row in res[0]]
     traj_rows = [row for res in results for row in res[1]]
-    for (cfg, kind, seed), res in zip(items, results):
+    for (_, _, kind, seed), res in zip(items, results):
         log.info("plan %s mode=%s seed=%d: %.2fs", config["task"], kind, seed, res[2])
     return {"results.csv": (["task", "mode", "seed", "iteration", "cost",
                              "infeasible_steps", "diverged"], result_rows),
@@ -332,15 +331,13 @@ def _run_plan(config: dict, jobs: int):
 
 def _probe_point(item):
     """One grid point: the exact and Anitescu next box positions, then their bundles."""
-    config, params, cx, cy = item
+    config, systems, cx, cy = item
     state = np.asarray(config["state"], dtype=float)
     dist = SmoothingDistribution.isotropic(2, config["sigma"])
     points = config.get("quadrature_points", 41)
     command = np.array([cx, cy])
     steps, bundles = [], []
-    for model in ("exact", "anitescu"):
-        system = ContactPush2D(params, model)
-
+    for system in systems:
         def box_next(cmds, system=system):     # every quadrature node in one batch
             return system.step_batch(np.tile(state, (len(cmds), 1)), cmds)[:, 0]
         box_next.vectorized = True
@@ -353,7 +350,8 @@ def _run_contact_probe(config: dict, jobs: int):
     xs = _grid_points(config["grid"]["x"])
     ys = _grid_points(config["grid"]["y"])
     params = Contact2DParams(**config.get("system", {}))
-    items = [(config, params, float(cx), float(cy)) for cx in xs for cy in ys]
+    systems = tuple(ContactPush2D(params, model) for model in ("exact", "anitescu"))
+    items = [(config, systems, float(cx), float(cy)) for cx in xs for cy in ys]
     rows = _pmap(_probe_point, items, jobs)
     return {"contact_probe.csv": (["x_command", "y_command", "exact", "anitescu",
                                    "bundled_exact", "bundled_anitescu"], rows)}

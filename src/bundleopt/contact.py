@@ -336,7 +336,6 @@ class PenaltyPush1D(DynamicalSystem):
     state_dim = 3
     input_dim = 1
     step = DynamicalSystem.step
-    jacobians = DynamicalSystem.jacobians
 
     def __init__(self, box_mass=1.0, normal_stiffness=1e4, robot_stiffness=100.0,
                  robot_damping=20.0, h=0.002):
@@ -385,7 +384,6 @@ class ContactPush1D(DynamicalSystem):
     state_dim = 2
     input_dim = 1
     step = DynamicalSystem.step
-    jacobians = DynamicalSystem.jacobians
 
     def __init__(self, params: Contact1DParams = Contact1DParams()):
         self.params = params
@@ -419,7 +417,6 @@ class ContactPush2D(DynamicalSystem):
     state_dim = 3
     input_dim = 2
     step = DynamicalSystem.step
-    jacobians = DynamicalSystem.jacobians
 
     def __init__(self, params: Contact2DParams = Contact2DParams(),
                  model: str = "exact"):

@@ -5,13 +5,14 @@ dynamics at every knot of the current nominal trajectory (exactly, or with
 the first/zero-order Jacobian bundle at the scheduled sampling variance),
 then roll the true system forward, choosing each input as the first input
 of the shrinking-horizon MPC problem on the linearized model from the
-state actually reached. How that input is found depends on the problem's
-shape:
+state actually reached. The linear model is one LinearizedDynamics
+stacking every knot's A, B and c. Each problem shape has one solver, used
+both in the loop and by mpc_solve:
 
 * No inequalities (C_u and C_x both None): one backward affine-Riccati
-  pass per iteration gives the time-varying policy u_t = K_t x_t + k_t,
-  which by Bellman's principle is the first input of every window; the
-  rollout applies it with no per-window QP (iterative LQR).
+  pass gives the time-varying policy u_t = K_t x_t + k_t, which by
+  Bellman's principle is the first input of every window; the rollout
+  applies it with no per-window QP (iterative LQR).
 * Inequalities: each window is a condensed QP in its stacked inputs,
   solved by the dual active-set method. The condensed data are assembled
   once per iteration; by causality window j's Hessian and constraint rows
@@ -45,7 +46,7 @@ from . import qp as _qp
 from .errors import ConfigurationError
 from .smoothing import (SmoothingDistribution, jacobian_bundle_first_order,
                         jacobian_bundle_zero_order, variance_schedule)
-from .systems import DynamicalSystem, LinearizedDynamics, affine_models, linearize_exact
+from .systems import DynamicalSystem, LinearizedDynamics, linearize_exact
 
 __all__ = [
     "MpcProblem",
@@ -111,9 +112,9 @@ class MpcProblem:
             raise ConfigurationError(
                 f"x_desired must have shape {(T + 1, n)}, got {self.x_desired.shape}")
         _check_finite(self.x_desired, "x_desired")
-        _check_psd(self.Q, "Q")
-        _check_pd(self.R, "R")
-        _check_psd(self.Q_terminal, "Q_terminal")
+        _check_definite(self.Q, "Q", "positive semidefinite", -1e-10)
+        _check_definite(self.R, "R", "positive definite", 0.0)
+        _check_definite(self.Q_terminal, "Q_terminal", "positive semidefinite", -1e-10)
         if (self.C_u is None) != (self.d_u is None):
             raise ConfigurationError("C_u and d_u must be given together")
         if (self.C_x is None) != (self.d_x is None):
@@ -182,18 +183,15 @@ class TrajectoryIterate:
     """One optimizer iterate: the rolled-out trajectory and its cost.
 
     xs has T+1 rows (knots satisfy the true dynamics exactly), us has T.
-    `variance` holds the joint (state, input) sampling variances, one per
-    coordinate, used to linearize during the pass that produced this
-    iterate (None for the initial rollout),
-    `linearizations` those per-knot models.
+    `linearizations` is the stacked model the pass that produced this
+    iterate planned on (None for the initial rollout).
     """
 
     xs: np.ndarray
     us: np.ndarray
     cost: float
     iteration: int
-    variance: np.ndarray | None = None
-    linearizations: list[LinearizedDynamics] | None = field(default=None, repr=False)
+    linearizations: LinearizedDynamics | None = field(default=None, repr=False)
     infeasible_steps: int = 0
 
 
@@ -203,7 +201,8 @@ class MpcResult:
 
     `duals` are the multipliers of the window QP's inequality rows.
     `active` lists its final active rows, sorted; it is empty for a
-    relaxed window, whose QP has slack variables and another layout.
+    relaxed window, whose QP has slack variables and another layout. A
+    problem with no inequalities has no window QP: both are empty.
     """
 
     u: np.ndarray
@@ -265,8 +264,8 @@ def joint_variances(cov0, mode: GradientMode, state_dim: int, input_dim: int) ->
 
 def linearize_trajectory(sys: DynamicalSystem, xs, us, mode: GradientMode,
                          variances, run_seed: int, iteration: int
-                         ) -> list[LinearizedDynamics]:
-    """Per-knot linear models around a nominal trajectory.
+                         ) -> LinearizedDynamics:
+    """Stacked linear models of every knot of a nominal trajectory.
 
     `xs` must be the rollout of `us`: offsets read f(x_t, u_t) at xs[t + 1].
     `variances` are the joint (state, input) sampling variances for the
@@ -287,12 +286,12 @@ def linearize_trajectory(sys: DynamicalSystem, xs, us, mode: GradientMode,
               else jacobian_bundle_zero_order)
     seeds = [derive_knot_seed(run_seed, iteration, t) for t in range(T)]
     group = max(1, _BATCH_BYTES // (mode.samples * n * (n + m) * 8))
-    lins = []
-    for start in range(0, T, group):
-        k = slice(start, start + group)
-        a, b = bundle(sys, knots[k], us[k], dist, mode.samples, seeds[k])
-        lins += affine_models(a, b, knots[k], us[k], nexts[k])
-    return lins
+    parts = [bundle(sys, knots[k], us[k], dist, mode.samples, seeds[k])
+             for k in (slice(start, start + group) for start in range(0, T, group))]
+    # concatenate keeps each group's memory layout (the zero-order fit's are
+    # transposed views), and with it the bits of every product on the model
+    a, b = (np.concatenate(jac) for jac in zip(*parts))
+    return LinearizedDynamics.through(a, b, knots, us, nexts)
 
 
 class _CondensedHorizon:
@@ -309,15 +308,14 @@ class _CondensedHorizon:
     constraint offsets, changes from window to window.
     """
 
-    def __init__(self, mpc: MpcProblem, lins):
+    def __init__(self, mpc: MpcProblem, lins: LinearizedDynamics):
         T, n, m = mpc.horizon, mpc.state_dim, mpc.input_dim
         self.mpc = mpc
-        self.A = np.stack([lin.A for lin in lins])
-        self.c = np.stack([lin.c for lin in lins])
+        self.lins = lins
         F = np.zeros((T + 1, n, T * m))
         for t in range(T):
-            F[t + 1] = self.A[t] @ F[t]
-            F[t + 1, :, t * m:(t + 1) * m] = lins[t].B
+            F[t + 1] = lins.A[t] @ F[t]
+            F[t + 1, :, t * m:(t + 1) * m] = lins.B[t]
         q_bar = 2.0 * np.concatenate([np.broadcast_to(mpc.Q, (T, n, n)), mpc.Q_terminal[None]])
         self.QF = (q_bar @ F).reshape((T + 1) * n, T * m)
         P = F.reshape((T + 1) * n, T * m).T @ self.QF
@@ -341,8 +339,9 @@ class _CondensedHorizon:
         T, n, m = mpc.horizon, mpc.state_dim, mpc.input_dim
         g = np.empty((T - j + 1, n))
         g[0] = x_j
+        A, c = self.lins.A, self.lins.c
         for t in range(j, T):
-            g[t - j + 1] = self.A[t] @ g[t - j] + self.c[t]
+            g[t - j + 1] = A[t] @ g[t - j] + c[t]
         P = self.P[j * m:, j * m:]
         q = self.QF[j * n:, j * m:].T @ (g - mpc.x_desired[j:]).ravel()
         rows, offsets = [], []
@@ -353,8 +352,6 @@ class _CondensedHorizon:
         if mpc.C_x is not None:
             rows.append(self.G_x[j * mpc.C_x.shape[0]:, j * m:])
             offsets.append((mpc.d_x - g @ mpc.C_x.T).ravel())
-        if not rows:
-            return P, q, np.zeros((0, q.shape[0])), np.zeros(0)
         if not (relaxed and mpc.C_x is not None):
             return P, q, np.vstack(rows), np.concatenate(offsets)
         # Slack s >= 0 per state row: C_x x - s <= d_x, cost 1e6 |s|^2.
@@ -403,7 +400,8 @@ class _CondensedHorizon:
                      if p_u <= i < n_u or i >= n_u + 2 * p_x)
 
 
-def _riccati_gains(mpc: MpcProblem, lins) -> tuple[np.ndarray, np.ndarray]:
+def _riccati_gains(mpc: MpcProblem, lins: LinearizedDynamics
+                   ) -> tuple[np.ndarray, np.ndarray]:
     """Affine policy u_t = K_t x_t + k_t optimal for every inequality-free window.
 
     One backward affine-Riccati pass over the knots, with value functions
@@ -416,9 +414,9 @@ def _riccati_gains(mpc: MpcProblem, lins) -> tuple[np.ndarray, np.ndarray]:
     S = mpc.Q_terminal
     s = -mpc.Q_terminal @ mpc.x_desired[T]
     for t in reversed(range(T)):
-        A, B = lins[t].A, lins[t].B
+        A, B = lins.A[t], lins.B[t]
         SA = S @ A
-        v = S @ lins[t].c + s
+        v = S @ lins.c[t] + s
         Q_uu = mpc.R + B.T @ S @ B
         Q_ux = B.T @ SA
         sol = np.linalg.solve(Q_uu, np.column_stack([Q_ux, B.T @ v]))
@@ -429,21 +427,26 @@ def _riccati_gains(mpc: MpcProblem, lins) -> tuple[np.ndarray, np.ndarray]:
     return K, k
 
 
-def mpc_solve(mpc: MpcProblem, linearizations) -> MpcResult:
+def mpc_solve(mpc: MpcProblem, linearizations: LinearizedDynamics) -> MpcResult:
     """First optimal input of the shrinking-horizon MPC window.
 
     Solves the window starting at `mpc.start_index` from
-    `mpc.initial_state` as a condensed QP in the window's stacked inputs,
-    whatever the problem's constraints: the same assembly irs_lqr_run uses
-    for problems with inequalities. An infeasible window is re-solved with
+    `mpc.initial_state` on the stacked model with irs_lqr_run's solver for
+    the problem's shape, so the input is the one the rollout applies: with
+    no inequalities the Riccati policy K_j x + k_j (no QP), otherwise the
+    window's condensed QP. An infeasible window is re-solved with
     penalized slack on the state inequalities and flagged `relaxed`.
     """
     if mpc.initial_state is None:
         raise ConfigurationError("MpcProblem.initial_state must be set for an MPC solve")
-    lins = list(linearizations)
-    if len(lins) != mpc.horizon:
-        raise ConfigurationError(f"need {mpc.horizon} knot linearizations, got {len(lins)}")
-    return _CondensedHorizon(mpc, lins).solve(mpc.start_index, mpc.initial_state)
+    knots = linearizations.A.shape[0]
+    if knots != mpc.horizon:
+        raise ConfigurationError(f"need {mpc.horizon} knot linearizations, got {knots}")
+    j, x = mpc.start_index, mpc.initial_state
+    if mpc.C_u is None and mpc.C_x is None:
+        K, k = _riccati_gains(mpc, linearizations)
+        return MpcResult(u=K[j] @ x + k[j], relaxed=False, duals=np.zeros(0))
+    return _CondensedHorizon(mpc, linearizations).solve(j, x)
 
 
 def irs_lqr_run(sys: DynamicalSystem, mpc: MpcProblem, mode: GradientMode,
@@ -477,8 +480,8 @@ def irs_lqr_run(sys: DynamicalSystem, mpc: MpcProblem, mode: GradientMode,
     unconstrained = mpc.C_u is None and mpc.C_x is None
 
     xs = rollout(sys, mpc.initial_state, us)
-    history = [TrajectoryIterate(xs=xs, us=us.copy(),
-                                 cost=trajectory_cost((xs, us), mpc), iteration=0)]
+    history = [TrajectoryIterate(xs=xs, us=us, cost=trajectory_cost((xs, us), mpc),
+                                 iteration=0)]
     for k in range(max_iters):
         var_k = variance_schedule(var_joint0, k, policy, gamma)
         lins = linearize_trajectory(sys, xs, us, mode, var_k, seed, k)
@@ -501,10 +504,8 @@ def irs_lqr_run(sys: DynamicalSystem, mpc: MpcProblem, mode: GradientMode,
                 start = windows.next_start(t, res.active)
             new_xs[t + 1] = sys.step(new_xs[t], new_us[t])
         xs, us = new_xs, new_us
-        history.append(TrajectoryIterate(xs=xs, us=us.copy(),
-                                         cost=trajectory_cost((xs, us), mpc),
-                                         iteration=k + 1, variance=var_k,
-                                         linearizations=lins,
+        history.append(TrajectoryIterate(xs=xs, us=us, cost=trajectory_cost((xs, us), mpc),
+                                         iteration=k + 1, linearizations=lins,
                                          infeasible_steps=infeasible))
         if stop_reason([it.cost for it in history]) is not None:
             break
@@ -530,20 +531,13 @@ def stop_reason(costs) -> str | None:
     return None
 
 
-def _check_psd(mat: np.ndarray, name: str):
+def _check_definite(mat: np.ndarray, name: str, kind: str, floor: float):
+    """Finite, symmetric, and every eigenvalue above `floor`; else "{name} must be {kind}"."""
     _check_finite(mat, name)
     if not np.allclose(mat, mat.T, atol=1e-10):
         raise ConfigurationError(f"{name} must be symmetric")
-    if np.linalg.eigvalsh(mat).min() < -1e-10:
-        raise ConfigurationError(f"{name} must be positive semidefinite")
-
-
-def _check_pd(mat: np.ndarray, name: str):
-    _check_finite(mat, name)
-    if not np.allclose(mat, mat.T, atol=1e-10):
-        raise ConfigurationError(f"{name} must be symmetric")
-    if np.linalg.eigvalsh(mat).min() <= 0.0:
-        raise ConfigurationError(f"{name} must be positive definite")
+    if np.linalg.eigvalsh(mat).min() <= floor:
+        raise ConfigurationError(f"{name} must be {kind}")
 
 
 def _check_finite(mat: np.ndarray, name: str):

@@ -193,17 +193,13 @@ def jacobian_bundle_zero_order(dynamics, x_nom, u_nom, dist: SmoothingDistributi
     regresses f(x+w_i, u+v_i) - f(x, u) onto its perturbations (w_i, v_i);
     one step_batch call evaluates every knot's nominal and n sampled steps.
     Requires n >= dim(x)+dim(u) samples and perturbation variance in every
-    direction. With all variances exactly zero the fit degenerates and the
-    dynamics' own Jacobians at the knots are returned instead.
+    direction.
     """
     x_nom, u_nom = _knots(x_nom, u_nom, dist, seeds)
-    if dist.is_zero:
-        return dynamics.jacobians_batch(x_nom, u_nom)
     if np.any(dist.variances == 0.0):
         raise ConfigurationError(
             "zero-order Jacobian bundle needs perturbation variance in every "
-            "state and input direction (or all variances exactly zero for the "
-            "degenerate exact fallback)")
+            "state and input direction")
     d = dist.dimension
     if n < d:
         raise ConfigurationError(

@@ -7,18 +7,19 @@ DynamicalSystem interface.
 Batch protocol: a system's primitives are step_batch(xs, us), the next
 states of N (state, input) rows, shape (N, n), and jacobians_batch(xs,
 us), the Jacobians (d step/dx, d step/du) at each row, shapes (N, n, n)
-and (N, n, m). step(x, u) and jacobians(x, u) are one row. Every system
-states its Jacobians analytically; a piecewise system gives each row its
-piece's. A smooth system writes its physics once, as elementwise formulas
-on state and input components: step_batch evaluates them on a batch's
-columns, step on one row's Python floats, skipping a batch of one's array
-overhead.
+and (N, n, m). The one-row API is step(x, u) alone; one row's Jacobians
+are jacobians_batch on a stack of one. Every system states its Jacobians
+analytically; a piecewise system gives each row its piece's. A smooth
+system writes its physics once, as elementwise formulas on state and
+input components: step_batch evaluates them on a batch's columns, step on
+one row's Python floats, skipping a batch of one's array overhead.
 
-Determinism rule: row i of a batch equals step and jacobians of that row
-bit for bit, whatever the batch size. So the physics uses elementwise
-arithmetic and numpy's own ufuncs only (np.sin of a float rounds as on an
-array), never a BLAS matrix product, whose summation order can change
-with the number of rows (a one-row product takes the matrix-vector path).
+Determinism rule: row i of a batch equals step and the batch of one of
+that row bit for bit, whatever the batch size. So the physics uses
+elementwise arithmetic and numpy's own ufuncs only (np.sin of a float
+rounds as on an array), never a BLAS matrix product, whose summation
+order can change with the number of rows (a one-row product takes the
+matrix-vector path).
 """
 
 from __future__ import annotations
@@ -42,11 +43,11 @@ class DynamicalSystem:
     """Deterministic discrete-time dynamics x_{t+1} = step(x_t, u_t).
 
     Subclasses implement step_batch and jacobians_batch (see the module
-    docstring). step and jacobians default to a batch of one; the smooth
-    systems override step with their physics on floats. Every subclass
-    binds step and jacobians in its own class body: the benchmark's tracer
-    (perfbench/spans.py) wraps the step, step_batch and jacobians that each
-    class defines.
+    docstring). step defaults to a batch of one; the smooth systems
+    override it with their physics on floats. Every subclass binds step
+    and step_batch in its own class body, which is why the contact
+    systems keep `step = DynamicalSystem.step`: the benchmark's tracer
+    (perfbench/spans.py) wraps only the methods a class defines itself.
     """
 
     state_dim: int
@@ -63,16 +64,8 @@ class DynamicalSystem:
 
     def step(self, x: np.ndarray, u: np.ndarray) -> np.ndarray:
         """step_batch on a batch of one."""
-        return self.step_batch(_one_row(x), _one_row(u))[0]
-
-    def jacobians(self, x: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """jacobians_batch on a batch of one."""
-        a, b = self.jacobians_batch(_one_row(x), _one_row(u))
-        return a[0], b[0]
-
-
-def _one_row(v) -> np.ndarray:
-    return np.asarray(v, dtype=float)[None, :]
+        return self.step_batch(np.asarray(x, dtype=float)[None, :],
+                               np.asarray(u, dtype=float)[None, :])[0]
 
 
 def _step_floats(self, x, u) -> np.ndarray:
@@ -88,32 +81,30 @@ def _step_columns(self, xs, us) -> np.ndarray:
 
 @dataclass(frozen=True)
 class LinearizedDynamics:
-    """Affine model x_{t+1} ~ A x_t + B u_t + c around a nominal point.
+    """Stacked affine models x_{t+1} ~ A[t] x_t + B[t] u_t + c[t] of T knots.
 
-    The offset satisfies c = step(x_nom, u_nom) - A x_nom - B u_nom, so the
-    model is exact at the nominal point by construction.
+    A is (T, n, n), B (T, n, m) and c (T, n). Each offset satisfies
+    c[t] = step(x_t, u_t) - A[t] x_t - B[t] u_t at knot t, so every model
+    is exact at its own knot by construction.
     """
 
     A: np.ndarray
     B: np.ndarray
     c: np.ndarray
-    x_nominal: np.ndarray
-    u_nominal: np.ndarray
+
+    @classmethod
+    def through(cls, A, B, x_nom, u_nom, x_next) -> "LinearizedDynamics":
+        """Models with Jacobians A, B through knots x_nom, u_nom and their steps x_next."""
+        return cls(A, B, x_next - (A @ x_nom[..., None])[..., 0]
+                   - (B @ u_nom[..., None])[..., 0])
 
 
-def affine_models(a, b, x_nom, u_nom, x_next) -> list[LinearizedDynamics]:
-    """Per-knot models from stacked Jacobians, knots and next states x_next = step(knot)."""
-    return [LinearizedDynamics(A=a[k], B=b[k], c=x_next[k] - a[k] @ x_nom[k] - b[k] @ u_nom[k],
-                               x_nominal=x_nom[k], u_nominal=u_nom[k])
-            for k in range(len(x_nom))]
-
-
-def linearize_exact(sys: DynamicalSystem, x_nom, u_nom, x_next) -> list[LinearizedDynamics]:
+def linearize_exact(sys: DynamicalSystem, x_nom, u_nom, x_next) -> LinearizedDynamics:
     """Taylor models at knots x_nom (K, n), u_nom (K, m), one jacobians_batch call.
 
     One knot is a stack of one; x_next (K, n) is step at each knot.
     """
-    return affine_models(*sys.jacobians_batch(x_nom, u_nom), x_nom, u_nom, x_next)
+    return LinearizedDynamics.through(*sys.jacobians_batch(x_nom, u_nom), x_nom, u_nom, x_next)
 
 
 # ---------------------------------------------------------------------------
@@ -132,7 +123,6 @@ class Pendulum(DynamicalSystem):
     input_dim = 1
     step = _step_floats
     step_batch = _step_columns
-    jacobians = DynamicalSystem.jacobians
 
     def __init__(self, mass=1.0, length=1.0, gravity=9.81, damping=0.0, h=0.01):
         self.mass = mass
@@ -174,7 +164,6 @@ class DubinsCar(DynamicalSystem):
     input_dim = 2
     step = _step_floats
     step_batch = _step_columns
-    jacobians = DynamicalSystem.jacobians
 
     def __init__(self, h=0.1):
         self.h = h
@@ -233,7 +222,6 @@ class Quadrotor(DynamicalSystem):
     input_dim = 4
     step = _step_floats
     step_batch = _step_columns
-    jacobians = DynamicalSystem.jacobians
 
     def __init__(self, params: QuadrotorParams = QuadrotorParams(), h=0.01):
         self.params = params
@@ -317,8 +305,6 @@ class Quadrotor(DynamicalSystem):
 
 class LinearSystem(DynamicalSystem):
     """x_{t+1} = A x + B u + c; its own exact linearization everywhere."""
-
-    jacobians = DynamicalSystem.jacobians
 
     def __init__(self, A, B, c=None):
         self.A = np.asarray(A, dtype=float)

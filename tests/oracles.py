@@ -349,7 +349,6 @@ def assemble_mpc_qp(mpc, linearizations, relax_state_constraints=False):
     """
     T, j = mpc.horizon, mpc.start_index
     n, m = mpc.state_dim, mpc.input_dim
-    lins = list(linearizations)
     W = T - j
     nx, nu = (W + 1) * n, W * m
     relax = relax_state_constraints and mpc.C_x is not None
@@ -371,11 +370,10 @@ def assemble_mpc_qp(mpc, linearizations, relax_state_constraints=False):
     b_eq[:n] = mpc.initial_state
     for t in range(j, T):
         r = n + (t - j) * n
-        lin = lins[t]
         A_eq[r:r + n, (t - j + 1) * n:(t - j + 2) * n] = np.eye(n)
-        A_eq[r:r + n, (t - j) * n:(t - j + 1) * n] = -lin.A
-        A_eq[r:r + n, nx + (t - j) * m:nx + (t - j + 1) * m] = -lin.B
-        b_eq[r:r + n] = lin.c
+        A_eq[r:r + n, (t - j) * n:(t - j + 1) * n] = -linearizations.A[t]
+        A_eq[r:r + n, nx + (t - j) * m:nx + (t - j + 1) * m] = -linearizations.B[t]
+        b_eq[r:r + n] = linearizations.c[t]
 
     g_rows, h_vals = [], []
     if mpc.C_u is not None:
@@ -508,20 +506,19 @@ def per_knot_linearization(sys, xs, us, mode, variances, run_seed, iteration):
     call on the dynamics: the exact mode steps the knot itself, the
     first-order bundle averages its n sampled Jacobians, the zero-order
     bundle solves its own normal equations. All-zero variances take the
-    exact path.
+    exact path. The knots' models are stacked only at the end.
     """
     xs = np.asarray(xs, dtype=float)
     us = np.asarray(us, dtype=float)
     nx = xs.shape[1]
     dist = None if mode.kind == "exact" else SmoothingDistribution(variances)
-    lins = []
+    models = []
     for t in range(us.shape[0]):
         x_nom, u_nom = xs[t], us[t]
         if dist is None or dist.is_zero:
-            a, b = sys.jacobians(x_nom, u_nom)
+            (a,), (b,) = sys.jacobians_batch(x_nom[None], u_nom[None])
             f0 = np.asarray(sys.step(x_nom, u_nom), dtype=float)
-            lins.append(LinearizedDynamics(A=a, B=b, c=f0 - a @ x_nom - b @ u_nom,
-                                           x_nominal=x_nom, u_nominal=u_nom))
+            models.append((a, b, f0 - a @ x_nom - b @ u_nom))
             continue
         z = sample_perturbations(dist, mode.samples, derive_knot_seed(run_seed, iteration, t))
         if mode.kind == "first_order_bundle":
@@ -533,24 +530,22 @@ def per_knot_linearization(sys, xs, us, mode, variances, run_seed, iteration):
                            dtype=float)
             coef = np.linalg.solve(z.T @ z, z.T @ (f[1:] - f[0])).T
             a, b = coef[:, :nx], coef[:, nx:]
-        lins.append(LinearizedDynamics(A=a, B=b, c=xs[t + 1] - a @ x_nom - b @ u_nom,
-                                       x_nominal=x_nom, u_nominal=u_nom))
-    return lins
+        models.append((a, b, xs[t + 1] - a @ x_nom - b @ u_nom))
+    return LinearizedDynamics(*(np.stack(part) for part in zip(*models)))
 
 
 # ---------------------------------------------------------------------------
 # identities of linear models and of the pendulum
 
 
-def linear_prediction(lin, x, u):
-    """Next state of the affine model A x + B u + c."""
-    return lin.A @ x + lin.B @ u + lin.c
+def linear_prediction(lin, xs, us):
+    """Next states A[t] x_t + B[t] u_t + c[t] of the stacked models, knot by knot."""
+    return np.array([a @ x + b @ u + c for a, b, c, x, u in zip(lin.A, lin.B, lin.c, xs, us)])
 
 
-def linearization_residual(lin, f_nominal) -> float:
-    """|step(nominal) - (A x_nom + B u_nom + c)|, the model's defining identity."""
-    return float(np.max(np.abs(np.asarray(f_nominal)
-                               - linear_prediction(lin, lin.x_nominal, lin.u_nominal))))
+def linearization_residual(lin, x_nom, u_nom, f_nominal) -> float:
+    """max |step(knot) - (A x + B u + c)| over the knots, the models' defining identity."""
+    return float(np.max(np.abs(np.asarray(f_nominal) - linear_prediction(lin, x_nom, u_nom))))
 
 
 def pendulum_energy(pendulum, x) -> float:

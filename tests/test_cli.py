@@ -241,16 +241,17 @@ def test_help_exits_0(capsys):
 def test_contact_probe_bundles_equal_per_node_steps():
     # both bundled columns step all quadrature nodes in one batch; each must
     # equal stepping them one by one through its scalar model, bit for bit
-    from bundleopt.contact import (Contact2DParams, Contact2DState, step_2d_anitescu,
-                                   step_2d_exact)
+    from bundleopt.contact import (Contact2DParams, Contact2DState, ContactPush2D,
+                                   step_2d_anitescu, step_2d_exact)
     from bundleopt.oracle import gauss_hermite_expectation
     from bundleopt.smoothing import SmoothingDistribution
 
     config = {"state": [0.0, 0.0, 0.7], "sigma": 0.06, "quadrature_points": 15}
     state, params = Contact2DState(*config["state"]), Contact2DParams()
     dist = SmoothingDistribution.isotropic(2, config["sigma"])
+    systems = (ContactPush2D(params, "exact"), ContactPush2D(params, "anitescu"))
     for cx, cy in ((-0.4, 0.45), (0.1, 0.6), (0.35, 0.8)):
-        row = cli._probe_point((config, params, cx, cy))
+        row = cli._probe_point((config, systems, cx, cy))
         for column, step in ((4, step_2d_exact), (5, step_2d_anitescu)):
             expected = gauss_hermite_expectation(
                 lambda c, step=step: step(state, (float(c[0]), float(c[1])), params)[0].xu,

@@ -305,8 +305,8 @@ class TestBundledContactSimilarity:
         # in the pressing direction (dragging happens in expectation)
         probe = (0.45, y_c + 0.05)
         sys_exact = ContactPush2D(P2, model="exact")
-        _, b = sys_exact.jacobians(np.array([state.xu, state.xa, state.ya]),
-                                   np.array(probe))
+        _, (b,) = sys_exact.jacobians_batch(np.array([[state.xu, state.xa, state.ya]]),
+                                            np.array([probe]))
         assert b[0, 1] == 0.0
         delta = sigma / 10.0
         for stepper in (step_2d_exact, step_2d_anitescu):
@@ -430,7 +430,7 @@ class TestPenaltyStep:
         system = PenaltyPush1D()
         assert system.h * system.normal_stiffness / system.robot_damping < 2.0
         # in contact the step is linear; penetration must not grow
-        a, _ = system.jacobians(np.array([0.0, 0.0, 1e-3]), np.array([0.5]))
+        (a,), _ = system.jacobians_batch(np.array([[0.0, 0.0, 1e-3]]), np.array([[0.5]]))
         assert np.max(np.abs(np.linalg.eigvals(a))) < 1.0
 
     def test_divergence_detected(self):
@@ -458,7 +458,7 @@ class TestPenaltyJacobianBundles:
     def test_exact_jacobian_jumps_at_contact(self):
         # right-sided: the contact piece applies from xa == xu on
         for xa, expected in ((-1e-3, 0.0), (0.0, self.JUMP), (1e-3, self.JUMP)):
-            a, _ = self.SYSTEM.jacobians(np.array([0.0, 0.0, xa]), np.zeros(1))
+            (a,), _ = self.SYSTEM.jacobians_batch(np.array([[0.0, 0.0, xa]]), np.zeros((1, 1)))
             assert a[0, 2] == pytest.approx(expected, abs=1e-9)
 
     @pytest.mark.parametrize("sigma", [0.001, 0.003, 0.01, 0.03])
@@ -496,9 +496,8 @@ class TestPenaltyJacobianBundles:
         bundled = linearize_trajectory(sys, xs, us, mode, joint_variances(0.25, mode, 3, 1),
                                        0, 0)
         exact = linearize_trajectory(sys, xs, us, GradientMode(), None, 0, 0)
-        for lin_bundle, lin_exact in zip(bundled, exact):
-            np.testing.assert_allclose(lin_bundle.A, lin_exact.A, rtol=1e-12)
-            np.testing.assert_allclose(lin_bundle.B, lin_exact.B, rtol=1e-12)
+        np.testing.assert_allclose(bundled.A, exact.A, rtol=1e-12)
+        np.testing.assert_allclose(bundled.B, exact.B, rtol=1e-12)
 
 
 class TestParameterValidation:
@@ -516,10 +515,10 @@ class TestAdapters:
     def test_push_1d_jacobians_match_fd_within_modes(self):
         sys = ContactPush1D(P1)
         for x, u in (([1.0, 0.0], [0.2]), ([1.0, 0.0], [1.7])):
-            a, b = sys.jacobians(np.array(x), np.array(u))
+            a, b = sys.jacobians_batch(np.array([x]), np.array([u]))
             a_fd, b_fd = finite_difference_jacobians(sys.step_batch, [x], [u])
-            np.testing.assert_allclose(a, a_fd[0], atol=1e-6)
-            np.testing.assert_allclose(b, b_fd[0], atol=1e-6)
+            np.testing.assert_allclose(a, a_fd, atol=1e-6)
+            np.testing.assert_allclose(b, b_fd, atol=1e-6)
 
     def test_push_1d_batch_matches_scalar(self):
         sys = ContactPush1D(P1)
@@ -543,10 +542,10 @@ class TestAdapters:
         for offset in itertools.product((-1e-4, 1e-4), repeat=5):
             corner = np.add(x + u, offset)
             assert stepper(Contact2DState(*corner[:3]), corner[3:], P2)[1].mode == mode
-        a, b = sys.jacobians(np.array(x), np.array(u))
+        a, b = sys.jacobians_batch(np.array([x]), np.array([u]))
         a_fd, b_fd = finite_difference_jacobians(sys.step_batch, [x], [u])
-        np.testing.assert_allclose(a, a_fd[0], atol=1e-6)
-        np.testing.assert_allclose(b, b_fd[0], atol=1e-6)
+        np.testing.assert_allclose(a, a_fd, atol=1e-6)
+        np.testing.assert_allclose(b, b_fd, atol=1e-6)
 
     def test_anitescu_jacobians_make_one_step_per_row(self, monkeypatch):
         calls = []
@@ -576,7 +575,7 @@ class TestAdapters:
         us[::3, 0] = xs[::3, 0]            # commands exactly at the box
         assert_batch_rows_match(sys, xs, us)
         a, b = sys.jacobians_batch(xs[::3], us[::3])
-        contact_a, contact_b = sys.jacobians(np.array([0.0, 0.0]), np.array([1.0]))
+        contact_a, contact_b = sys.jacobians_batch(np.zeros((1, 2)), np.ones((1, 1)))
         np.testing.assert_array_equal(a, np.broadcast_to(contact_a, a.shape))
         np.testing.assert_array_equal(b, np.broadcast_to(contact_b, b.shape))
 

@@ -22,14 +22,13 @@ STACKED_ATOL = 1e-6
 
 def _random_lins(rng, T, n, m):
     """Time-varying affine models, some steps unstable."""
-    lins = []
-    for _ in range(T):
-        a = rng.standard_normal((n, n))
-        a *= 1.05 / max(abs(np.linalg.eigvals(a)))
-        lins.append(LinearizedDynamics(A=a, B=rng.standard_normal((n, m)),
-                                       c=0.1 * rng.standard_normal(n),
-                                       x_nominal=np.zeros(n), u_nominal=np.zeros(m)))
-    return lins
+    a, b, c = np.empty((T, n, n)), np.empty((T, n, m)), np.empty((T, n))
+    for t in range(T):
+        a[t] = rng.standard_normal((n, n))
+        a[t] *= 1.05 / max(abs(np.linalg.eigvals(a[t])))
+        b[t] = rng.standard_normal((n, m))
+        c[t] = 0.1 * rng.standard_normal(n)
+    return LinearizedDynamics(A=a, B=b, c=c)
 
 
 def _random_mpc(rng, T, n, m, **constraints):
@@ -84,14 +83,24 @@ class TestRiccatiPath:
                                        atol=STACKED_ATOL)
 
     @pytest.mark.parametrize("task", ["lti", "quadrotor_hover"])
-    def test_rollout_inputs_equal_mpc_solve(self, task):
+    def test_rollout_inputs_equal_mpc_solve(self, task, monkeypatch):
+        # Both take the Riccati policy: no window makes an active-set call.
+        calls = []
+
+        def spy(*args, _original=qp._dual_active_set, **kwargs):
+            calls.append(args)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(qp, "_dual_active_set", spy)
         setup = build_task(task)
         history = irs_lqr_run(setup.system, setup.mpc, GradientMode(), 0.0, max_iters=1,
                               u_init=setup.u_init)
         final = history[1]
         for t in range(setup.mpc.horizon):
             res = mpc_solve(setup.mpc.window(t, final.xs[t]), final.linearizations)
-            np.testing.assert_allclose(res.u, final.us[t], rtol=1e-9, atol=1e-9)
+            np.testing.assert_array_equal(res.u, final.us[t])
+            assert not res.relaxed and res.duals.size == 0 and res.active == ()
+        assert calls == []
 
 
 class TestCondensedPath:
@@ -125,8 +134,8 @@ class TestCondensedPath:
                          x_desired=np.zeros((T + 1, n)), C_x=c_x, d_x=np.array([0.5]),
                          initial_state=np.array([2.0, 0.0]))
         sys = LinearSystem(a, b)
-        x0, u0 = np.zeros((1, n)), np.zeros((1, m))
-        lins = irs_lqr.linearize_exact(sys, x0, u0, sys.step_batch(x0, u0)) * T
+        x0, u0 = np.zeros((T, n)), np.zeros((T, m))
+        lins = irs_lqr.linearize_exact(sys, x0, u0, sys.step_batch(x0, u0))
         # The start state already breaks x0 <= 0.5: no input can repair that.
         res = mpc_solve(mpc, lins)
         assert res.relaxed
@@ -288,8 +297,8 @@ class TestDeterminism:
                     (a,), (b,) = bundle(setup.system, xs[t:t + 1], setup.u_init[t:t + 1],
                                         SmoothingDistribution(variances), 30,
                                         [derive_knot_seed(11, 2, t)])
-                    np.testing.assert_array_equal(a, lins[t].A)
-                    np.testing.assert_array_equal(b, lins[t].B)
+                    np.testing.assert_array_equal(a, lins.A[t])
+                    np.testing.assert_array_equal(b, lins.B[t])
 
 
 LINEARIZED_TASKS = [
@@ -319,11 +328,11 @@ class TestBatchedLinearization:
                                             setup.mpc.input_dim)
         got = linearize_trajectory(setup.system, xs, us, mode, variances, 5, 3)
         expected = per_knot_linearization(setup.system, xs, us, mode, variances, 5, 3)
-        assert len(got) == len(expected) == setup.mpc.horizon
-        for lin, ref in zip(got, expected):
-            np.testing.assert_array_equal(lin.A, ref.A)
-            np.testing.assert_array_equal(lin.B, ref.B)
-            np.testing.assert_array_equal(lin.c, ref.c)
+        (T, m), n = us.shape, xs.shape[1]
+        assert (got.A.shape, got.B.shape, got.c.shape) == ((T, n, n), (T, n, m), (T, n))
+        np.testing.assert_array_equal(got.A, expected.A)
+        np.testing.assert_array_equal(got.B, expected.B)
+        np.testing.assert_array_equal(got.c, expected.c)
 
     @pytest.mark.parametrize("kind", ["first_order_bundle", "zero_order_bundle"])
     @pytest.mark.parametrize("task", ["quadrotor_hover", "pendulum_swingup", "lti"])

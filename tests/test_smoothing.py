@@ -227,12 +227,14 @@ class TestJacobianBundles:
         density_at_zero = 1.0 / (sigma * np.sqrt(2 * np.pi))
         assert abs(b0[0, 0, 0] - density_at_zero) < 0.1 * density_at_zero
 
-    def test_zero_covariance_falls_back_to_exact(self):
+    def test_zero_covariance_zero_order_rejected(self):
+        # The planner sends all-zero variances to the exact linearization
+        # (test_zero_covariance_makes_all_modes_identical); the fit itself has
+        # nothing to regress on.
         dist = SmoothingDistribution(np.zeros(5))
-        a, b = jacobian_bundle_zero_order(self.sys, np.zeros((1, 3)), np.zeros((1, 2)),
-                                          dist, 100, seeds=[0])
-        np.testing.assert_array_equal(a[0], self.sys.A)
-        np.testing.assert_array_equal(b[0], self.sys.B)
+        with pytest.raises(ConfigurationError, match="variance in every"):
+            jacobian_bundle_zero_order(self.sys, np.zeros((1, 3)), np.zeros((1, 2)),
+                                       dist, 100, seeds=[0])
 
     @pytest.mark.parametrize("bundle", [jacobian_bundle_first_order, jacobian_bundle_zero_order])
     def test_one_knot_is_a_stack_of_one(self, bundle):
@@ -396,7 +398,7 @@ class TestOneBatchedCallPerGroup:
     def test_linearization_calls(self, task, kind, monkeypatch):
         setup = build_task(task)
         cls = type(setup.system)
-        calls = {name: [] for name in ("step", "step_batch", "jacobians", "jacobians_batch")}
+        calls = {name: [] for name in ("step", "step_batch", "jacobians_batch")}
         for name, log in calls.items():
             def spy(self, x, u, _original=getattr(cls, name), _log=log):
                 _log.append(np.array(x))
@@ -415,7 +417,7 @@ class TestOneBatchedCallPerGroup:
         group = max(1, irs_lqr._BATCH_BYTES // (100 * n * (n + m) * 8))
         knots = [min(group, T - start) for start in range(0, T, group)]
         assert len(knots) > 1 and (group > 1) == (task == "pendulum_swingup")
-        assert calls["step"] == [] and calls["jacobians"] == []
+        assert calls["step"] == []
         if kind == "first_order_bundle":
             assert calls["step_batch"] == []       # offsets come from the stored rollout
             assert [len(x) for x in calls["jacobians_batch"]] == [k * 100 for k in knots]
