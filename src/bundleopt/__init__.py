@@ -17,8 +17,8 @@ from .contact import (Contact1DParams, Contact1DState, Contact2DParams,
 from .errors import ConfigurationError, DivergedError, SingularRegressionError
 from .functions import TEST_FUNCTION_IDS, TestFunction, get_test_function
 from .irs_lqr import (GradientMode, MpcProblem, MpcResult, TrajectoryIterate,
-                      derive_knot_seed, irs_lqr_run, linearize_trajectory,
-                      mpc_solve, rollout, stop_reason, trajectory_cost)
+                      irs_lqr_run, linearize_trajectory, mpc_solve, rollout,
+                      stop_reason, trajectory_cost)
 from .oracle import convolution_oracle, gauss_hermite_expectation
 from .qp import QpProblem, QpSolution, solve_qp
 from .smoothing import (BundleEstimate, SmoothingDistribution,

@@ -29,14 +29,13 @@ array pass. Only the Anitescu model loops its scalar stepper over rows.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigurationError, DivergedError
 from .qp import QpProblem, solve_qp
-from .systems import DynamicalSystem
+from .systems import DynamicalSystem, _require_positive
 
 __all__ = [
     "Contact1DParams",
@@ -62,14 +61,6 @@ MODE_SLIDING_DOWN = "sliding_down"  # negative tangential slip
 
 _TIE_TOL = 1e-9
 _MODES_2D = (MODE_SEPARATION, MODE_STICKING, MODE_SLIDING_UP, MODE_SLIDING_DOWN)
-
-
-def _require_positive(obj) -> None:
-    """Raise ConfigurationError naming obj's first attribute not finite and positive."""
-    for name, value in vars(obj).items():
-        if not 0.0 < value < math.inf:
-            raise ConfigurationError(
-                f"{type(obj).__name__}.{name} must be finite and positive, got {value}")
 
 
 @dataclass(frozen=True)

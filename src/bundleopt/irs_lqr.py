@@ -29,11 +29,10 @@ detected and reported rather than patched. stop_reason is the one rule
 for why a run stops: the planner loop and the CLI's `diverged` column
 both read it.
 
-Per-knot sample seeds derive deterministically from (run seed, iteration,
-knot index), so results are bit-identical regardless of how callers
-parallelize the per-knot work. Each knot draws its own samples, and an
-iteration's knots share a few batched calls on the dynamics, so a knot's
-linearization does not depend on which other knots share its call.
+An iteration's samples are one random stream seeded by (run seed,
+iteration), knot t taking the t-th block of draws. The knots share a few
+batched calls on the dynamics; how they are grouped changes neither the
+samples nor any knot's model, so results are bit-identical for a seed.
 """
 
 from __future__ import annotations
@@ -55,7 +54,6 @@ __all__ = [
     "MpcResult",
     "trajectory_cost",
     "rollout",
-    "derive_knot_seed",
     "linearize_trajectory",
     "mpc_solve",
     "irs_lqr_run",
@@ -163,8 +161,8 @@ class GradientMode:
     kind "exact" differentiates the dynamics; "first_order_bundle"
     averages Jacobians over sampled (state, input) perturbations;
     "zero_order_bundle" fits them by least squares on sampled steps.
-    Bundle modes use `samples` draws per knot; per-knot seeds derive from
-    the run seed.
+    Bundle modes use `samples` draws per knot, from one stream per
+    iteration seeded by the run seed.
     """
 
     kind: str = "exact"
@@ -236,12 +234,6 @@ def rollout(sys: DynamicalSystem, x0, us) -> np.ndarray:
     return xs
 
 
-def derive_knot_seed(run_seed: int, iteration: int, knot: int) -> int:
-    """Deterministic per-knot sample seed; independent of evaluation order."""
-    ss = np.random.SeedSequence([int(run_seed), int(iteration), int(knot)])
-    return int(ss.generate_state(1, dtype=np.uint64)[0])
-
-
 def joint_variances(cov0, mode: GradientMode, state_dim: int, input_dim: int) -> np.ndarray:
     """Joint (state, input) sampling variances, shape (n+m,), from a scalar variance.
 
@@ -270,10 +262,11 @@ def linearize_trajectory(sys: DynamicalSystem, xs, us, mode: GradientMode,
     `xs` must be the rollout of `us`: offsets read f(x_t, u_t) at xs[t + 1].
     `variances` are the joint (state, input) sampling variances for the
     bundle modes; the exact mode never reads them and makes one
-    jacobians_batch call. The bundle modes seed each knot on its own and
-    make one bundle call per group of knots, sized by _BATCH_BYTES. All-zero
-    variances make every mode take the exact path, so degenerate-variance
-    runs of all modes are bit-identical.
+    jacobians_batch call. The bundle modes make one bundle call per group
+    of knots, sized by _BATCH_BYTES, all drawing in knot order from one
+    generator seeded by (run_seed, iteration). All-zero variances make
+    every mode take the exact path, so degenerate-variance runs of all
+    modes are bit-identical.
     """
     xs = np.asarray(xs, dtype=float)
     us = np.asarray(us, dtype=float)
@@ -284,9 +277,9 @@ def linearize_trajectory(sys: DynamicalSystem, xs, us, mode: GradientMode,
         return linearize_exact(sys, knots, us, nexts)
     bundle = (jacobian_bundle_first_order if mode.kind == "first_order_bundle"
               else jacobian_bundle_zero_order)
-    seeds = [derive_knot_seed(run_seed, iteration, t) for t in range(T)]
+    rng = np.random.default_rng((int(run_seed), int(iteration)))
     group = max(1, _BATCH_BYTES // (mode.samples * n * (n + m) * 8))
-    parts = [bundle(sys, knots[k], us[k], dist, mode.samples, seeds[k])
+    parts = [bundle(sys, knots[k], us[k], dist, mode.samples, rng)
              for k in (slice(start, start + group) for start in range(0, T, group))]
     # concatenate keeps each group's memory layout (the zero-order fit's are
     # transposed views), and with it the bits of every product on the model

@@ -11,17 +11,17 @@ Every perturbation density is a zero-mean Gaussian with independent
 coordinates, given by one variance per coordinate; a sample is a standard
 normal draw scaled by the standard deviations.
 
-The Jacobian bundles take a stack of knots, each with its own seed and
-samples, and make one batched call on the dynamics for all of them: the
-first-order bundle one jacobians_batch call on every knot's n perturbed
-points, the zero-order bundle one step_batch call (see systems.py for the
-batch protocol). A knot's result does not depend on the other knots in
-its stack.
+The Jacobian bundles take a stack of K knots and one seed: one draw of
+K n perturbations gives the knots their n samples each, in knot order,
+and one batched call on the dynamics evaluates them all, jacobians_batch
+for the first-order bundle and step_batch for the zero-order one (see
+systems.py for the batch protocol).
 
 Determinism contract: every estimator is a pure function of its inputs and
-the 64-bit seed. Samples come from numpy's PCG64 generator, and reductions
-run in a fixed order over the sample axis, so results are bit-identical
-no matter how callers parallelize around these functions.
+its seed. Samples come from numpy's PCG64 generator, and reductions run in
+a fixed order over the sample axis, so results are bit-identical no matter
+how callers parallelize around these functions. A Generator seed is
+advanced, so draws in parts continue one stream as one draw would.
 
 Scalar functions are functions of a length-d vector. Functions carrying a
 truthy ``vectorized`` attribute are instead called on whole batches: with
@@ -95,15 +95,16 @@ class BundleEstimate:
     empirical_variance: np.ndarray
 
 
-def sample_perturbations(dist: SmoothingDistribution, n: int, seed: int) -> np.ndarray:
-    """Draw a reproducible batch of n perturbations, shape (n, dimension)."""
+def sample_perturbations(dist: SmoothingDistribution, n: int, seed) -> np.ndarray:
+    """n perturbations, shape (n, dimension), from any seed np.random.default_rng
+    takes: an int, a tuple of ints, or a Generator, which the draw advances."""
     if n < 1:
         raise ConfigurationError(f"sample count must be >= 1, got {n}")
     return np.random.default_rng(seed).standard_normal((n, dist.dimension)) * dist.stddevs
 
 
 def bundled_objective_estimate(f, x, dist: SmoothingDistribution, n: int,
-                               seed: int) -> BundleEstimate:
+                               seed) -> BundleEstimate:
     """Sample mean of f over Gaussian perturbations of x.
 
     Estimates the smoothed objective (the convolution of f with the
@@ -117,7 +118,7 @@ def bundled_objective_estimate(f, x, dist: SmoothingDistribution, n: int,
 
 
 def first_order_gradient_bundle(f, grad_f, x, dist: SmoothingDistribution, n: int,
-                                seed: int) -> BundleEstimate:
+                                seed) -> BundleEstimate:
     """Mean of sampled gradients grad_f(x + w_i); f itself is not evaluated.
 
     grad_f only needs to be defined almost everywhere; at kinks the
@@ -133,7 +134,7 @@ def first_order_gradient_bundle(f, grad_f, x, dist: SmoothingDistribution, n: in
 
 
 def zero_order_gradient_bundle(f, x, dist: SmoothingDistribution, n: int,
-                               seed: int) -> BundleEstimate:
+                               seed) -> BundleEstimate:
     """Derivative-free gradient estimate by least squares on sampled deviations.
 
     Solves argmin_g sum_i (f(x+w_i) - f(x) - g.w_i)^2 via the normal
@@ -141,16 +142,11 @@ def zero_order_gradient_bundle(f, x, dist: SmoothingDistribution, n: int,
     estimator; unlike literal division by the perturbation it stays finite
     for samples near zero.
 
-    With all variances exactly zero there is nothing to regress on; the
-    estimate degenerates to a central finite difference (step 1e-6) at x.
+    A zero variance, in one coordinate or all, leaves a direction with
+    nothing to regress on: SingularRegressionError.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
     d = x.shape[0]
-    if dist.is_zero:
-        step = 1e-6 * np.eye(d)
-        ends = _eval_batch(f, np.concatenate([x + step, x - step]))
-        g = (ends[:d] - ends[d:]) / 2e-6
-        return BundleEstimate(value=g, sample_count=n, empirical_variance=np.zeros(d))
     if n < d:
         raise ConfigurationError(
             f"zero-order estimate needs at least dim(x)={d} samples, got {n}")
@@ -167,18 +163,17 @@ def zero_order_gradient_bundle(f, x, dist: SmoothingDistribution, n: int,
 
 
 def jacobian_bundle_first_order(dynamics, x_nom, u_nom, dist: SmoothingDistribution,
-                                n: int, seeds) -> tuple[np.ndarray, np.ndarray]:
+                                n: int, seed) -> tuple[np.ndarray, np.ndarray]:
     """Monte-Carlo average of dynamics Jacobians at jointly perturbed points.
 
     x_nom (K, n_x) and u_nom (K, n_u) stack K knots (one knot is a stack
-    of one), each drawing n samples from its own seed. `dist` is over the
-    joint (state, input) perturbation; zero variances freeze variables.
-    One jacobians_batch call evaluates all K n points; each knot's sum runs
-    over its samples in order. Returns (A_hat, B_hat), (K, n_x, n_x) and
-    (K, n_x, n_u).
+    of one), each taking n samples of one draw from `seed` (see _knots).
+    `dist` is over the joint (state, input) perturbation; zero variances
+    freeze variables. One jacobians_batch call evaluates all K n points;
+    each knot's sum runs over its samples in order. Returns (A_hat, B_hat),
+    (K, n_x, n_x) and (K, n_x, n_u).
     """
-    x_nom, u_nom = _knots(x_nom, u_nom, dist, seeds)
-    z = np.stack([sample_perturbations(dist, n, seed) for seed in seeds])
+    x_nom, u_nom, z = _knots(x_nom, u_nom, dist, n, seed)
     (k, nx), nu = x_nom.shape, u_nom.shape[1]
     jac = dynamics.jacobians_batch((x_nom[:, None] + z[:, :, :nx]).reshape(-1, nx),
                                    (u_nom[:, None] + z[:, :, nx:]).reshape(-1, nu))
@@ -186,16 +181,15 @@ def jacobian_bundle_first_order(dynamics, x_nom, u_nom, dist: SmoothingDistribut
 
 
 def jacobian_bundle_zero_order(dynamics, x_nom, u_nom, dist: SmoothingDistribution,
-                               n: int, seeds) -> tuple[np.ndarray, np.ndarray]:
+                               n: int, seed) -> tuple[np.ndarray, np.ndarray]:
     """Least-squares fit of the local dynamics from sampled deviations.
 
-    Knots, seeds and shapes as in jacobian_bundle_first_order. Each knot
+    Knots, seed and shapes as in jacobian_bundle_first_order. Each knot
     regresses f(x+w_i, u+v_i) - f(x, u) onto its perturbations (w_i, v_i);
     one step_batch call evaluates every knot's nominal and n sampled steps.
     Requires n >= dim(x)+dim(u) samples and perturbation variance in every
     direction.
     """
-    x_nom, u_nom = _knots(x_nom, u_nom, dist, seeds)
     if np.any(dist.variances == 0.0):
         raise ConfigurationError(
             "zero-order Jacobian bundle needs perturbation variance in every "
@@ -204,7 +198,7 @@ def jacobian_bundle_zero_order(dynamics, x_nom, u_nom, dist: SmoothingDistributi
     if n < d:
         raise ConfigurationError(
             f"zero-order Jacobian bundle needs at least dim(x)+dim(u)={d} samples, got {n}")
-    z = np.stack([sample_perturbations(dist, n, seed) for seed in seeds])
+    x_nom, u_nom, z = _knots(x_nom, u_nom, dist, n, seed)
     (k, nx), nu = x_nom.shape, u_nom.shape[1]
     # row 0 of each knot is the nominal point f(x, u), rows 1..n the sampled steps
     xs = np.concatenate([x_nom[:, None], x_nom[:, None] + z[:, :, :nx]], axis=1)
@@ -271,12 +265,14 @@ def _require_full_rank(gram: np.ndarray, d: int):
             "perturbation samples do not span the space; raise the sample count n")
 
 
-def _knots(x_nom, u_nom, dist: SmoothingDistribution, seeds):
-    """Stacked knots as (K, n_x) and (K, n_u) float arrays, checked against K seeds and dist."""
+def _knots(x_nom, u_nom, dist: SmoothingDistribution, n: int, seed):
+    """Knots (K, n_x), (K, n_u) checked against dist, and their samples
+    (K, n, n_x + n_u): one draw from `seed`, knot k taking rows k n on."""
     x_nom, u_nom = np.asarray(x_nom, dtype=float), np.asarray(u_nom, dtype=float)
-    if (x_nom.ndim != 2 or u_nom.ndim != 2 or not len(x_nom) == len(u_nom) == len(seeds)
+    if (x_nom.ndim != 2 or u_nom.ndim != 2 or len(x_nom) != len(u_nom)
             or x_nom.shape[1] + u_nom.shape[1] != dist.dimension):
         raise ConfigurationError(
-            f"knots must stack as (K, n_x), (K, n_u) with K seeds and n_x + n_u = "
-            f"{dist.dimension}, got {x_nom.shape}, {u_nom.shape} and {len(seeds)} seeds")
-    return x_nom, u_nom
+            f"knots must stack as (K, n_x), (K, n_u) with n_x + n_u = "
+            f"{dist.dimension}, got {x_nom.shape} and {u_nom.shape}")
+    z = sample_perturbations(dist, len(x_nom) * n, seed)
+    return x_nom, u_nom, z.reshape(len(x_nom), n, dist.dimension)

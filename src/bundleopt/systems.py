@@ -28,6 +28,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import ConfigurationError
+
 __all__ = [
     "DynamicalSystem",
     "LinearizedDynamics",
@@ -66,6 +68,16 @@ class DynamicalSystem:
         """step_batch on a batch of one."""
         return self.step_batch(np.asarray(x, dtype=float)[None, :],
                                np.asarray(u, dtype=float)[None, :])[0]
+
+
+def _require_positive(obj, *names) -> None:
+    """Raise ConfigurationError naming the first of obj's attributes `names`
+    (default: all of them) that is not finite and positive."""
+    for name in names or vars(obj):
+        value = getattr(obj, name)
+        if not 0.0 < value < np.inf:
+            raise ConfigurationError(
+                f"{type(obj).__name__}.{name} must be finite and positive, got {value}")
 
 
 def _step_floats(self, x, u) -> np.ndarray:
@@ -130,6 +142,7 @@ class Pendulum(DynamicalSystem):
         self.gravity = gravity
         self.damping = damping
         self.h = h
+        _require_positive(self, "mass", "length", "h")
 
     def _next(self, theta, omega, torque):
         inertia = self.mass * self.length**2
@@ -167,6 +180,7 @@ class DubinsCar(DynamicalSystem):
 
     def __init__(self, h=0.1):
         self.h = h
+        _require_positive(self, "h")
 
     def _next(self, px, py, psi, speed, turn):
         return (px + self.h * speed * np.cos(psi), py + self.h * speed * np.sin(psi),
@@ -226,6 +240,7 @@ class Quadrotor(DynamicalSystem):
     def __init__(self, params: QuadrotorParams = QuadrotorParams(), h=0.01):
         self.params = params
         self.h = h
+        _require_positive(self, "h")
 
     def hover_thrusts(self) -> np.ndarray:
         return np.full(4, self.params.mass * self.params.gravity / 4.0)

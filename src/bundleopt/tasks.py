@@ -34,6 +34,8 @@ class TaskSetup:
 
 def _box_bounds(limits) -> tuple[np.ndarray, np.ndarray]:
     """Stack per-input (low, high) pairs into C u <= d form: u_i <= high, -u_i <= -low."""
+    if not all(lo <= hi for lo, hi in limits):
+        raise ConfigurationError(f"input bounds must have low <= high, got {limits}")
     m = len(limits)
     c = np.zeros((2 * m, m))
     c[0::2] += np.eye(m)
@@ -43,6 +45,8 @@ def _box_bounds(limits) -> tuple[np.ndarray, np.ndarray]:
 
 def make_lti(seed=0, state_dim=4, input_dim=2, horizon=20, spectral_radius=0.95):
     """Random controllable linear system with identity tracking costs."""
+    if min(state_dim, input_dim) < 1:
+        raise ConfigurationError(f"lti dimensions must be >= 1, got {state_dim}, {input_dim}")
     rng = np.random.default_rng(seed)
     for _ in range(50):
         a = rng.standard_normal((state_dim, state_dim))

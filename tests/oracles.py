@@ -22,9 +22,8 @@ from scipy.linalg import block_diag, solve_triangular
 from scipy.stats import norm
 
 from bundleopt.errors import ConfigurationError
-from bundleopt.irs_lqr import derive_knot_seed
 from bundleopt.qp import QpProblem, solve_qp
-from bundleopt.smoothing import SmoothingDistribution, sample_perturbations
+from bundleopt.smoothing import SmoothingDistribution
 from bundleopt.systems import LinearizedDynamics
 
 
@@ -502,28 +501,33 @@ def finite_difference_jacobians(step_batch, xs, us):
 def per_knot_linearization(sys, xs, us, mode, variances, run_seed, iteration):
     """irs_lqr.linearize_trajectory one knot at a time, with its own calls.
 
-    Each knot draws its samples from derive_knot_seed and makes its own
-    call on the dynamics: the exact mode steps the knot itself, the
-    first-order bundle averages its n sampled Jacobians, the zero-order
-    bundle solves its own normal equations. All-zero variances take the
-    exact path. The knots' models are stacked only at the end.
+    One (T N, d) standard-normal block from default_rng((run_seed,
+    iteration)), scaled by the standard deviations, gives knot t its rows
+    t N ... (t+1) N - 1. Each knot makes its own call on the dynamics: the
+    exact mode steps the knot itself, the first-order bundle averages its
+    N sampled Jacobians, the zero-order bundle solves its own normal
+    equations. All-zero variances take the exact path. The knots' models
+    are stacked only at the end.
     """
     xs = np.asarray(xs, dtype=float)
     us = np.asarray(us, dtype=float)
-    nx = xs.shape[1]
+    T, nx, N = us.shape[0], xs.shape[1], mode.samples
     dist = None if mode.kind == "exact" else SmoothingDistribution(variances)
+    if dist is not None:
+        block = (np.random.default_rng((run_seed, iteration))
+                 .standard_normal((T * N, dist.dimension)) * dist.stddevs)
     models = []
-    for t in range(us.shape[0]):
+    for t in range(T):
         x_nom, u_nom = xs[t], us[t]
         if dist is None or dist.is_zero:
             (a,), (b,) = sys.jacobians_batch(x_nom[None], u_nom[None])
             f0 = np.asarray(sys.step(x_nom, u_nom), dtype=float)
             models.append((a, b, f0 - a @ x_nom - b @ u_nom))
             continue
-        z = sample_perturbations(dist, mode.samples, derive_knot_seed(run_seed, iteration, t))
+        z = block[t * N:(t + 1) * N]
         if mode.kind == "first_order_bundle":
             a, b = sys.jacobians_batch(x_nom + z[:, :nx], u_nom + z[:, nx:])
-            a, b = np.sum(a, axis=0) / mode.samples, np.sum(b, axis=0) / mode.samples
+            a, b = np.sum(a, axis=0) / N, np.sum(b, axis=0) / N
         else:
             f = np.asarray(sys.step_batch(np.concatenate([x_nom[None], x_nom + z[:, :nx]]),
                                           np.concatenate([u_nom[None], u_nom + z[:, nx:]])),

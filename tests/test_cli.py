@@ -219,9 +219,14 @@ def test_contact_probe_names_a_non_finite_parameter(tmp_path, capsys, k):
 @pytest.mark.parametrize("verb, config", [
     ("contact-probe", {**PROBE, "system": {"k": -1}}),
     ("plan", {**PLAN, "params": {"horizon": 0}}),
+    ("plan", {**PLAN, "task": "lti", "params": {"state_dim": 0}}),
+    ("plan", {**PLAN, "task": "pendulum_swingup", "params": {"mass": 0.0}}),
+    ("plan", {**PLAN, "task": "pendulum_swingup", "params": {"h": -0.05}}),
+    ("plan", {**PLAN, "task": "dubins_parking", "params": {"v_max": -1.0}}),
 ])
 def test_constructor_config_error_leaves_no_out(tmp_path, capsys, verb, config):
-    # the schema passes these; Contact2DParams and MpcProblem reject them
+    # the schema passes these; Contact2DParams, MpcProblem and the task
+    # builders and systems reject them
     path, out = tmp_path / "config.json", tmp_path / "out"
     path.write_text(json.dumps(config))
     code = cli.main([verb, "--config", str(path), "--out", str(out)])

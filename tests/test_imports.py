@@ -1,8 +1,9 @@
 """Every name a bundleopt module imports is used in that module, every
 module-level private name (`_x`) is referenced somewhere in the package,
 and every name in a module's `__all__` exists and is a package export.
-No module imports scipy.integrate. Importing the package, and planning
-without inequalities, leave scipy and jsonschema unloaded.
+No module imports scipy.integrate or names SeedSequence. Importing the
+package, and planning without inequalities, leave scipy and jsonschema
+unloaded.
 
 `__init__.py` is exempt from the first check: its imports are the
 package's exports.
@@ -120,6 +121,30 @@ def test_no_module_imports_scipy_integrate():
     # the quadrature that needed it is a test reference (tests/oracles.py)
     assert [p.name for p in sorted(SRC.glob("*.py"))
             if imports_scipy_integrate(p.read_text(encoding="utf-8"))] == []
+
+
+def names_seed_sequence(source: str) -> bool:
+    """True if `source` names SeedSequence: as a name, an attribute or an imported name."""
+    return any("SeedSequence" in (getattr(node, "id", None), getattr(node, "attr", None),
+                                  getattr(node, "name", None))
+               for node in ast.walk(ast.parse(source)))
+
+
+@pytest.mark.parametrize("source", [
+    "np.random.SeedSequence(1)", "from numpy.random import SeedSequence as S",
+    "SeedSequence([0, 1]).generate_state(1)",
+    "def f(seed):\n    return np.random.SeedSequence(seed)\n"],
+    ids=["attribute", "import_as", "bare_name", "inside_function"])
+def test_checker_flags_a_seed_sequence(source):
+    assert names_seed_sequence(source)
+    assert not names_seed_sequence("rng = np.random.default_rng((1, 2))\n")
+
+
+def test_no_module_names_seed_sequence():
+    # a seed is whatever np.random.default_rng takes, a Generator included:
+    # no module hashes one seed into another
+    assert [p.name for p in sorted(SRC.glob("*.py"))
+            if names_seed_sequence(p.read_text(encoding="utf-8"))] == []
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)

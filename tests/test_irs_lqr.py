@@ -6,11 +6,9 @@ import numpy as np
 import pytest
 
 from bundleopt import irs_lqr, qp
-from bundleopt.irs_lqr import (GradientMode, MpcProblem, derive_knot_seed, irs_lqr_run,
-                               linearize_trajectory, mpc_solve, stop_reason)
+from bundleopt.irs_lqr import (GradientMode, MpcProblem, irs_lqr_run, linearize_trajectory,
+                               mpc_solve, stop_reason)
 from bundleopt.errors import ConfigurationError
-from bundleopt.smoothing import (SmoothingDistribution, jacobian_bundle_first_order,
-                                 jacobian_bundle_zero_order)
 from bundleopt.systems import LinearizedDynamics, LinearSystem
 from bundleopt.tasks import build_task
 
@@ -273,33 +271,6 @@ class TestDeterminism:
                 np.testing.assert_array_equal(a.xs, b.xs)
                 np.testing.assert_array_equal(a.us, b.us)
 
-    def test_knot_seed_does_not_depend_on_evaluation_order(self):
-        keys = [(seed, it, knot) for seed in (0, 7) for it in range(3) for knot in range(5)]
-        forward = {key: derive_knot_seed(*key) for key in keys}
-        backward = {key: derive_knot_seed(*key) for key in reversed(keys)}
-        assert forward == backward
-        assert len(set(forward.values())) == len(keys)
-
-    def test_each_knot_linearization_can_be_computed_alone(self):
-        bundles = {"first_order_bundle": jacobian_bundle_first_order,
-                   "zero_order_bundle": jacobian_bundle_zero_order}
-        for task, variance in (("push_1d", 0.25), ("pendulum_swingup", 0.25),
-                               ("quadrotor_hover", 0.01)):
-            setup = build_task(task)
-            xs = irs_lqr.rollout(setup.system, setup.mpc.initial_state, setup.u_init)
-            n, m = setup.mpc.state_dim, setup.mpc.input_dim
-            for kind, bundle in bundles.items():
-                mode = GradientMode(kind=kind, samples=30)
-                variances = irs_lqr.joint_variances(variance, mode, n, m)
-                lins = linearize_trajectory(setup.system, xs, setup.u_init, mode, variances,
-                                            11, 2)
-                for t in (7, 0, 13):
-                    (a,), (b,) = bundle(setup.system, xs[t:t + 1], setup.u_init[t:t + 1],
-                                        SmoothingDistribution(variances), 30,
-                                        [derive_knot_seed(11, 2, t)])
-                    np.testing.assert_array_equal(a, lins.A[t])
-                    np.testing.assert_array_equal(b, lins.B[t])
-
 
 LINEARIZED_TASKS = [
     pytest.param(task, params, variance, id="-".join([task, *params.values()]))
@@ -333,6 +304,23 @@ class TestBatchedLinearization:
         np.testing.assert_array_equal(got.A, expected.A)
         np.testing.assert_array_equal(got.B, expected.B)
         np.testing.assert_array_equal(got.c, expected.c)
+
+    @pytest.mark.parametrize("kind", ["first_order_bundle", "zero_order_bundle"])
+    @pytest.mark.parametrize("task", ["quadrotor_hover", "pendulum_swingup"])
+    def test_grouping_of_knots_does_not_change_the_model(self, task, kind, monkeypatch):
+        # the iteration's one stream gives the same samples in one draw per
+        # knot, per group, or for the whole trajectory
+        setup, xs, us = self._trajectory(task, {})
+        mode = GradientMode(kind=kind, samples=100)
+        variances = irs_lqr.joint_variances(0.01, mode, setup.mpc.state_dim,
+                                            setup.mpc.input_dim)
+        default = linearize_trajectory(setup.system, xs, us, mode, variances, 11, 2)
+        for budget in (1, 2**40):                 # one knot per group; one group
+            monkeypatch.setattr(irs_lqr, "_BATCH_BYTES", budget)
+            got = linearize_trajectory(setup.system, xs, us, mode, variances, 11, 2)
+            np.testing.assert_array_equal(got.A, default.A)
+            np.testing.assert_array_equal(got.B, default.B)
+            np.testing.assert_array_equal(got.c, default.c)
 
     @pytest.mark.parametrize("kind", ["first_order_bundle", "zero_order_bundle"])
     @pytest.mark.parametrize("task", ["quadrotor_hover", "pendulum_swingup", "lti"])

@@ -167,8 +167,7 @@ class TestZeroOrderBundle:
             zero_order_gradient_bundle(lambda x: float(x[0]), [0.0, 0.0], dist,
                                        100, seed=0)
 
-    @pytest.mark.parametrize("cov", [np.full(2, 0.04), np.zeros(2)])
-    def test_vectorized_2d_function_matches_its_scalar_twin(self, cov):
+    def test_vectorized_2d_function_matches_its_scalar_twin(self):
         def f(p):
             return p[0] * p[0] + 3.0 * p[1] * p[1]
 
@@ -176,7 +175,7 @@ class TestZeroOrderBundle:
             return points[:, 0] * points[:, 0] + 3.0 * points[:, 1] * points[:, 1]
 
         f_batch.vectorized = True
-        dist = SmoothingDistribution(cov)
+        dist = SmoothingDistribution(np.full(2, 0.04))
         scalar = zero_order_gradient_bundle(f, [0.3, -0.2], dist, 50, seed=3)
         batched = zero_order_gradient_bundle(f_batch, [0.3, -0.2], dist, 50, seed=3)
         np.testing.assert_array_equal(batched.value, scalar.value)
@@ -193,14 +192,14 @@ class TestJacobianBundles:
         # averaging N identical Jacobians is exact up to summation rounding
         dist = SmoothingDistribution.isotropic(5, 0.5)
         a, b = jacobian_bundle_first_order(self.sys, np.zeros((1, 3)), np.zeros((1, 2)),
-                                           dist, 20, seeds=[0])
+                                           dist, 20, seed=0)
         np.testing.assert_allclose(a[0], self.sys.A, rtol=1e-13)
         np.testing.assert_allclose(b[0], self.sys.B, rtol=1e-13)
 
     def test_lti_zero_order_exact(self):
         dist = SmoothingDistribution.isotropic(5, 0.5)
         a, b = jacobian_bundle_zero_order(self.sys, np.zeros((1, 3)), np.zeros((1, 2)),
-                                          dist, 40, seeds=[1])
+                                          dist, 40, seed=1)
         np.testing.assert_allclose(a[0], self.sys.A, atol=1e-8)
         np.testing.assert_allclose(b[0], self.sys.B, atol=1e-8)
 
@@ -221,9 +220,9 @@ class TestJacobianBundles:
         sigma = 0.5
         dist = SmoothingDistribution([sigma**2, sigma**2])
         sys = StepDynamics()
-        a1, b1 = jacobian_bundle_first_order(sys, [[0.0]], [[0.0]], dist, 1000, seeds=[0])
+        a1, b1 = jacobian_bundle_first_order(sys, [[0.0]], [[0.0]], dist, 1000, seed=0)
         assert b1[0, 0, 0] == 0.0
-        _, b0 = jacobian_bundle_zero_order(sys, [[0.0]], [[0.0]], dist, 10**5, seeds=[0])
+        _, b0 = jacobian_bundle_zero_order(sys, [[0.0]], [[0.0]], dist, 10**5, seed=0)
         density_at_zero = 1.0 / (sigma * np.sqrt(2 * np.pi))
         assert abs(b0[0, 0, 0] - density_at_zero) < 0.1 * density_at_zero
 
@@ -234,23 +233,23 @@ class TestJacobianBundles:
         dist = SmoothingDistribution(np.zeros(5))
         with pytest.raises(ConfigurationError, match="variance in every"):
             jacobian_bundle_zero_order(self.sys, np.zeros((1, 3)), np.zeros((1, 2)),
-                                       dist, 100, seeds=[0])
+                                       dist, 100, seed=0)
 
     @pytest.mark.parametrize("bundle", [jacobian_bundle_first_order, jacobian_bundle_zero_order])
     def test_one_knot_is_a_stack_of_one(self, bundle):
         dist = SmoothingDistribution.isotropic(5, 0.5)
         with pytest.raises(ConfigurationError, match="stack"):
-            bundle(self.sys, np.zeros(3), np.zeros(2), dist, 40, seeds=[0])
+            bundle(self.sys, np.zeros(3), np.zeros(2), dist, 40, seed=0)
         with pytest.raises(ConfigurationError, match="stack"):
-            bundle(self.sys, np.zeros((2, 3)), np.zeros((2, 2)), dist, 40, seeds=[0])
-        a, b = bundle(self.sys, np.zeros((1, 3)), np.zeros((1, 2)), dist, 40, seeds=[0])
+            bundle(self.sys, np.zeros((2, 3)), np.zeros((1, 2)), dist, 40, seed=0)
+        a, b = bundle(self.sys, np.zeros((1, 3)), np.zeros((1, 2)), dist, 40, seed=0)
         assert a.shape == (1, 3, 3) and b.shape == (1, 3, 2)
 
     def test_partially_frozen_zero_order_rejected(self):
         dist = SmoothingDistribution([0.0, 0.0, 0.0, 0.1, 0.1])
         with pytest.raises(ConfigurationError):
             jacobian_bundle_zero_order(self.sys, np.zeros((1, 3)), np.zeros((1, 2)),
-                                       dist, 100, seeds=[0])
+                                       dist, 100, seed=0)
 
     def test_contact_jacobian_blend_far_from_boundary(self):
         from bundleopt.contact import Contact1DParams, ContactPush1D
@@ -261,7 +260,7 @@ class TestJacobianBundles:
         command = 1.0 - 5.0 * sigma          # five sigma below the boundary
         dist = SmoothingDistribution([0.0, 0.0, sigma**2])
         a, b = jacobian_bundle_first_order(sys, [[1.0, 0.0]], [[command]], dist,
-                                           10000, seeds=[0])
+                                           10000, seed=0)
         a_ref, b_ref = blended_jacobian_1d(1.0, command, 0.0, params.c_ratio)
         assert np.max(np.abs(a[0] - a_ref)) < 1e-3
         assert np.max(np.abs(b[0] - b_ref)) < 1e-3
@@ -274,7 +273,7 @@ class TestJacobianBundles:
         sigma = 0.1
         dist = SmoothingDistribution([0.0, 0.0, sigma**2])
         (a,), (b,) = jacobian_bundle_first_order(sys, [[1.0, 0.0]], [[1.0]], dist,
-                                                 100000, seeds=[0])
+                                                 100000, seed=0)
         # equal-weight blend of the two pieces
         blend = 0.5 / (1.0 + params.c_ratio)
         assert b[0, 0] == pytest.approx(blend, rel=0.02)
@@ -291,8 +290,8 @@ class TestJacobianBundles:
         sigma = 0.2
         dist = SmoothingDistribution(np.full(3, sigma**2))
         n = 20000
-        a1, b1 = jacobian_bundle_first_order(sys, [[1.0, 0.0]], [[1.0]], dist, n, seeds=[3])
-        a0, b0 = jacobian_bundle_zero_order(sys, [[1.0, 0.0]], [[1.0]], dist, n, seeds=[4])
+        a1, b1 = jacobian_bundle_first_order(sys, [[1.0, 0.0]], [[1.0]], dist, n, seed=3)
+        a0, b0 = jacobian_bundle_zero_order(sys, [[1.0, 0.0]], [[1.0]], dist, n, seed=4)
         # three standard errors of the first-order estimate (entries are
         # Bernoulli blends, variance <= 0.25/n per entry)
         tol = 3.0 * np.sqrt(0.25 / n) * 3.0
@@ -378,8 +377,9 @@ class TestStatisticalInvariants:
         assert est.value == pytest.approx(float(f(0.3)), rel=1e-14)
         grad_est = first_order_gradient_bundle(f, f.gradient, [0.3], dist, 10, seed=0)
         assert grad_est.value[0] == pytest.approx(float(f.gradient(0.3)), rel=1e-14)
-        zo = zero_order_gradient_bundle(f, [0.3], dist, 10, seed=0)
-        assert zo.value[0] == pytest.approx(float(f.gradient(0.3)), abs=1e-6)
+        # the regression has no direction to fit (test_rank_deficiency_raises)
+        with pytest.raises(SingularRegressionError):
+            zero_order_gradient_bundle(f, [0.3], dist, 10, seed=0)
 
     def test_determinism_of_estimators(self):
         f = get_test_function("vee")
