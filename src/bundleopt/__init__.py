@@ -10,10 +10,9 @@ pushers included, is a batched DynamicalSystem, so both Jacobian bundles
 run on each of them.
 """
 
-from .contact import (Contact1DParams, Contact1DState, Contact2DParams,
-                      Contact2DState, ContactPush1D, ContactPush2D,
-                      PenaltyParams, PenaltyPush1D, StepDiagnostics,
-                      penalty_forces, step_1d, step_2d_anitescu, step_2d_exact)
+from .contact import (Contact1DParams, Contact2DParams, Contact2DState,
+                      ContactPush1D, ContactPush2D, PenaltyParams, PenaltyPush1D,
+                      StepDiagnostics, penalty_forces, step_2d_anitescu, step_2d_exact)
 from .errors import ConfigurationError, DivergedError, SingularRegressionError
 from .functions import TEST_FUNCTION_IDS, TestFunction, get_test_function
 from .irs_lqr import (GradientMode, MpcProblem, MpcResult, TrajectoryIterate,

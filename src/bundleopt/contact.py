@@ -3,8 +3,8 @@
 Three families of models of a position-controlled robot interacting with a
 free box:
 
-* a 1D normal-contact system solved in closed form from its two linear
-  pieces (separation / contact), with impulse complementarity diagnostics;
+* ContactPush1D, a 1D normal-contact system stepped in closed form from
+  its two linear pieces (separation / contact);
 * a 2D frictional system - the box slides along x on a frictionless floor,
   the robot sphere presses down on the box's top face and drags it through
   Coulomb friction - solved either exactly by enumerating the four contact
@@ -39,12 +39,10 @@ from .systems import DynamicalSystem, _require_positive
 
 __all__ = [
     "Contact1DParams",
-    "Contact1DState",
     "Contact2DParams",
     "Contact2DState",
     "StepDiagnostics",
     "PenaltyParams",
-    "step_1d",
     "step_2d_exact",
     "step_2d_anitescu",
     "penalty_forces",
@@ -54,7 +52,6 @@ __all__ = [
 ]
 
 MODE_SEPARATION = "separation"
-MODE_CONTACT = "contact"
 MODE_STICKING = "sticking"
 MODE_SLIDING_UP = "sliding_up"      # positive tangential slip (robot relative to box)
 MODE_SLIDING_DOWN = "sliding_down"  # negative tangential slip
@@ -80,51 +77,20 @@ class Contact1DParams:
 
 
 @dataclass(frozen=True)
-class Contact1DState:
-    """Positions of the free box (xu) and robot (xa), plus the commanded
-    robot position for the next step."""
-
-    xu: float
-    xa: float
-    command: float
-
-
-@dataclass(frozen=True)
 class StepDiagnostics:
-    """Contact impulses and mode of one step.
+    """Contact impulses and mode of one 2D step.
 
     lambda_n >= 0 is the normal impulse on the robot, gap the separation
     after the step, lambda_t the signed tangential (friction) impulse on
-    the robot (0 for the 1D model). `tie` flags commands that landed on a
-    mode boundary within tolerance.
+    the robot. `tie` flags commands that landed on a mode boundary within
+    tolerance.
     """
 
     lambda_n: float
     gap: float
     mode: str
-    lambda_t: float = 0.0
+    lambda_t: float
     tie: bool = False
-
-
-def step_1d(state: Contact1DState, params: Contact1DParams
-            ) -> tuple[Contact1DState, StepDiagnostics]:
-    """Advance the 1D pusher system one step.
-
-    The next state is ContactPush1D's step: commands short of the box
-    leave it untouched and the robot lands on its command; commands at or
-    past the box place both at the blend (c*xu + command)/(1+c). The
-    returned impulse satisfies the robot force balance and box momentum
-    relation exactly.
-    """
-    (xu, xa), = ContactPush1D(params).step_batch(np.array([[state.xu, state.xa]]),
-                                                  np.array([[state.command]]))
-    nxt = Contact1DState(xu=float(xu), xa=float(xa), command=state.command)
-    tie = abs(state.command - state.xu) <= _TIE_TOL
-    if state.command < state.xu:
-        return nxt, StepDiagnostics(lambda_n=0.0, gap=state.xu - state.command,
-                                    mode=MODE_SEPARATION, tie=tie)
-    return nxt, StepDiagnostics(lambda_n=params.m * (nxt.xu - state.xu) / params.h,
-                                gap=0.0, mode=MODE_CONTACT, tie=tie)
 
 
 # ---------------------------------------------------------------------------
@@ -316,12 +282,12 @@ class PenaltyPush1D(DynamicalSystem):
     pushed back by the contact force. The step is piecewise linear, so
     d xu'/d xa jumps from 0 to h^2 * normal_stiffness / box_mass at
     contact (right-sided at xa == xu, as ContactPush1D). The Jacobians
-    depend only on the state, so the first-order bundle, which perturbs
-    only the inputs (irs_lqr.joint_variances), is the exact linearization.
-    Needs a small step for the stiff spring: h * sqrt(normal_stiffness /
-    box_mass) <= 0.2 for the box and h * normal_stiffness / robot_damping <
-    2 for the robot's explicit servo step; the defaults give 0.2 and 1. A
-    batch with any entry beyond 1e6 raises DivergedError.
+    depend only on the state, so a bundle smooths the jump only by
+    perturbing the state, as the planner's bundles do. Needs a small step
+    for the stiff spring: h * sqrt(normal_stiffness / box_mass) <= 0.2 for
+    the box and h * normal_stiffness / robot_damping < 2 for the robot's
+    explicit servo step; the defaults give 0.2 and 1. A batch with any
+    entry beyond 1e6 raises DivergedError.
     """
 
     state_dim = 3
@@ -367,9 +333,11 @@ class PenaltyPush1D(DynamicalSystem):
 class ContactPush1D(DynamicalSystem):
     """1D pusher as a (xu, xa) system with the commanded position as input.
 
-    Holds the two pieces of step_1d. At the boundary the Jacobians follow
-    the right-sided convention: the contact piece applies exactly when
-    the command reaches the box.
+    Commands short of the box leave it in place and the robot lands on
+    its command; commands at or past the box place both at the blend
+    (c*xu + command)/(1+c), c = c_ratio. At the boundary the Jacobians
+    follow the right-sided convention: the contact piece applies exactly
+    when the command reaches the box.
     """
 
     state_dim = 2

@@ -160,9 +160,10 @@ class GradientMode:
 
     kind "exact" differentiates the dynamics; "first_order_bundle"
     averages Jacobians over sampled (state, input) perturbations;
-    "zero_order_bundle" fits them by least squares on sampled steps.
-    Bundle modes use `samples` draws per knot, from one stream per
-    iteration seeded by the run seed.
+    "zero_order_bundle" fits them by least squares on sampled steps. Both
+    bundles draw `samples` perturbations per knot of every state and input
+    coordinate at the run's one scheduled variance, from one stream per
+    iteration seeded by the run seed; the mode never changes the sampling.
     """
 
     kind: str = "exact"
@@ -234,45 +235,25 @@ def rollout(sys: DynamicalSystem, x0, us) -> np.ndarray:
     return xs
 
 
-def joint_variances(cov0, mode: GradientMode, state_dim: int, input_dim: int) -> np.ndarray:
-    """Joint (state, input) sampling variances, shape (n+m,), from a scalar variance.
-
-    cov0 is the per-coordinate variance of the input perturbations; the
-    zero-order mode also perturbs the state at the same variance (its
-    regression needs excitation in every direction), while the first-order
-    mode leaves states unperturbed (variance 0). So on a system whose
-    Jacobians depend only on the state, such as PenaltyPush1D, the
-    first-order bundle is the exact linearization.
-    """
-    cov0 = np.asarray(cov0, dtype=float)
-    if cov0.ndim != 0:
-        raise ConfigurationError(f"cov0 must be a scalar variance, got shape {cov0.shape}")
-    variances = np.zeros(state_dim + input_dim)
-    variances[state_dim:] = cov0
-    if mode.kind == "zero_order_bundle":
-        variances[:state_dim] = cov0
-    return variances
-
-
 def linearize_trajectory(sys: DynamicalSystem, xs, us, mode: GradientMode,
-                         variances, run_seed: int, iteration: int
+                         variance, run_seed: int, iteration: int
                          ) -> LinearizedDynamics:
     """Stacked linear models of every knot of a nominal trajectory.
 
     `xs` must be the rollout of `us`: offsets read f(x_t, u_t) at xs[t + 1].
-    `variances` are the joint (state, input) sampling variances for the
-    bundle modes; the exact mode never reads them and makes one
-    jacobians_batch call. The bundle modes make one bundle call per group
-    of knots, sized by _BATCH_BYTES, all drawing in knot order from one
-    generator seeded by (run_seed, iteration). All-zero variances make
-    every mode take the exact path, so degenerate-variance runs of all
-    modes are bit-identical.
+    `variance` is the bundle modes' sampling variance: both perturb every
+    state and input coordinate by it, as the paper's bundles do. The exact
+    mode never reads it and makes one jacobians_batch call. The bundle
+    modes make one bundle call per group of knots, sized by _BATCH_BYTES,
+    all drawing in knot order from one generator seeded by (run_seed,
+    iteration). A zero variance makes every mode take the exact path, so
+    degenerate-variance runs of all modes are bit-identical.
     """
     xs = np.asarray(xs, dtype=float)
     us = np.asarray(us, dtype=float)
     (T, m), n = us.shape, xs.shape[1]
     knots, nexts = xs[:T], xs[1:]
-    dist = None if mode.kind == "exact" else SmoothingDistribution(variances)
+    dist = None if mode.kind == "exact" else SmoothingDistribution(np.full(n + m, variance))
     if dist is None or dist.is_zero:
         return linearize_exact(sys, knots, us, nexts)
     bundle = (jacobian_bundle_first_order if mode.kind == "first_order_bundle"
@@ -453,9 +434,10 @@ def irs_lqr_run(sys: DynamicalSystem, mpc: MpcProblem, mode: GradientMode,
     QP per window (see the module docstring). Relaxed windows are counted
     in each iterate's `infeasible_steps`.
 
-    `cov0` is the initial sampling variance (see joint_variances);
-    `schedule` a (policy, gamma) pair fed to variance_schedule. Stops after
-    max_iters iterations, or as soon as stop_reason of the costs so far is
+    `cov0` is the initial sampling variance, one scalar for every state
+    and input coordinate (see linearize_trajectory); `schedule` a (policy,
+    gamma) pair fed to variance_schedule. Stops after max_iters
+    iterations, or as soon as stop_reason of the costs so far is
     "diverged" or "converged".
     """
     if mpc.initial_state is None:
@@ -468,15 +450,17 @@ def irs_lqr_run(sys: DynamicalSystem, mpc: MpcProblem, mode: GradientMode,
     if mode.kind == "zero_order_bundle" and mode.samples < n + m:
         raise ConfigurationError(
             f"zero-order mode needs at least dim(x)+dim(u)={n + m} samples")
+    cov0 = np.asarray(cov0, dtype=float)
+    if cov0.ndim != 0:
+        raise ConfigurationError(f"cov0 must be a scalar variance, got shape {cov0.shape}")
     policy, gamma = schedule
-    var_joint0 = joint_variances(cov0, mode, n, m)
     unconstrained = mpc.C_u is None and mpc.C_x is None
 
     xs = rollout(sys, mpc.initial_state, us)
     history = [TrajectoryIterate(xs=xs, us=us, cost=trajectory_cost((xs, us), mpc),
                                  iteration=0)]
     for k in range(max_iters):
-        var_k = variance_schedule(var_joint0, k, policy, gamma)
+        var_k = variance_schedule(cov0, k, policy, gamma)
         lins = linearize_trajectory(sys, xs, us, mode, var_k, seed, k)
         new_xs = np.empty_like(xs)
         new_us = np.empty_like(us)

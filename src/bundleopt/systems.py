@@ -204,15 +204,6 @@ class DubinsCar(DynamicalSystem):
 # quadrotor
 
 
-@dataclass(frozen=True)
-class QuadrotorParams:
-    mass: float = 0.5
-    arm_length: float = 0.17
-    inertia: tuple[float, float, float] = (3.2e-3, 3.2e-3, 5.5e-3)
-    drag_to_thrust: float = 0.016
-    gravity: float = 9.81
-
-
 def _euler_trig(roll, pitch, yaw):
     """sin and cos of roll, pitch and yaw."""
     return np.sin(roll), np.cos(roll), np.sin(pitch), np.cos(pitch), np.sin(yaw), np.cos(yaw)
@@ -229,52 +220,59 @@ class Quadrotor(DynamicalSystem):
     linear velocity (3), body-frame angular velocity (3). Input: four rotor
     thrusts on a plus-configuration frame (+x, +y, -x, -y arms). Euler
     angles hit a coordinate singularity at pitch = +-pi/2; that is a
-    documented domain boundary, not a handled case.
+    documented domain boundary, not a handled case. The airframe (mass,
+    arm length, principal inertias, rotor drag-to-thrust ratio) and
+    gravity are fixed; only the step h is a parameter.
     """
 
     state_dim = 12
     input_dim = 4
     step = _step_floats
     step_batch = _step_columns
+    mass = 0.5
+    arm_length = 0.17
+    inertia = (3.2e-3, 3.2e-3, 5.5e-3)
+    drag_to_thrust = 0.016
+    gravity = 9.81
 
-    def __init__(self, params: QuadrotorParams = QuadrotorParams(), h=0.01):
-        self.params = params
+    def __init__(self, h=0.01):
         self.h = h
         _require_positive(self, "h")
 
     def hover_thrusts(self) -> np.ndarray:
-        return np.full(4, self.params.mass * self.params.gravity / 4.0)
+        return np.full(4, self.mass * self.gravity / 4.0)
 
     def _mixing_matrix(self) -> np.ndarray:
-        larm = self.params.arm_length
-        kappa = self.params.drag_to_thrust
+        larm = self.arm_length
+        kappa = self.drag_to_thrust
         return np.array([[0.0, larm, 0.0, -larm],
                          [-larm, 0.0, larm, 0.0],
                          [kappa, -kappa, kappa, -kappa]])
 
     def _next(self, px, py, pz, roll, pitch, yaw, vx, vy, vz, w0, w1, w2, u0, u1, u2, u3):
-        pr, h = self.params, self.h
-        i0, i1, i2 = pr.inertia
+        h = self.h
+        i0, i1, i2 = self.inertia
         sr, cr, sp, cp, sy, cy = _euler_trig(roll, pitch, yaw)
         tp = np.tan(pitch)
         # body angular velocity -> ZYX Euler angle rates
         roll_rate = w0 + sr * tp * w1 + cr * tp * w2
         pitch_rate = cr * w1 - sr * w2
         yaw_rate = sr / cp * w1 + cr / cp * w2
-        thrust = (u0 + u1 + u2 + u3) / pr.mass
+        thrust = (u0 + u1 + u2 + u3) / self.mass
         zx, zy, zz = _body_z_in_world(sr, cr, sp, cp, sy, cy)
         # w' = I^{-1} (tau(u) - w x (I w))
         iw0, iw1, iw2 = i0 * w0, i1 * w1, i2 * w2
-        wd0 = (pr.arm_length * (u1 - u3) - (w1 * iw2 - w2 * iw1)) / i0
-        wd1 = (pr.arm_length * (u2 - u0) - (w2 * iw0 - w0 * iw2)) / i1
-        wd2 = (pr.drag_to_thrust * (u0 - u1 + u2 - u3) - (w0 * iw1 - w1 * iw0)) / i2
+        wd0 = (self.arm_length * (u1 - u3) - (w1 * iw2 - w2 * iw1)) / i0
+        wd1 = (self.arm_length * (u2 - u0) - (w2 * iw0 - w0 * iw2)) / i1
+        wd2 = (self.drag_to_thrust * (u0 - u1 + u2 - u3) - (w0 * iw1 - w1 * iw0)) / i2
         return (px + h * vx, py + h * vy, pz + h * vz,
                 roll + h * roll_rate, pitch + h * pitch_rate, yaw + h * yaw_rate,
-                vx + h * (thrust * zx), vy + h * (thrust * zy), vz + h * (thrust * zz - pr.gravity),
+                vx + h * (thrust * zx), vy + h * (thrust * zy),
+                vz + h * (thrust * zz - self.gravity),
                 w0 + h * wd0, w1 + h * wd1, w2 + h * wd2)
 
     def jacobians_batch(self, xs, us):
-        pr, h = self.params, self.h
+        h = self.h
         rows = xs.shape[0]
         trig = _euler_trig(*xs[:, 3:6].T)
         sr, cr, sp, cp, sy, cy = trig
@@ -297,20 +295,20 @@ class Quadrotor(DynamicalSystem):
         a[:, 5, 10:12] = h * np.stack([sr / cp, cr / cp], axis=1)
 
         # translational block: v+ = v + h (thrust/m) z_world(e) - h g z
-        scale = (h * (us[:, 0] + us[:, 1] + us[:, 2] + us[:, 3]) / pr.mass)[:, None]
+        scale = (h * (us[:, 0] + us[:, 1] + us[:, 2] + us[:, 3]) / self.mass)[:, None]
         a[:, 6:9, 3] = scale * np.stack([-sr * sp * cy + cr * sy, -sr * sp * sy - cr * cy,
                                          -sr * cp], axis=1)
         a[:, 6:9, 4] = scale * np.stack([cr * cp * cy, cr * cp * sy, -cr * sp], axis=1)
         a[:, 6:8, 5] = scale * np.stack([-cr * sp * sy + sr * cy, cr * sp * cy + sr * sy],
                                         axis=1)
-        b[:, 6:9, :] = (h / pr.mass) * np.stack(_body_z_in_world(*trig), axis=1)[:, :, None]
+        b[:, 6:9, :] = (h / self.mass) * np.stack(_body_z_in_world(*trig), axis=1)[:, :, None]
 
         # rotational block: w+ = w + h I^{-1} (tau(u) - w x (I w))
-        i0, i1, i2 = pr.inertia
+        i0, i1, i2 = self.inertia
         a[:, 9, 10:12] = -h * (i2 - i1) / i0 * np.stack([w2, w1], axis=1)
         a[:, 10, [9, 11]] = -h * (i0 - i2) / i1 * np.stack([w2, w0], axis=1)
         a[:, 11, 9:11] = -h * (i1 - i0) / i2 * np.stack([w1, w0], axis=1)
-        b[:, 9:12, :] = h * self._mixing_matrix() / np.asarray(pr.inertia)[:, None]
+        b[:, 9:12, :] = h * self._mixing_matrix() / np.asarray(self.inertia)[:, None]
         return a, b
 
 

@@ -47,6 +47,9 @@ def make_lti(seed=0, state_dim=4, input_dim=2, horizon=20, spectral_radius=0.95)
     """Random controllable linear system with identity tracking costs."""
     if min(state_dim, input_dim) < 1:
         raise ConfigurationError(f"lti dimensions must be >= 1, got {state_dim}, {input_dim}")
+    if not 0.0 < spectral_radius < np.inf:
+        raise ConfigurationError(
+            f"lti.spectral_radius must be finite and positive, got {spectral_radius}")
     rng = np.random.default_rng(seed)
     for _ in range(50):
         a = rng.standard_normal((state_dim, state_dim))

@@ -434,16 +434,22 @@ def lcp_oracle_1d(xu, xa, command, m, h, k):
     return candidates[0]
 
 
-def residuals_1d(state, nxt, diag, params) -> dict[str, float]:
-    """Defining-equation residuals of a 1D contact step (all should be ~0)."""
-    force_balance = -diag.lambda_n + params.h * params.k * (state.command - nxt.xa)
-    momentum = params.m * (nxt.xu - state.xu) / params.h - diag.lambda_n
+def residuals_1d(xu, command, xu_next, xa_next, impulse, params) -> dict[str, float]:
+    """Defining-equation residuals of a 1D contact step (all should be ~0).
+
+    The step goes from box position xu under `command` to (xu_next,
+    xa_next) with normal impulse `impulse`; the gap after it is
+    xu_next - xa_next.
+    """
+    gap = xu_next - xa_next
+    force_balance = -impulse + params.h * params.k * (command - xa_next)
+    momentum = params.m * (xu_next - xu) / params.h - impulse
     return {
         "force_balance": abs(force_balance),
         "momentum": abs(momentum),
-        "complementarity": abs(diag.lambda_n * diag.gap),
-        "gap_negative": max(0.0, -diag.gap),
-        "impulse_negative": max(0.0, -diag.lambda_n),
+        "complementarity": abs(impulse * gap),
+        "gap_negative": max(0.0, -gap),
+        "impulse_negative": max(0.0, -impulse),
     }
 
 
@@ -498,21 +504,23 @@ def finite_difference_jacobians(step_batch, xs, us):
 # per-knot trajectory linearization
 
 
-def per_knot_linearization(sys, xs, us, mode, variances, run_seed, iteration):
+def per_knot_linearization(sys, xs, us, mode, variance, run_seed, iteration):
     """irs_lqr.linearize_trajectory one knot at a time, with its own calls.
 
-    One (T N, d) standard-normal block from default_rng((run_seed,
+    Every state and input coordinate has the scalar sampling variance. One
+    (T N, d) standard-normal block from default_rng((run_seed,
     iteration)), scaled by the standard deviations, gives knot t its rows
     t N ... (t+1) N - 1. Each knot makes its own call on the dynamics: the
     exact mode steps the knot itself, the first-order bundle averages its
     N sampled Jacobians, the zero-order bundle solves its own normal
-    equations. All-zero variances take the exact path. The knots' models
+    equations. A zero variance takes the exact path. The knots' models
     are stacked only at the end.
     """
     xs = np.asarray(xs, dtype=float)
     us = np.asarray(us, dtype=float)
     T, nx, N = us.shape[0], xs.shape[1], mode.samples
-    dist = None if mode.kind == "exact" else SmoothingDistribution(variances)
+    dist = (None if mode.kind == "exact"
+            else SmoothingDistribution(np.full(nx + us.shape[1], variance)))
     if dist is not None:
         block = (np.random.default_rng((run_seed, iteration))
                  .standard_normal((T * N, dist.dimension)) * dist.stddevs)

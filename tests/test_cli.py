@@ -220,6 +220,9 @@ def test_contact_probe_names_a_non_finite_parameter(tmp_path, capsys, k):
     ("contact-probe", {**PROBE, "system": {"k": -1}}),
     ("plan", {**PLAN, "params": {"horizon": 0}}),
     ("plan", {**PLAN, "task": "lti", "params": {"state_dim": 0}}),
+    ("plan", {**PLAN, "task": "lti", "params": {"spectral_radius": float("inf")}}),
+    ("plan", {**PLAN, "task": "lti", "params": {"spectral_radius": -0.5}}),
+    ("plan", {**PLAN, "task": "lti", "params": {"spectral_radius": 0.0}}),
     ("plan", {**PLAN, "task": "pendulum_swingup", "params": {"mass": 0.0}}),
     ("plan", {**PLAN, "task": "pendulum_swingup", "params": {"h": -0.05}}),
     ("plan", {**PLAN, "task": "dubins_parking", "params": {"v_max": -1.0}}),
@@ -233,6 +236,8 @@ def test_constructor_config_error_leaves_no_out(tmp_path, capsys, verb, config):
     err = capsys.readouterr().err
     assert code == 2
     assert err.startswith("config error") and err.count("\n") == 1
+    if "spectral_radius" in config.get("params", {}):
+        assert "lti.spectral_radius must be finite and positive" in err
     assert not out.exists()
 
 

@@ -8,12 +8,12 @@ import numpy as np
 import pytest
 
 from bundleopt import contact
-from bundleopt.contact import (Contact1DParams, Contact1DState, Contact2DParams,
-                               Contact2DState, ContactPush1D, ContactPush2D,
-                               PenaltyParams, PenaltyPush1D, _mode_jacobians,
-                               penalty_forces, step_1d, step_2d_anitescu, step_2d_exact)
+from bundleopt.contact import (Contact1DParams, Contact2DParams, Contact2DState,
+                               ContactPush1D, ContactPush2D, PenaltyParams, PenaltyPush1D,
+                               _mode_jacobians, penalty_forces, step_2d_anitescu,
+                               step_2d_exact)
 from bundleopt.errors import ConfigurationError, DivergedError
-from bundleopt.irs_lqr import GradientMode, joint_variances, linearize_trajectory, rollout
+from bundleopt.irs_lqr import GradientMode, linearize_trajectory, rollout
 from bundleopt.oracle import gauss_hermite_expectation
 from bundleopt.smoothing import (SmoothingDistribution, bundled_objective_estimate,
                                  jacobian_bundle_first_order, jacobian_bundle_zero_order)
@@ -38,32 +38,44 @@ def _boundary_layer_bound(state, relaxed_next):
     return P2.mu**2 / P2.c_ratio * abs(slip)
 
 
+def _push_1d(xu, xa, command):
+    """ContactPush1D's step of one row, as (xu', xa', impulse, mode).
+
+    The impulse on the box is its momentum gain m (xu' - xu) / h; the mode
+    is "contact" when the command reaches the box (right-sided, as the
+    system's Jacobians).
+    """
+    (xu_next, xa_next), = ContactPush1D(P1).step_batch(np.array([[xu, xa]]),
+                                                       np.array([[command]])).tolist()
+    return (xu_next, xa_next, P1.m * (xu_next - xu) / P1.h,
+            "contact" if command >= xu else "separation")
+
+
 class TestStep1D:
     def test_no_contact(self):
-        nxt, diag = step_1d(Contact1DState(xu=1.0, xa=0.0, command=0.5), P1)
-        assert (nxt.xu, nxt.xa) == (1.0, 0.5)
-        assert diag.lambda_n == 0.0
-        assert diag.mode == "separation"
+        xu, xa, impulse, mode = _push_1d(1.0, 0.0, 0.5)
+        assert (xu, xa) == (1.0, 0.5)
+        assert impulse == 0.0
+        assert mode == "separation"
 
     def test_contact_blend(self):
-        nxt, diag = step_1d(Contact1DState(xu=1.0, xa=0.0, command=1.5), P1)
-        assert nxt.xu == pytest.approx(1.25, abs=1e-12)
-        assert nxt.xa == pytest.approx(1.25, abs=1e-12)
-        assert diag.lambda_n > 0.0
+        xu, xa, impulse, _ = _push_1d(1.0, 0.0, 1.5)
+        assert xu == pytest.approx(1.25, abs=1e-12)
+        assert xa == pytest.approx(1.25, abs=1e-12)
+        assert impulse > 0.0
 
     def test_boundary_continuity(self):
-        lo, _ = step_1d(Contact1DState(1.0, 0.3, command=1.0 - 1e-9), P1)
-        hi, _ = step_1d(Contact1DState(1.0, 0.3, command=1.0 + 1e-9), P1)
-        assert abs(lo.xu - hi.xu) <= 1e-8
-        assert abs(lo.xa - hi.xa) <= 1e-8
+        lo = _push_1d(1.0, 0.3, 1.0 - 1e-9)
+        hi = _push_1d(1.0, 0.3, 1.0 + 1e-9)
+        assert abs(lo[0] - hi[0]) <= 1e-8
+        assert abs(lo[1] - hi[1]) <= 1e-8
 
     def test_defining_equation_residuals(self):
         rng = np.random.default_rng(0)
         for _ in range(500):
-            state = Contact1DState(xu=rng.uniform(-2, 2), xa=rng.uniform(-2, 2),
-                                   command=rng.uniform(-3, 3))
-            nxt, diag = step_1d(state, P1)
-            res = residuals_1d(state, nxt, diag, P1)
+            xu, xa, cmd = rng.uniform(-2, 2), rng.uniform(-2, 2), rng.uniform(-3, 3)
+            xu_next, xa_next, impulse, _ = _push_1d(xu, xa, cmd)
+            res = residuals_1d(xu, cmd, xu_next, xa_next, impulse, P1)
             assert all(v <= 1e-10 for v in res.values()), res
 
     def test_matches_lcp_oracle(self):
@@ -71,24 +83,24 @@ class TestStep1D:
         for _ in range(2000):
             xu, xa = rng.uniform(-2, 2), rng.uniform(-2, 2)
             cmd = rng.uniform(-3, 3)
-            nxt, diag = step_1d(Contact1DState(xu, xa, cmd), P1)
+            xu_next, xa_next, impulse, mode = _push_1d(xu, xa, cmd)
             xu_ref, xa_ref, lam_ref, mode_ref = lcp_oracle_1d(xu, xa, cmd,
                                                               P1.m, P1.h, P1.k)
-            assert diag.mode == mode_ref
-            assert abs(nxt.xu - xu_ref) <= 1e-12
-            assert abs(nxt.xa - xa_ref) <= 1e-12
-            assert abs(diag.lambda_n - lam_ref) <= 1e-10
+            assert mode == mode_ref
+            assert abs(xu_next - xu_ref) <= 1e-12
+            assert abs(xa_next - xa_ref) <= 1e-12
+            assert abs(impulse - lam_ref) <= 1e-10
 
     def test_piecewise_affine_within_mode(self):
         # outputs are affine along command segments that stay in one mode
         for lo_cmd, hi_cmd in ((1.1, 2.9), (-2.5, 0.9)):
-            a, _ = step_1d(Contact1DState(1.0, 0.0, lo_cmd), P1)
-            b, _ = step_1d(Contact1DState(1.0, 0.0, hi_cmd), P1)
+            a = _push_1d(1.0, 0.0, lo_cmd)
+            b = _push_1d(1.0, 0.0, hi_cmd)
             for t in (0.25, 0.5, 0.75):
                 cmd = (1 - t) * lo_cmd + t * hi_cmd
-                mid, _ = step_1d(Contact1DState(1.0, 0.0, cmd), P1)
-                assert abs(mid.xu - ((1 - t) * a.xu + t * b.xu)) <= 1e-10
-                assert abs(mid.xa - ((1 - t) * a.xa + t * b.xa)) <= 1e-10
+                mid = _push_1d(1.0, 0.0, cmd)
+                assert abs(mid[0] - ((1 - t) * a[0] + t * b[0])) <= 1e-10
+                assert abs(mid[1] - ((1 - t) * a[1] + t * b[1])) <= 1e-10
 
 
 class TestStep2DExact:
@@ -485,19 +497,19 @@ class TestPenaltyJacobianBundles:
             (a,), _ = jacobian_bundle_zero_order(self.SYSTEM, [x], [u], dist, self.N, [seed])
             assert abs(a[0, 2] - expected) <= zero_order_bound
 
-    def test_first_order_bundle_is_the_exact_linearization(self):
-        # First-order mode perturbs only the command, and the Jacobians
-        # depend only on the state, so every sample has the exact Jacobians.
+    def test_planner_first_order_bundle_couples_a_separated_knot(self):
+        # The Jacobians depend only on the state, so the planner's
+        # first-order bundle feels contact only through its state samples:
+        # with the robot 1 sigma short of the box, some samples touch it.
         sys = PenaltyPush1D(normal_stiffness=1e3, h=0.005)
-        us = np.full((60, 1), 3.0)
-        xs = rollout(sys, np.array([1.0, 0.0, 0.0]), us)
-        assert {bool(x[2] >= x[0]) for x in xs[:-1]} == {False, True}   # both pieces
-        mode = GradientMode(kind="first_order_bundle", samples=50)
-        bundled = linearize_trajectory(sys, xs, us, mode, joint_variances(0.25, mode, 3, 1),
-                                       0, 0)
-        exact = linearize_trajectory(sys, xs, us, GradientMode(), None, 0, 0)
-        np.testing.assert_allclose(bundled.A, exact.A, rtol=1e-12)
-        np.testing.assert_allclose(bundled.B, exact.B, rtol=1e-12)
+        variance = 0.01
+        us = np.zeros((1, 1))
+        xs = rollout(sys, np.array([1.0, 0.0, 1.0 - 0.1]), us)
+        mode = GradientMode(kind="first_order_bundle", samples=100)
+        bundled = linearize_trajectory(sys, xs, us, mode, variance, 0, 0)
+        exact = linearize_trajectory(sys, xs, us, GradientMode(), variance, 0, 0)
+        assert exact.A[0, 1, 2] == 0.0
+        assert bundled.A[0, 1, 2] > 0.0
 
 
 class TestParameterValidation:
@@ -607,9 +619,8 @@ class TestAdapters:
         setup = build_task("push_2d", {"model": "exact"})
         xs = rollout(setup.system, setup.mpc.initial_state, setup.u_init)
         mode = GradientMode(kind="first_order_bundle", samples=30)
-        variances = joint_variances(0.01, mode, 3, 2)
         calls.clear()
-        linearize_trajectory(setup.system, xs, setup.u_init, mode, variances, 0, 0)
+        linearize_trajectory(setup.system, xs, setup.u_init, mode, 0.01, 0, 0)
         assert calls == []
 
 

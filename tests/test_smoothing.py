@@ -12,7 +12,7 @@ from bundleopt.smoothing import (SmoothingDistribution, bundled_objective_estima
                                  jacobian_bundle_first_order,
                                  jacobian_bundle_zero_order, sample_perturbations,
                                  variance_schedule, zero_order_gradient_bundle)
-from bundleopt.irs_lqr import GradientMode, joint_variances, linearize_trajectory, rollout
+from bundleopt.irs_lqr import GradientMode, linearize_trajectory, rollout
 from bundleopt.systems import LinearSystem, Pendulum
 from bundleopt.tasks import build_task
 
@@ -410,8 +410,7 @@ class TestOneBatchedCallPerGroup:
         for log in calls.values():
             log.clear()
         mode = GradientMode(kind=kind, samples=100)
-        linearize_trajectory(setup.system, xs, setup.u_init, mode,
-                             joint_variances(0.01, mode, n, m), 0, 0)
+        linearize_trajectory(setup.system, xs, setup.u_init, mode, 0.01, 0, 0)
 
         # A group's Jacobian entries fill at most the budget, or it is one knot.
         group = max(1, irs_lqr._BATCH_BYTES // (100 * n * (n + m) * 8))
