@@ -17,11 +17,12 @@ both in the loop and by mpc_solve:
   solved by the dual active-set method. The condensed data are assembled
   once per iteration; by causality window j's Hessian and constraint rows
   are trailing slices of window 0's, and only the gradient and the state
-  constraint offsets depend on the window's start state. The windows of
-  one iteration share one linear model, so their optimal active sets
-  barely move: each window is warm-started from the previous window's
-  active set, renumbered (the first window, and the one after a relaxed
-  window, start empty).
+  constraint offsets depend on the window's start state, and one numpy
+  factor of window 0's Hessian serves every window. The windows of one
+  iteration share one linear model, so their optimal active sets barely
+  move: each window starts from the previous window's active set,
+  renumbered (empty after a relaxed window), and window 0 from the
+  previous iteration's window 0.
 
 There is no line search or trust region; smoothing itself is the
 stabilizer, the variance schedule anneals it away, and divergence is
@@ -279,7 +280,10 @@ class _CondensedHorizon:
     and constraint rows are trailing slices of window 0's, so they are
     built once. Only the free response g of the linear model from the
     window's start state, and through it the gradient and the state
-    constraint offsets, changes from window to window.
+    constraint offsets, changes from window to window. P = U U' with U
+    upper triangular (P's Cholesky factor in reversed order), so window
+    j's Hessian is U_j U_j' for U's trailing block U_j, whose inverse is
+    the trailing block W_j of W = U^{-1}: one factor serves every window.
     """
 
     def __init__(self, mpc: MpcProblem, lins: LinearizedDynamics):
@@ -295,7 +299,8 @@ class _CondensedHorizon:
         P = F.reshape((T + 1) * n, T * m).T @ self.QF
         for t in range(T):
             P[t * m:(t + 1) * m, t * m:(t + 1) * m] += 2.0 * mpc.R
-        self.P = 0.5 * (P + P.T)
+        U = np.linalg.cholesky(0.5 * (P + P.T)[::-1, ::-1])[::-1, ::-1]    # P = U U'
+        self.W = np.linalg.inv(U)
         if mpc.C_u is not None:
             self.G_u = np.kron(np.eye(T), mpc.C_u)
             self.h_u = np.tile(mpc.d_u, T)
@@ -303,11 +308,11 @@ class _CondensedHorizon:
             self.G_x = (mpc.C_x @ F).reshape(-1, T * m)
 
     def window_qp(self, j: int, x_j, relaxed: bool):
-        """(P, q, G, h) of the reduced QP for the window starting at knot j.
+        """(solve, q, G, h) of the reduced QP for the window starting at knot j.
 
-        With `relaxed`, state inequalities get quadratically penalized
-        slack variables (weight 1e6), so an infeasible window still
-        produces a usable input.
+        `solve(b)` is W'(W b), the window's inverse Hessian. With `relaxed`,
+        state inequalities get quadratically penalized slack variables
+        (weight 1e6), so an infeasible window still produces a usable input.
         """
         mpc = self.mpc
         T, n, m = mpc.horizon, mpc.state_dim, mpc.input_dim
@@ -316,7 +321,7 @@ class _CondensedHorizon:
         A, c = self.lins.A, self.lins.c
         for t in range(j, T):
             g[t - j + 1] = A[t] @ g[t - j] + c[t]
-        P = self.P[j * m:, j * m:]
+        W = self.W[j * m:, j * m:]
         q = self.QF[j * n:, j * m:].T @ (g - mpc.x_desired[j:]).ravel()
         rows, offsets = [], []
         if mpc.C_u is not None:
@@ -327,17 +332,17 @@ class _CondensedHorizon:
             rows.append(self.G_x[j * mpc.C_x.shape[0]:, j * m:])
             offsets.append((mpc.d_x - g @ mpc.C_x.T).ravel())
         if not (relaxed and mpc.C_x is not None):
-            return P, q, np.vstack(rows), np.concatenate(offsets)
+            return lambda b: W.T @ (W @ b), q, np.vstack(rows), np.concatenate(offsets)
         # Slack s >= 0 per state row: C_x x - s <= d_x, cost 1e6 |s|^2.
         nu, n_sx = q.shape[0], rows[-1].shape[0]
-        P_s = np.zeros((nu + n_sx, nu + n_sx))
-        P_s[:nu, :nu] = P
-        P_s[nu:, nu:] = 2.0 * _SLACK_WEIGHT * np.eye(n_sx)
+        W_s = np.zeros((nu + n_sx, nu + n_sx))
+        W_s[:nu, :nu] = W
+        W_s[nu:, nu:] = np.eye(n_sx) / np.sqrt(2.0 * _SLACK_WEIGHT)
         slack = np.zeros((sum(r.shape[0] for r in rows) + n_sx, n_sx))
         slack[-2 * n_sx:-n_sx] = -np.eye(n_sx)
         slack[-n_sx:] = -np.eye(n_sx)
         G = np.hstack([np.vstack(rows + [np.zeros((n_sx, nu))]), slack])
-        return (P_s, np.concatenate([q, np.zeros(n_sx)]), G,
+        return (lambda b: W_s.T @ (W_s @ b), np.concatenate([q, np.zeros(n_sx)]), G,
                 np.concatenate(offsets + [np.zeros(n_sx)]))
 
     def solve(self, j: int, x_j, start=()) -> MpcResult:
@@ -347,9 +352,9 @@ class _CondensedHorizon:
         relaxed re-solve starts empty.
         """
         for relaxed in (False, True):
-            P, q, G, h = self.window_qp(j, x_j, relaxed)
+            solve, q, G, h = self.window_qp(j, x_j, relaxed)
             y, lam, active, status, _ = _qp._dual_active_set(
-                P, q, G, h, start=() if relaxed else start)
+                solve, q, G, h, start=() if relaxed else start)
             if status == "optimal":
                 return MpcResult(u=y[:self.mpc.input_dim], relaxed=relaxed, duals=lam,
                                  active=() if relaxed else tuple(active))
@@ -459,6 +464,7 @@ def irs_lqr_run(sys: DynamicalSystem, mpc: MpcProblem, mode: GradientMode,
     xs = rollout(sys, mpc.initial_state, us)
     history = [TrajectoryIterate(xs=xs, us=us, cost=trajectory_cost((xs, us), mpc),
                                  iteration=0)]
+    first = ()                         # window 0's active set, for the next iteration
     for k in range(max_iters):
         var_k = variance_schedule(cov0, k, policy, gamma)
         lins = linearize_trajectory(sys, xs, us, mode, var_k, seed, k)
@@ -470,7 +476,7 @@ def irs_lqr_run(sys: DynamicalSystem, mpc: MpcProblem, mode: GradientMode,
             K, k_ff = _riccati_gains(mpc, lins)
         else:
             windows = _CondensedHorizon(mpc, lins)
-        start = ()
+        start = first
         for t in range(T):
             if unconstrained:
                 new_us[t] = K[t] @ new_xs[t] + k_ff[t]
@@ -478,6 +484,7 @@ def irs_lqr_run(sys: DynamicalSystem, mpc: MpcProblem, mode: GradientMode,
                 res = windows.solve(t, new_xs[t], start)
                 infeasible += int(res.relaxed)
                 new_us[t] = res.u
+                first = res.active if t == 0 else first
                 start = windows.next_start(t, res.active)
             new_xs[t + 1] = sys.step(new_xs[t], new_us[t])
         xs, us = new_xs, new_us

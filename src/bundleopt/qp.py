@@ -6,12 +6,13 @@ finite, symmetric, positive-definite P by a dual active-set method
 with a given start set of rows held as equalities (a warm start, e.g. from
 the previous MPC window), then repeatedly add the most violated inequality,
 taking partial steps that drop constraints whose multipliers would go
-negative. Step directions come from a cached Cholesky factor of the Hessian
-and the columns P^{-1} g_i of the constraint normals, formed only for rows
-in the start set or entering the active set (one batched Cholesky solve per
-fill); the Gram entries of the active rows come from those columns, so each
-active-set iteration costs only a small solve in the active set's dimension
-and no work is spent on rows that never become active. Finite termination
+negative. Step directions come from an operator applying P^{-1}, which the
+caller supplies, and the columns P^{-1} g_i of the constraint normals,
+formed only for rows in the start set or entering the active set (one
+batched application per fill); the Gram entries of the active rows come
+from those columns, so each active-set iteration costs only a small solve
+in the active set's dimension and no work is spent on rows that never
+become active. Finite termination
 and nonnegative multipliers are properties of the method; a final re-solve
 on the optimal active set, in sorted row order, polishes primal and dual
 values to linear-algebra precision, so they depend on that set and not on
@@ -20,10 +21,10 @@ the path that reached it.
 Infeasibility is reported through the solution status, not an exception,
 so model-predictive callers can degrade gracefully.
 
-The Cholesky factorizations and solves go through scipy's LAPACK wrappers,
-which are imported on the first factorization rather than with the
-package. Validating P is that first factorization, so scipy loads when
-the first QpProblem is built; plans without inequalities never load it.
+QpProblem and solve_qp factor P with scipy's LAPACK, imported on first
+use: validating the first QpProblem loads it. The planner's windows pass
+an operator on one numpy factor per iteration (irs_lqr), so planning,
+with or without inequalities, never loads scipy.
 """
 
 from __future__ import annotations
@@ -102,19 +103,21 @@ class QpSolution:
 
 def solve_qp(problem: QpProblem) -> QpSolution:
     """Solve the QP; never raises on infeasibility (reported via status, NaN values)."""
-    z, lam, _, status, _ = _dual_active_set(problem.P, problem.q, problem.G, problem.h)
+    z, lam, _, status, _ = _dual_active_set(
+        functools.partial(_cho_solve, _cholesky(problem.P)), problem.q, problem.G, problem.h)
     if status == "infeasible":
         return QpSolution(np.full(problem.q.shape, np.nan),
                           np.full(problem.h.shape, np.nan), status)
     return QpSolution(z, lam, status)
 
 
-def _dual_active_set(P, q, G, h, start=()):
+def _dual_active_set(solve, q, G, h, start=()):
     """Active-set loop on an inequality-only strictly convex QP.
 
-    `start` names rows to begin with as equalities (a warm start from a
-    nearby problem's active set); the empty default starts from the
-    unconstrained optimum. If the start rows' normals are linearly
+    `solve(b)` returns P^{-1} b for a vector or a matrix b (the caller
+    factors P). `start` names rows to begin with as equalities (a warm
+    start from a nearby problem's active set); the empty default starts
+    from the unconstrained optimum. If the start rows' normals are linearly
     dependent the whole start set is ignored; otherwise rows with negative
     multipliers are dropped one at a time, most negative first, each drop
     counting as an iteration, before the add loop runs.
@@ -126,8 +129,7 @@ def _dual_active_set(P, q, G, h, start=()):
     """
     n, m = q.shape[0], G.shape[0]
     max_iter = 25 + 10 * (m + 1)
-    chol = _cholesky(P)
-    z_free = -_cho_solve(chol, q)
+    z_free = -solve(q)
     if m == 0:
         return z_free, np.zeros(0), [], "optimal", 1
     pig = np.empty((n, m))             # P^{-1} g_i, formed only for rows used
@@ -138,18 +140,18 @@ def _dual_active_set(P, q, G, h, start=()):
     gram = np.zeros((0, 0))            # Gram block of the active normals
     lam_active: list[float] = []
     if active:
-        pig[:, active] = _cho_solve(chol, G[active].T)
+        pig[:, active] = solve(G[active].T)
         formed[active] = True
         gram = G[active] @ pig[:, active]
         try:
             while active:
-                factor = _cholesky(gram)
+                factor = np.linalg.cholesky(gram)
                 # The add loop's independence test: each pivot is the step
                 # denominator of adding that row after the ones before it.
                 if np.any(np.diag(factor) ** 2
                           <= _STEP_TOL * np.maximum(1.0, np.diag(gram))):
                     raise np.linalg.LinAlgError("start rows are linearly dependent")
-                lam = _cho_solve(factor, G[active] @ z_free - h[active])
+                lam = np.linalg.solve(gram, G[active] @ z_free - h[active])
                 k = int(lam.argmin())
                 if lam[k] >= 0.0:
                     z = z_free - pig[:, active] @ lam
@@ -169,9 +171,9 @@ def _dual_active_set(P, q, G, h, start=()):
             resid[active] = 0.0        # kept exactly active
         worst = int(resid.argmax())
         if resid[worst] <= _FEAS_TOL:
-            return _polish(G, h, z_free, chol, active, "optimal", iters)
+            return _polish(G, h, z_free, solve, active, "optimal", iters)
         if not formed[worst]:
-            pig[:, worst] = _cho_solve(chol, G[worst])
+            pig[:, worst] = solve(G[worst])
             formed[worst] = True
         col = pig[:, worst]
         g_ww = float(G[worst] @ col)
@@ -213,17 +215,17 @@ def _dual_active_set(P, q, G, h, start=()):
             lam_active.append(lam_new)
             break
 
-    return _polish(G, h, z_free, chol, active, "max_iter", iters)
+    return _polish(G, h, z_free, solve, active, "max_iter", iters)
 
 
-def _polish(G, h, z_free, chol, active, status, iters):
+def _polish(G, h, z_free, solve, active, status, iters):
     """Exact re-solve on the final active set, taken in sorted order."""
     m = G.shape[0]
     active = sorted(active)
     if not active:
         return z_free, np.zeros(m), active, status, iters
     g_act = G[active]
-    cols = _cho_solve(chol, g_act.T)
+    cols = solve(g_act.T)
     lam_act = np.linalg.solve(g_act @ cols, g_act @ z_free - h[active])
     z = z_free - cols @ lam_act
     lam = np.zeros(m)

@@ -2,8 +2,8 @@
 module-level private name (`_x`) is referenced somewhere in the package,
 and every name in a module's `__all__` exists and is a package export.
 No module imports scipy.integrate or names SeedSequence. Importing the
-package, and planning without inequalities, leave scipy and jsonschema
-unloaded.
+package leaves scipy and jsonschema unloaded, and planning, with or
+without inequalities, leaves scipy unloaded: only QpProblem loads it.
 
 `__init__.py` is exempt from the first check: its imports are the
 package's exports.
@@ -174,6 +174,14 @@ dist = bundleopt.SmoothingDistribution.isotropic(1, 0.3)
 for fid in bundleopt.TEST_FUNCTION_IDS:
     bundleopt.convolution_oracle(bundleopt.get_test_function(fid), [0.1], dist)
 report["plan_and_oracle"] = loaded()
+for task in ("push_1d", "dubins_parking"):
+    setup = bundleopt.build_task(task)
+    for kind in ("exact", "first_order_bundle", "zero_order_bundle"):
+        history = bundleopt.irs_lqr_run(setup.system, setup.mpc, bundleopt.GradientMode(kind),
+                                        0.25, max_iters=2, u_init=setup.u_init)
+window = setup.mpc.window(1, history[-1].xs[1])
+bundleopt.mpc_solve(window, history[-1].linearizations)
+report["constrained_plan"] = loaded()
 problem = bundleopt.QpProblem(np.eye(2), np.ones(2), np.ones((1, 2)), [0.0])
 report["qp_problem"] = loaded()
 bundleopt.solve_qp(problem)
@@ -190,6 +198,8 @@ def test_scipy_and_jsonschema_load_only_where_they_run():
     report = json.loads(done.stdout.splitlines()[-1])
     assert report["import"] == []
     assert report["plan_and_oracle"] == []
+    # input boxes: every window solves its QP on the planner's own factor
+    assert report["constrained_plan"] == []
     # the negative case: a QP's validation is its first factorization, so
     # building the problem loads LAPACK, and solving it loads nothing more
     assert {"scipy", "scipy.linalg"} <= set(report["qp_problem"])

@@ -183,6 +183,55 @@ class TestCondensedPath:
             assert targets == sorted(set(targets))
             assert len(targets) == np.count_nonzero(np.any(g_next, axis=1))
 
+    def test_one_factor_serves_every_window(self, monkeypatch):
+        rng = np.random.default_rng(4)
+        n, m, T = 3, 2, 6
+        lins = _random_lins(rng, T, n, m)
+        c_u, d_u = _box(0.3, m)
+        c_x, d_x = _box(1.0, n)
+        mpc = _random_mpc(rng, T, n, m, C_u=c_u, d_u=d_u, C_x=c_x, d_x=d_x)
+        factors = []
+
+        def spy(a, _original=np.linalg.cholesky, **kwargs):
+            factors.append(a.shape)
+            return _original(a, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "cholesky", spy)
+        windows = irs_lqr._CondensedHorizon(mpc, lins)
+        assert factors == [(T * m, T * m)]
+        for j in range(T):
+            hessian = _window_hessian(mpc, lins, j)
+            n_sx = c_x.shape[0] * (T - j + 1)
+            relaxed = np.block([[hessian, np.zeros((hessian.shape[0], n_sx))],
+                                [np.zeros((n_sx, hessian.shape[0])),
+                                 2e6 * np.eye(n_sx)]])
+            x = rng.uniform(-0.8, 0.8, n)
+            for form, expected in ((False, hessian), (True, relaxed)):
+                solve = windows.window_qp(j, x, relaxed=form)[0]
+                inverse = np.linalg.inv(expected)
+                error = np.linalg.norm(solve(np.eye(expected.shape[0])) - inverse)
+                assert error <= 1e-10 * np.linalg.norm(inverse), (j, form)
+            windows.solve(j, x)
+        assert len(factors) == 1
+
+    def test_window_0_starts_from_the_last_iterations_window_0(self, monkeypatch):
+        setup = build_task("dubins_parking")
+        calls = []
+
+        def spy(self, j, x_j, start=(), _original=irs_lqr._CondensedHorizon.solve):
+            res = _original(self, j, x_j, start)
+            if j == 0:
+                calls.append((tuple(start), res.active))
+            return res
+
+        monkeypatch.setattr(irs_lqr._CondensedHorizon, "solve", spy)
+        irs_lqr_run(setup.system, setup.mpc, GradientMode(kind="first_order_bundle"), 0.25,
+                    ("geometric", 0.8), max_iters=3, seed=0, u_init=setup.u_init)
+        assert len(calls) == 3 and calls[0][0] == ()
+        for (_, previous), (start, _) in zip(calls, calls[1:]):
+            assert start == previous
+        assert all(active for _, active in calls[:-1]), "an empty start tests nothing"
+
     def test_warm_start_cuts_active_set_iterations(self, monkeypatch):
         setup = build_task("dubins_parking")
         mode = GradientMode(kind="first_order_bundle", samples=100)
@@ -191,9 +240,9 @@ class TestCondensedPath:
         def total_iterations(cold):
             total = 0
 
-            def spy(P, q, G, h, start=()):
+            def spy(solve, q, G, h, start=()):
                 nonlocal total
-                out = original(P, q, G, h, start=() if cold else start)
+                out = original(solve, q, G, h, start=() if cold else start)
                 total += out[4]
                 return out
 
@@ -204,6 +253,21 @@ class TestCondensedPath:
 
         warm, cold = total_iterations(False), total_iterations(True)
         assert warm <= cold / 3, (warm, cold)
+
+
+def _window_hessian(mpc, lins, j):
+    """Condensed Hessian of window j, from the inputs' unit responses."""
+    T, n, m = mpc.horizon, mpc.state_dim, mpc.input_dim
+    nu = (T - j) * m
+    F = np.zeros((T - j + 1, n, nu))        # F[i]: knot j + i's response to the inputs
+    for t in range(j, T):
+        F[t - j + 1] = lins.A[t] @ F[t - j]
+        F[t - j + 1, :, (t - j) * m:(t - j + 1) * m] += lins.B[t]
+    hessian = 2.0 * np.kron(np.eye(T - j), mpc.R)
+    for i in range(T - j + 1):
+        weight = mpc.Q_terminal if i == T - j else mpc.Q
+        hessian += 2.0 * F[i].T @ weight @ F[i]
+    return hessian
 
 
 def _lti_state_box():

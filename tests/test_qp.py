@@ -1,10 +1,14 @@
 """Tests for the dense QP solver."""
 
+import functools
+
 import numpy as np
 import pytest
 
+from bundleopt import irs_lqr
 from bundleopt.errors import ConfigurationError
-from bundleopt.qp import QpProblem, _dual_active_set, solve_qp
+from bundleopt.qp import QpProblem, _cho_solve, _cholesky, _dual_active_set, solve_qp
+from bundleopt.systems import LinearizedDynamics
 
 from oracles import enumerate_qp, kkt_residual, qp_problem_accepts, random_qp, solve_eq_qp
 
@@ -159,6 +163,11 @@ def _box_and_general_qp(rng):
     return P, q, G, h
 
 
+def _inverse(P):
+    """The operator solve_qp passes the active set: P^{-1} b by P's Cholesky factor."""
+    return functools.partial(_cho_solve, _cholesky(P))
+
+
 def _start_multipliers(P, q, G, h, rows):
     """Multipliers of the QP with `rows` held as equalities."""
     pig = np.linalg.solve(P, G[rows].T)
@@ -174,13 +183,13 @@ class TestWarmStart:
         for _ in range(60):
             P, q, G, h = _box_and_general_qp(rng)
             n, m = q.shape[0], G.shape[0]
-            z0, lam0, optimal, status, _ = _dual_active_set(P, q, G, h)
+            z0, lam0, optimal, status, _ = _dual_active_set(_inverse(P), q, G, h)
             assert status == "optimal"
             ref = solve_qp(QpProblem(P=P, q=q, G=G, h=h))
             np.testing.assert_allclose(z0, ref.z, rtol=0.0, atol=1e-10)
             np.testing.assert_allclose(lam0, ref.ineq_duals, rtol=0.0, atol=1e-10)
             # The polish re-solves on the sorted final set: same set, same bits.
-            z, lam, _, _, _ = _dual_active_set(P, q, G, h, start=optimal)
+            z, lam, _, _, _ = _dual_active_set(_inverse(P), q, G, h, start=optimal)
             np.testing.assert_array_equal(z, z0)
             np.testing.assert_array_equal(lam, lam0)
             starts = {"optimal": optimal, "empty": []}
@@ -201,7 +210,7 @@ class TestWarmStart:
                 starts["subset"] = optimal[:-1]
             starts["singular"] = [2 * n, m - 1]          # a row and its duplicate
             for kind, start in starts.items():
-                z, lam, active, status, _ = _dual_active_set(P, q, G, h, start=start)
+                z, lam, active, status, _ = _dual_active_set(_inverse(P), q, G, h, start=start)
                 assert status == "optimal", kind
                 np.testing.assert_allclose(z, z0, rtol=0.0, atol=1e-10, err_msg=kind)
                 np.testing.assert_allclose(lam, lam0, rtol=0.0, atol=1e-10, err_msg=kind)
@@ -209,5 +218,15 @@ class TestWarmStart:
         assert min(kinds.values()) >= 10, kinds
 
     def test_indefinite_hessian_raises(self):
+        # The active set factors no Hessian: its callers do.
+        with pytest.raises(ConfigurationError, match="positive definite"):
+            QpProblem(P=np.diag([1.0, -1.0]), q=np.zeros(2), G=np.eye(2), h=np.ones(2))
+        T, n, m = 3, 2, 1
+        mpc = irs_lqr.MpcProblem(horizon=T, Q=np.zeros((n, n)), R=np.eye(m),
+                                 Q_terminal=np.zeros((n, n)), x_desired=np.zeros((T + 1, n)),
+                                 C_u=np.ones((1, m)), d_u=np.ones(1))
+        mpc.R = -np.eye(m)                 # past MpcProblem's own check
+        lins = LinearizedDynamics(A=np.broadcast_to(np.eye(n), (T, n, n)),
+                                  B=np.ones((T, n, m)), c=np.zeros((T, n)))
         with pytest.raises(np.linalg.LinAlgError):
-            _dual_active_set(np.diag([1.0, -1.0]), np.zeros(2), np.eye(2), np.ones(2))
+            irs_lqr._CondensedHorizon(mpc, lins)
