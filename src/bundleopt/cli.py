@@ -205,7 +205,11 @@ def _load_config(path: str, verb: str) -> dict:
     return config
 
 
-def _grid_points(grid: dict) -> np.ndarray:
+def _grid_points(grid: dict, name: str) -> np.ndarray:
+    """The grid's points; json reads NaN and Infinity, which the schema's numbers pass."""
+    for key in ("start", "stop"):
+        if not np.isfinite(grid[key]):
+            raise ConfigurationError(f"{name}.{key} must be finite, got {grid[key]}")
     return np.linspace(grid["start"], grid["stop"], grid["count"])
 
 
@@ -272,7 +276,7 @@ def _bundle_eval_point(item):
 
 def _run_bundle_eval(config: dict, jobs: int):
     config = {"seed": 0, **config}
-    xs = _grid_points(config["grid"])
+    xs = _grid_points(config["grid"], "grid")
     rows = _pmap(_bundle_eval_point, [(config, float(x), i) for i, x in enumerate(xs)], jobs)
     return {"bundle_eval.csv": (["x", "bundled_mc", "bundled_oracle", "grad_first_order",
                                  "grad_zero_order", "grad_oracle"], rows)}
@@ -343,8 +347,10 @@ def _probe_point(item):
 
 
 def _run_contact_probe(config: dict, jobs: int):
-    xs = _grid_points(config["grid"]["x"])
-    ys = _grid_points(config["grid"]["y"])
+    if not np.isfinite(config["state"]).all():
+        raise ConfigurationError(f"state must be finite, got {config['state']}")
+    xs = _grid_points(config["grid"]["x"], "grid.x")
+    ys = _grid_points(config["grid"]["y"], "grid.y")
     params = Contact2DParams(**config.get("system", {}))
     systems = tuple(ContactPush2D(params, model) for model in ("exact", "anitescu"))
     items = [(config, systems, float(cx), float(cy)) for cx in xs for cy in ys]

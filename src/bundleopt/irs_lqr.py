@@ -21,8 +21,8 @@ both in the loop and by mpc_solve:
   factor of window 0's Hessian serves every window. The windows of one
   iteration share one linear model, so their optimal active sets barely
   move: each window starts from the previous window's active set,
-  renumbered (empty after a relaxed window), and window 0 from the
-  previous iteration's window 0.
+  renumbered (empty after a relaxed window). Window 0 starts empty: a set
+  carried over from the previous iteration's model cost more than it saved.
 
 There is no line search or trust region; smoothing itself is the
 stabilizer, the variance schedule anneals it away, and divergence is
@@ -464,7 +464,6 @@ def irs_lqr_run(sys: DynamicalSystem, mpc: MpcProblem, mode: GradientMode,
     xs = rollout(sys, mpc.initial_state, us)
     history = [TrajectoryIterate(xs=xs, us=us, cost=trajectory_cost((xs, us), mpc),
                                  iteration=0)]
-    first = ()                         # window 0's active set, for the next iteration
     for k in range(max_iters):
         var_k = variance_schedule(cov0, k, policy, gamma)
         lins = linearize_trajectory(sys, xs, us, mode, var_k, seed, k)
@@ -476,7 +475,7 @@ def irs_lqr_run(sys: DynamicalSystem, mpc: MpcProblem, mode: GradientMode,
             K, k_ff = _riccati_gains(mpc, lins)
         else:
             windows = _CondensedHorizon(mpc, lins)
-        start = first
+        start = ()
         for t in range(T):
             if unconstrained:
                 new_us[t] = K[t] @ new_xs[t] + k_ff[t]
@@ -484,7 +483,6 @@ def irs_lqr_run(sys: DynamicalSystem, mpc: MpcProblem, mode: GradientMode,
                 res = windows.solve(t, new_xs[t], start)
                 infeasible += int(res.relaxed)
                 new_us[t] = res.u
-                first = res.active if t == 0 else first
                 start = windows.next_start(t, res.active)
             new_xs[t + 1] = sys.step(new_xs[t], new_us[t])
         xs, us = new_xs, new_us

@@ -21,15 +21,13 @@ the path that reached it.
 Infeasibility is reported through the solution status, not an exception,
 so model-predictive callers can degrade gracefully.
 
-QpProblem and solve_qp factor P with scipy's LAPACK, imported on first
-use: validating the first QpProblem loads it. The planner's windows pass
-an operator on one numpy factor per iteration (irs_lqr), so planning,
-with or without inequalities, never loads scipy.
+Every factorization is numpy's: solve_qp passes the active set P's
+inverse, and the planner's windows an operator on one Cholesky factor per
+iteration (irs_lqr).
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -50,10 +48,8 @@ class QpProblem:
 
     P must be finite and symmetric (np.allclose's test against its
     transpose), with minimum eigenvalue above 1e-9. Definiteness is checked
-    at construction by LAPACK's Cholesky factorization of P - 1e-9 I, read
-    from the lower triangle as numpy's is; the first QpProblem built
-    therefore loads scipy's LAPACK. G and h are given together or not at
-    all.
+    at construction by numpy's Cholesky factorization of P - 1e-9 I, which
+    reads the lower triangle. G and h are given together or not at all.
     """
 
     P: np.ndarray
@@ -76,8 +72,7 @@ class QpProblem:
         if not (np.abs(self.P - self.P.T) <= atol + 1e-5 * np.abs(self.P.T)).all():
             raise ConfigurationError("P must be symmetric")
         try:
-            # dpotrf reads the upper triangle of the transpose: P's lower one
-            _cholesky((self.P - _MIN_EIG * np.eye(n)).T)
+            np.linalg.cholesky(self.P - _MIN_EIG * np.eye(n))
         except np.linalg.LinAlgError:
             raise ConfigurationError(
                 f"P must be positive definite with min eigenvalue > {_MIN_EIG}") from None
@@ -104,7 +99,7 @@ class QpSolution:
 def solve_qp(problem: QpProblem) -> QpSolution:
     """Solve the QP; never raises on infeasibility (reported via status, NaN values)."""
     z, lam, _, status, _ = _dual_active_set(
-        functools.partial(_cho_solve, _cholesky(problem.P)), problem.q, problem.G, problem.h)
+        np.linalg.inv(problem.P).__matmul__, problem.q, problem.G, problem.h)
     if status == "infeasible":
         return QpSolution(np.full(problem.q.shape, np.nan),
                           np.full(problem.h.shape, np.nan), status)
@@ -114,13 +109,14 @@ def solve_qp(problem: QpProblem) -> QpSolution:
 def _dual_active_set(solve, q, G, h, start=()):
     """Active-set loop on an inequality-only strictly convex QP.
 
-    `solve(b)` returns P^{-1} b for a vector or a matrix b (the caller
-    factors P). `start` names rows to begin with as equalities (a warm
-    start from a nearby problem's active set); the empty default starts
-    from the unconstrained optimum. If the start rows' normals are linearly
-    dependent the whole start set is ignored; otherwise rows with negative
-    multipliers are dropped one at a time, most negative first, each drop
-    counting as an iteration, before the add loop runs.
+    `solve(b)` returns P^{-1} b for a vector or a matrix b: the caller
+    supplies P^{-1} as an operator. `start` names rows to begin with as
+    equalities (a warm start from a nearby problem's active set); the
+    empty default starts from the unconstrained optimum. If the start
+    rows' normals are linearly dependent the whole start set is ignored;
+    otherwise rows with negative multipliers are dropped one at a time,
+    most negative first, each drop counting as an iteration, before the
+    add loop runs.
 
     Returns (z, ineq_duals, active, status, iterations), active sorted;
     z and the duals are polished by a final KKT re-solve on the optimal
@@ -241,27 +237,3 @@ def _border(gram, g_aw, g_ww):
     out[:k, k] = out[k, :k] = g_aw
     out[k, k] = g_ww
     return out
-
-
-@functools.cache
-def _lapack():
-    """scipy's LAPACK module, imported once, on first use."""
-    from scipy.linalg import lapack
-    return lapack
-
-
-def _cholesky(a):
-    """Upper Cholesky factor by LAPACK dpotrf; LinAlgError unless a is positive definite."""
-    c, info = _lapack().dpotrf(a, lower=0, clean=0)
-    if info != 0:
-        raise np.linalg.LinAlgError(f"dpotrf info={info}: not positive definite")
-    return c
-
-
-def _cho_solve(c, b):
-    """Solve with a factor from `_cholesky` (LAPACK dpotrs)."""
-    x, info = _lapack().dpotrs(c, b, lower=0)
-    if info != 0:
-        raise np.linalg.LinAlgError(f"dpotrs failed with info={info}")
-    return x
-

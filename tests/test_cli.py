@@ -15,6 +15,21 @@ PLAN = {"task": "push_1d", "modes": ["exact"], "sigma0": 0.25, "seeds": [0],
 PROBE = {"state": [0.0, 0.0, 0.7], "sigma": 0.06,
          "grid": {"x": {"start": 0.0, "stop": 0.1, "count": 2},
                   "y": {"start": 0.5, "stop": 0.6, "count": 2}}}
+EVAL = {"function": "heaviside", "sigma": 1.0, "grid": {"start": 0.0, "stop": 1.0, "count": 2}}
+# Numbers json reads as NaN or Infinity, which the schema's "number" passes:
+# case name -> (verb, config, the key the one error line names)
+NON_FINITE = {
+    "eval_grid_stop_nan": ("bundle-eval", {**EVAL, "grid": {**EVAL["grid"], "stop": np.nan}},
+                           "grid.stop"),
+    "eval_grid_stop_inf": ("bundle-eval", {**EVAL, "grid": {**EVAL["grid"], "stop": np.inf}},
+                           "grid.stop"),
+    "probe_state_nan": ("contact-probe", {**PROBE, "state": [np.nan, 0.0, 0.7]}, "state"),
+    "probe_state_inf": ("contact-probe", {**PROBE, "state": [0.0, np.inf, 0.7]}, "state"),
+    "probe_grid_x_stop_nan": ("contact-probe",
+                              {**PROBE, "grid": {**PROBE["grid"],
+                                                 "x": {**PROBE["grid"]["x"], "stop": np.nan}}},
+                              "grid.x.stop"),
+}
 # contact-probe "system" values the schema rejects, by case name
 BAD_SYSTEMS = {"system_unknown_key": {"bogus": 1}, "system_k_string": {"k": "x"},
                "system_k_bool": {"k": True}}
@@ -226,10 +241,11 @@ def test_contact_probe_names_a_non_finite_parameter(tmp_path, capsys, k):
     ("plan", {**PLAN, "task": "pendulum_swingup", "params": {"mass": 0.0}}),
     ("plan", {**PLAN, "task": "pendulum_swingup", "params": {"h": -0.05}}),
     ("plan", {**PLAN, "task": "dubins_parking", "params": {"v_max": -1.0}}),
+    *[pytest.param(verb, config, id=case) for case, (verb, config, _) in NON_FINITE.items()],
 ])
-def test_constructor_config_error_leaves_no_out(tmp_path, capsys, verb, config):
-    # the schema passes these; Contact2DParams, MpcProblem and the task
-    # builders and systems reject them
+def test_constructor_config_error_leaves_no_out(tmp_path, capsys, request, verb, config):
+    # the schema passes these; Contact2DParams, MpcProblem, the task
+    # builders and systems, and the CLI's own grid and state checks reject them
     path, out = tmp_path / "config.json", tmp_path / "out"
     path.write_text(json.dumps(config))
     code = cli.main([verb, "--config", str(path), "--out", str(out)])
@@ -238,6 +254,9 @@ def test_constructor_config_error_leaves_no_out(tmp_path, capsys, verb, config):
     assert err.startswith("config error") and err.count("\n") == 1
     if "spectral_radius" in config.get("params", {}):
         assert "lti.spectral_radius must be finite and positive" in err
+    if request.node.callspec.id in NON_FINITE:
+        key = NON_FINITE[request.node.callspec.id][2]
+        assert err.startswith(f"config error: {key} must be finite, got ")
     assert not out.exists()
 
 

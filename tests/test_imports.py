@@ -1,9 +1,10 @@
 """Every name a bundleopt module imports is used in that module, every
 module-level private name (`_x`) is referenced somewhere in the package,
 and every name in a module's `__all__` exists and is a package export.
-No module imports scipy.integrate or names SeedSequence. Importing the
-package leaves scipy and jsonschema unloaded, and planning, with or
-without inequalities, leaves scipy unloaded: only QpProblem loads it.
+No module imports scipy.integrate or names SeedSequence. The runtime
+dependencies in pyproject.toml are exactly the third-party modules the
+package imports. Importing the package leaves scipy and jsonschema
+unloaded, and no package path loads scipy.
 
 `__init__.py` is exempt from the first check: its imports are the
 package's exports.
@@ -13,6 +14,7 @@ import ast
 import importlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -21,7 +23,8 @@ import pytest
 
 import bundleopt
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "bundleopt"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "bundleopt"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
 
 
@@ -147,6 +150,35 @@ def test_no_module_names_seed_sequence():
             if names_seed_sequence(p.read_text(encoding="utf-8"))] == []
 
 
+def third_party_modules(source: str) -> set[str]:
+    """Top-level names of the absolute imports of `source` outside the standard library."""
+    tops = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            tops.update(a.name.split(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            tops.add(node.module.split(".")[0])
+    return tops - sys.stdlib_module_names - {"__future__"}
+
+
+def test_checker_finds_third_party_imports():
+    source = ("from __future__ import annotations\nimport os.path\nimport numpy as np\n"
+              "from . import qp\nfrom .errors import E\n"
+              "def f():\n    from scipy.linalg import lapack\n    import jsonschema\n")
+    assert third_party_modules(source) == {"numpy", "scipy", "jsonschema"}
+
+
+def test_runtime_dependencies_are_the_imported_modules():
+    tomllib = pytest.importorskip("tomllib")         # Python 3.11+
+    with open(ROOT / "pyproject.toml", "rb") as fh:
+        requirements = tomllib.load(fh)["project"]["dependencies"]
+    declared = {re.match(r"[A-Za-z0-9_.-]+", req)[0].lower().replace("-", "_")
+                for req in requirements}
+    imported = set().union(*(third_party_modules(p.read_text(encoding="utf-8"))
+                             for p in sorted(SRC.glob("*.py"))))
+    assert declared == imported == {"numpy", "jsonschema"}
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_module_all_names_exist_and_are_exported(path):
     module = importlib.import_module(f"bundleopt.{path.stem}")
@@ -186,6 +218,9 @@ problem = bundleopt.QpProblem(np.eye(2), np.ones(2), np.ones((1, 2)), [0.0])
 report["qp_problem"] = loaded()
 bundleopt.solve_qp(problem)
 report["solve_qp"] = loaded()
+bundleopt.ContactPush2D(model="anitescu").step_batch(np.array([[0.0, 0.0, 0.7]]),
+                                                     np.array([[0.05, 0.55]]))
+report["anitescu_step"] = loaded()
 print(json.dumps(report))
 """
 
@@ -196,11 +231,6 @@ def test_scipy_and_jsonschema_load_only_where_they_run():
     done = subprocess.run([sys.executable, "-c", _IMPORT_PATH_SCRIPT], env=env,
                           capture_output=True, text=True, timeout=120, check=True)
     report = json.loads(done.stdout.splitlines()[-1])
-    assert report["import"] == []
-    assert report["plan_and_oracle"] == []
-    # input boxes: every window solves its QP on the planner's own factor
-    assert report["constrained_plan"] == []
-    # the negative case: a QP's validation is its first factorization, so
-    # building the problem loads LAPACK, and solving it loads nothing more
-    assert {"scipy", "scipy.linalg"} <= set(report["qp_problem"])
-    assert report["solve_qp"] == report["qp_problem"]
+    # jsonschema loads only with a CLI config
+    assert report == dict.fromkeys(["import", "plan_and_oracle", "constrained_plan",
+                                    "qp_problem", "solve_qp", "anitescu_step"], [])

@@ -214,7 +214,8 @@ class TestCondensedPath:
             windows.solve(j, x)
         assert len(factors) == 1
 
-    def test_window_0_starts_from_the_last_iterations_window_0(self, monkeypatch):
+    def test_window_0_starts_cold_every_iteration(self, monkeypatch):
+        # The last iteration's window-0 set was found on another model.
         setup = build_task("dubins_parking")
         calls = []
 
@@ -227,10 +228,8 @@ class TestCondensedPath:
         monkeypatch.setattr(irs_lqr._CondensedHorizon, "solve", spy)
         irs_lqr_run(setup.system, setup.mpc, GradientMode(kind="first_order_bundle"), 0.25,
                     ("geometric", 0.8), max_iters=3, seed=0, u_init=setup.u_init)
-        assert len(calls) == 3 and calls[0][0] == ()
-        for (_, previous), (start, _) in zip(calls, calls[1:]):
-            assert start == previous
-        assert all(active for _, active in calls[:-1]), "an empty start tests nothing"
+        assert [start for start, _ in calls] == [(), (), ()]
+        assert all(active for _, active in calls[:-1]), "an empty window-0 set tests nothing"
 
     def test_warm_start_cuts_active_set_iterations(self, monkeypatch):
         setup = build_task("dubins_parking")
@@ -292,11 +291,15 @@ PUSH_SETTINGS = {"cov0": 0.25, "schedule": ("geometric", 0.8), "max_iters": 20}
 BUNDLES = ("first_order_bundle", "zero_order_bundle")
 
 
-def _final_cost(setup, kind, seed, max_iters=PUSH_SETTINGS["max_iters"]):
+def _costs(setup, kind, seed, max_iters=PUSH_SETTINGS["max_iters"]):
     history = irs_lqr_run(setup.system, setup.mpc, GradientMode(kind=kind, samples=100),
                           seed=seed, u_init=setup.u_init,
                           **{**PUSH_SETTINGS, "max_iters": max_iters})
-    return history[-1].cost
+    return [it.cost for it in history]
+
+
+def _final_cost(setup, kind, seed, max_iters=PUSH_SETTINGS["max_iters"]):
+    return _costs(setup, kind, seed, max_iters)[-1]
 
 
 class TestHeadline:
@@ -312,15 +315,18 @@ class TestHeadline:
             for kind in BUNDLES:
                 assert _final_cost(setup, kind, seed) <= 0.1 * exact
 
-    # The paper pairs the bundles with Anitescu's relaxation; 6 iterations
-    # take first-order to 0.344 and zero-order to 0.671 against exact's 5.00.
+    # Exact gradients cycle here, between 16.26 and 5.76 on the exact model
+    # and between 3.77 and 5.00 on Anitescu's relaxation (the paper's
+    # pairing), so its last cost flips with the parity of max_iters: the
+    # bundles must end below its best iterate. They end at 0.437 and 0.524
+    # against 5.76, and, in 6 iterations, at 0.344 and 0.671 against 3.77.
     @pytest.mark.parametrize("model", ["exact", "anitescu"])
     def test_push_2d_bundles_end_below_exact(self, model):
         setup = build_task("push_2d", {"model": model})
         max_iters = {"exact": 20, "anitescu": 6}[model]
-        exact = _final_cost(setup, "exact", 0, max_iters)
+        exact_best = min(_costs(setup, "exact", 0, max_iters))
         for kind in BUNDLES:
-            assert _final_cost(setup, kind, 0, max_iters) < exact
+            assert _final_cost(setup, kind, 0, max_iters) < exact_best
 
     def test_penalty_push_exact_stalls_and_bundles_escape(self):
         # The paper's penalty-method claim: push_1d's task on the stiff
