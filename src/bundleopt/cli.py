@@ -52,7 +52,7 @@ from .tasks import TASK_BUILDERS, build_task
 
 log = logging.getLogger("bundleopt")
 
-CSV_SCHEMA_VERSION = "bundleopt-csv-v1"
+CSV_SCHEMA_VERSION = "bundleopt-csv-v2"
 
 _GRID = {
     "type": "object",
@@ -298,8 +298,8 @@ def _plan_run(item):
                           seed=seed, u_init=task.u_init)
     elapsed = time.perf_counter() - started
     diverged = stop_reason([it.cost for it in history]) == "diverged"
-    result_rows = [[task.name, mode_kind, seed, it.iteration, it.cost,
-                    it.infeasible_steps, int(diverged)] for it in history]
+    result_rows = [[task.name, mode_kind, seed, it.iteration, it.cost, int(diverged)]
+                   for it in history]
     final = history[-1]
     traj_rows = []
     T = task.mpc.horizon
@@ -319,8 +319,8 @@ def _run_plan(config: dict, jobs: int):
     traj_rows = [row for res in results for row in res[1]]
     for (_, _, kind, seed), res in zip(items, results):
         log.info("plan %s mode=%s seed=%d: %.2fs", config["task"], kind, seed, res[2])
-    return {"results.csv": (["task", "mode", "seed", "iteration", "cost",
-                             "infeasible_steps", "diverged"], result_rows),
+    return {"results.csv": (["task", "mode", "seed", "iteration", "cost", "diverged"],
+                            result_rows),
             "trajectory.csv": (["task", "mode", "seed", "t", *[f"x{i}" for i in range(n)],
                                 *[f"u{i}" for i in range(m)]], traj_rows)}
 

@@ -9,20 +9,22 @@ state actually reached. The linear model is one LinearizedDynamics
 stacking every knot's A, B and c. Each problem shape has one solver, used
 both in the loop and by mpc_solve:
 
-* No inequalities (C_u and C_x both None): one backward affine-Riccati
-  pass gives the time-varying policy u_t = K_t x_t + k_t, which by
-  Bellman's principle is the first input of every window; the rollout
-  applies it with no per-window QP (iterative LQR).
-* Inequalities: each window is a condensed QP in its stacked inputs,
-  solved by the dual active-set method. The condensed data are assembled
-  once per iteration; by causality window j's Hessian and constraint rows
-  are trailing slices of window 0's, and only the gradient and the state
-  constraint offsets depend on the window's start state, and one numpy
-  factor of window 0's Hessian serves every window. The windows of one
-  iteration share one linear model, so their optimal active sets barely
-  move: each window starts from the previous window's active set,
-  renumbered (empty after a relaxed window). Window 0 starts empty: a set
-  carried over from the previous iteration's model cost more than it saved.
+* No inequalities (C_u None): one backward affine-Riccati pass gives the
+  time-varying policy u_t = K_t x_t + k_t, which by Bellman's principle
+  is the first input of every window; the rollout applies it with no
+  per-window QP (iterative LQR).
+* Input inequalities: each window is a condensed QP in its stacked
+  inputs, solved by the dual active-set method. The condensed data are
+  assembled once per iteration: by causality window j's Hessian and
+  constraint rows are trailing slices of window 0's, one numpy factor of
+  window 0's Hessian serves every window, and the gradient is one affine
+  map of the window's start state, so a window costs two views and one
+  matrix-vector product. The windows of one iteration share one linear
+  model, so their optimal active sets barely move: each window starts
+  from the previous window's active set, renumbered, and when that set is
+  already optimal the active set returns its start solve as is. Window 0
+  starts empty: a set carried over from the previous iteration's model
+  cost more than it saved.
 
 There is no line search or trust region; smoothing itself is the
 stabilizer, the variance schedule anneals it away, and divergence is
@@ -63,7 +65,6 @@ __all__ = [
 
 GRADIENT_MODES = ("exact", "first_order_bundle", "zero_order_bundle")
 
-_SLACK_WEIGHT = 1e6
 _CONVERGENCE_RTOL = 1e-6
 _CONVERGENCE_STREAK = 3
 _DIVERGENCE_STREAK = 5
@@ -77,8 +78,9 @@ class MpcProblem:
 
     The running state cost Q (PSD) and input cost R (PD) apply at every
     step; Q_terminal weighs the final deviation. x_desired has T+1 rows.
-    All four must be finite. Optional linear inequalities C_u u <= d_u
-    (t < T) and C_x x <= d_x (all t) apply at every step.
+    All four must be finite. Optional input inequalities C_u u <= d_u
+    apply at every step t < T: C_u is finite with input_dim columns, and
+    d_u has one entry per row, none NaN or -inf (+inf never binds).
     start_index/initial_state select the MPC window: the subproblem starts
     at knot j from the given state.
     """
@@ -90,8 +92,6 @@ class MpcProblem:
     x_desired: np.ndarray
     C_u: np.ndarray | None = None
     d_u: np.ndarray | None = None
-    C_x: np.ndarray | None = None
-    d_x: np.ndarray | None = None
     start_index: int = 0
     initial_state: np.ndarray | None = None
 
@@ -116,14 +116,19 @@ class MpcProblem:
         _check_definite(self.Q_terminal, "Q_terminal", "positive semidefinite", -1e-10)
         if (self.C_u is None) != (self.d_u is None):
             raise ConfigurationError("C_u and d_u must be given together")
-        if (self.C_x is None) != (self.d_x is None):
-            raise ConfigurationError("C_x and d_x must be given together")
         if self.C_u is not None:
             self.C_u = np.atleast_2d(np.asarray(self.C_u, dtype=float))
             self.d_u = np.asarray(self.d_u, dtype=float).ravel()
-        if self.C_x is not None:
-            self.C_x = np.atleast_2d(np.asarray(self.C_x, dtype=float))
-            self.d_x = np.asarray(self.d_x, dtype=float).ravel()
+            if self.C_u.ndim != 2 or self.C_u.shape[1] != self.input_dim:
+                raise ConfigurationError(
+                    f"C_u must have {self.input_dim} columns, got shape {self.C_u.shape}")
+            _check_finite(self.C_u, "C_u")
+            if self.d_u.shape != self.C_u.shape[:1]:
+                raise ConfigurationError(
+                    f"d_u must have one entry per C_u row ({self.C_u.shape[0]}), "
+                    f"got {self.d_u.shape[0]}")
+            if not (self.d_u > -np.inf).all():
+                raise ConfigurationError("d_u must not hold NaN or -inf")
         self._anchor(self.start_index, self.initial_state)
 
     @property
@@ -192,21 +197,18 @@ class TrajectoryIterate:
     cost: float
     iteration: int
     linearizations: LinearizedDynamics | None = field(default=None, repr=False)
-    infeasible_steps: int = 0
 
 
 @dataclass(frozen=True)
 class MpcResult:
     """First input of an MPC window, with the window QP's multipliers.
 
-    `duals` are the multipliers of the window QP's inequality rows.
-    `active` lists its final active rows, sorted; it is empty for a
-    relaxed window, whose QP has slack variables and another layout. A
-    problem with no inequalities has no window QP: both are empty.
+    `duals` are the multipliers of the window QP's inequality rows, and
+    `active` lists its final active rows, sorted. A problem with no
+    inequalities has no window QP: both are empty.
     """
 
     u: np.ndarray
-    relaxed: bool
     duals: np.ndarray
     active: tuple[int, ...] = ()
 
@@ -277,106 +279,70 @@ class _CondensedHorizon:
     alone. Its Hessian is F'QF + R with Q and R the block-diagonal running
     and terminal costs (times 2); R being positive definite makes it
     positive definite with no ridge. By causality, window j's F, Hessian
-    and constraint rows are trailing slices of window 0's, so they are
-    built once. Only the free response g of the linear model from the
-    window's start state, and through it the gradient and the state
-    constraint offsets, changes from window to window. P = U U' with U
-    upper triangular (P's Cholesky factor in reversed order), so window
-    j's Hessian is U_j U_j' for U's trailing block U_j, whose inverse is
-    the trailing block W_j of W = U^{-1}: one factor serves every window.
+    and input rows are trailing slices of window 0's, so they are built
+    once and each window's G and h are views. P = U U' with U upper
+    triangular (P's Cholesky factor in reversed order), so window j's
+    Hessian is U_j U_j' for U's trailing block U_j, whose inverse is the
+    trailing block W_j of W = U^{-1}: one factor serves every window.
+
+    Only the gradient depends on the window's start state, and affinely:
+    the free response from x_j is g = Phi_j x_j + gamma_j, so the gradient
+    is M_j x_j + v_j with M_j = QF_j' Phi_j and v_j = QF_j'(gamma_j - x_d),
+    QF_j being QF's trailing block. One backward pass builds every M_j and
+    v_j from Phi_T = I, gamma_T = 0, Phi_j = [I; Phi_{j+1} A_j] and
+    gamma_j = [0; Phi_{j+1} c_j + gamma_{j+1}].
     """
 
     def __init__(self, mpc: MpcProblem, lins: LinearizedDynamics):
         T, n, m = mpc.horizon, mpc.state_dim, mpc.input_dim
-        self.mpc = mpc
-        self.lins = lins
+        self.m, self.p = m, mpc.C_u.shape[0]
         F = np.zeros((T + 1, n, T * m))
         for t in range(T):
             F[t + 1] = lins.A[t] @ F[t]
             F[t + 1, :, t * m:(t + 1) * m] = lins.B[t]
         q_bar = 2.0 * np.concatenate([np.broadcast_to(mpc.Q, (T, n, n)), mpc.Q_terminal[None]])
-        self.QF = (q_bar @ F).reshape((T + 1) * n, T * m)
-        P = F.reshape((T + 1) * n, T * m).T @ self.QF
+        QF = (q_bar @ F).reshape((T + 1) * n, T * m)
+        P = F.reshape((T + 1) * n, T * m).T @ QF
         for t in range(T):
             P[t * m:(t + 1) * m, t * m:(t + 1) * m] += 2.0 * mpc.R
         U = np.linalg.cholesky(0.5 * (P + P.T)[::-1, ::-1])[::-1, ::-1]    # P = U U'
         self.W = np.linalg.inv(U)
-        if mpc.C_u is not None:
-            self.G_u = np.kron(np.eye(T), mpc.C_u)
-            self.h_u = np.tile(mpc.d_u, T)
-        if mpc.C_x is not None:
-            self.G_x = (mpc.C_x @ F).reshape(-1, T * m)
+        self.G = np.kron(np.eye(T), mpc.C_u)
+        self.h = np.tile(mpc.d_u, T)
+        eye = np.eye(n)
+        phi = np.empty(((T + 1) * n, n))        # rows j*n: hold Phi_j
+        phi[T * n:] = eye
+        gamma = np.zeros((T + 1) * n)           # entries j*n: hold gamma_j
+        target = mpc.x_desired.ravel()
+        self.M, self.v = [None] * T, [None] * T
+        for j in reversed(range(T)):
+            gamma[(j + 1) * n:] += phi[(j + 1) * n:] @ lins.c[j]
+            phi[(j + 1) * n:] = phi[(j + 1) * n:] @ lins.A[j]
+            phi[j * n:(j + 1) * n] = eye
+            qf = QF[j * n:, j * m:]
+            self.M[j] = qf.T @ phi[j * n:]
+            self.v[j] = qf.T @ (gamma[j * n:] - target[j * n:])
 
-    def window_qp(self, j: int, x_j, relaxed: bool):
+    def window_qp(self, j: int, x_j):
         """(solve, q, G, h) of the reduced QP for the window starting at knot j.
 
-        `solve(b)` is W'(W b), the window's inverse Hessian. With `relaxed`,
-        state inequalities get quadratically penalized slack variables
-        (weight 1e6), so an infeasible window still produces a usable input.
+        `solve(b)` is W'(W b), the window's inverse Hessian.
         """
-        mpc = self.mpc
-        T, n, m = mpc.horizon, mpc.state_dim, mpc.input_dim
-        g = np.empty((T - j + 1, n))
-        g[0] = x_j
-        A, c = self.lins.A, self.lins.c
-        for t in range(j, T):
-            g[t - j + 1] = A[t] @ g[t - j] + c[t]
+        m, p = self.m, self.p
         W = self.W[j * m:, j * m:]
-        q = self.QF[j * n:, j * m:].T @ (g - mpc.x_desired[j:]).ravel()
-        rows, offsets = [], []
-        if mpc.C_u is not None:
-            p_u = mpc.C_u.shape[0]
-            rows.append(self.G_u[j * p_u:, j * m:])
-            offsets.append(self.h_u[j * p_u:])
-        if mpc.C_x is not None:
-            rows.append(self.G_x[j * mpc.C_x.shape[0]:, j * m:])
-            offsets.append((mpc.d_x - g @ mpc.C_x.T).ravel())
-        if not (relaxed and mpc.C_x is not None):
-            return lambda b: W.T @ (W @ b), q, np.vstack(rows), np.concatenate(offsets)
-        # Slack s >= 0 per state row: C_x x - s <= d_x, cost 1e6 |s|^2.
-        nu, n_sx = q.shape[0], rows[-1].shape[0]
-        W_s = np.zeros((nu + n_sx, nu + n_sx))
-        W_s[:nu, :nu] = W
-        W_s[nu:, nu:] = np.eye(n_sx) / np.sqrt(2.0 * _SLACK_WEIGHT)
-        slack = np.zeros((sum(r.shape[0] for r in rows) + n_sx, n_sx))
-        slack[-2 * n_sx:-n_sx] = -np.eye(n_sx)
-        slack[-n_sx:] = -np.eye(n_sx)
-        G = np.hstack([np.vstack(rows + [np.zeros((n_sx, nu))]), slack])
-        return (lambda b: W_s.T @ (W_s @ b), np.concatenate([q, np.zeros(n_sx)]), G,
-                np.concatenate(offsets + [np.zeros(n_sx)]))
+        return (lambda b: W.T @ (W @ b), self.M[j] @ x_j + self.v[j],
+                self.G[j * p:, j * m:], self.h[j * p:])
 
     def solve(self, j: int, x_j, start=()) -> MpcResult:
-        """First optimal input of window j; relaxes and flags it if infeasible.
-
-        `start` is the active set the QP starts from (see next_start); a
-        relaxed re-solve starts empty.
-        """
-        for relaxed in (False, True):
-            solve, q, G, h = self.window_qp(j, x_j, relaxed)
-            y, lam, active, status, _ = _qp._dual_active_set(
-                solve, q, G, h, start=() if relaxed else start)
-            if status == "optimal":
-                return MpcResult(u=y[:self.mpc.input_dim], relaxed=relaxed, duals=lam,
-                                 active=() if relaxed else tuple(active))
-            if status == "infeasible" and self.mpc.C_x is not None and not relaxed:
-                continue
+        """First optimal input of window j, its QP started from the active set `start`."""
+        y, lam, active, status, _ = _qp._dual_active_set(*self.window_qp(j, x_j), start=start)
+        if status != "optimal":
             raise RuntimeError(f"MPC subproblem failed with status {status!r}")
-        raise RuntimeError("MPC subproblem infeasible even with relaxed state constraints")
+        return MpcResult(u=y[:self.m], duals=lam, active=tuple(active))
 
-    def next_start(self, j: int, active) -> tuple[int, ...]:
-        """Window j's active rows renumbered for window j+1.
-
-        Window j+1 loses step j's input rows. It also loses the state rows
-        of knots j and j+1: no input of window j+1 moves knot j+1, so those
-        rows are constant there and would make the start set singular.
-        """
-        mpc = self.mpc
-        p_u = 0 if mpc.C_u is None else mpc.C_u.shape[0]
-        p_x = 0 if mpc.C_x is None else mpc.C_x.shape[0]
-        n_u = (mpc.horizon - j) * p_u          # input rows of window j
-        return tuple(i - p_u if i < n_u else i - p_u - p_x
-                     for i in active
-                     if p_u <= i < n_u or i >= n_u + 2 * p_x)
+    def next_start(self, active) -> tuple[int, ...]:
+        """A window's active rows renumbered for the next, which loses its first step's rows."""
+        return tuple(i - self.p for i in active if i >= self.p)
 
 
 def _riccati_gains(mpc: MpcProblem, lins: LinearizedDynamics
@@ -413,8 +379,7 @@ def mpc_solve(mpc: MpcProblem, linearizations: LinearizedDynamics) -> MpcResult:
     `mpc.initial_state` on the stacked model with irs_lqr_run's solver for
     the problem's shape, so the input is the one the rollout applies: with
     no inequalities the Riccati policy K_j x + k_j (no QP), otherwise the
-    window's condensed QP. An infeasible window is re-solved with
-    penalized slack on the state inequalities and flagged `relaxed`.
+    window's condensed QP.
     """
     if mpc.initial_state is None:
         raise ConfigurationError("MpcProblem.initial_state must be set for an MPC solve")
@@ -422,9 +387,9 @@ def mpc_solve(mpc: MpcProblem, linearizations: LinearizedDynamics) -> MpcResult:
     if knots != mpc.horizon:
         raise ConfigurationError(f"need {mpc.horizon} knot linearizations, got {knots}")
     j, x = mpc.start_index, mpc.initial_state
-    if mpc.C_u is None and mpc.C_x is None:
+    if mpc.C_u is None:
         K, k = _riccati_gains(mpc, linearizations)
-        return MpcResult(u=K[j] @ x + k[j], relaxed=False, duals=np.zeros(0))
+        return MpcResult(u=K[j] @ x + k[j], duals=np.zeros(0))
     return _CondensedHorizon(mpc, linearizations).solve(j, x)
 
 
@@ -436,8 +401,7 @@ def irs_lqr_run(sys: DynamicalSystem, mpc: MpcProblem, mode: GradientMode,
     Each iteration linearizes around the current trajectory and rolls the
     true system out under the linear model's MPC inputs: from one Riccati
     pass when the problem has no inequalities, otherwise from a condensed
-    QP per window (see the module docstring). Relaxed windows are counted
-    in each iterate's `infeasible_steps`.
+    QP per window (see the module docstring).
 
     `cov0` is the initial sampling variance, one scalar for every state
     and input coordinate (see linearize_trajectory); `schedule` a (policy,
@@ -459,7 +423,7 @@ def irs_lqr_run(sys: DynamicalSystem, mpc: MpcProblem, mode: GradientMode,
     if cov0.ndim != 0:
         raise ConfigurationError(f"cov0 must be a scalar variance, got shape {cov0.shape}")
     policy, gamma = schedule
-    unconstrained = mpc.C_u is None and mpc.C_x is None
+    unconstrained = mpc.C_u is None
 
     xs = rollout(sys, mpc.initial_state, us)
     history = [TrajectoryIterate(xs=xs, us=us, cost=trajectory_cost((xs, us), mpc),
@@ -470,7 +434,6 @@ def irs_lqr_run(sys: DynamicalSystem, mpc: MpcProblem, mode: GradientMode,
         new_xs = np.empty_like(xs)
         new_us = np.empty_like(us)
         new_xs[0] = xs[0]
-        infeasible = 0
         if unconstrained:
             K, k_ff = _riccati_gains(mpc, lins)
         else:
@@ -481,14 +444,12 @@ def irs_lqr_run(sys: DynamicalSystem, mpc: MpcProblem, mode: GradientMode,
                 new_us[t] = K[t] @ new_xs[t] + k_ff[t]
             else:
                 res = windows.solve(t, new_xs[t], start)
-                infeasible += int(res.relaxed)
                 new_us[t] = res.u
-                start = windows.next_start(t, res.active)
+                start = windows.next_start(res.active)
             new_xs[t + 1] = sys.step(new_xs[t], new_us[t])
         xs, us = new_xs, new_us
         history.append(TrajectoryIterate(xs=xs, us=us, cost=trajectory_cost((xs, us), mpc),
-                                         iteration=k + 1, linearizations=lins,
-                                         infeasible_steps=infeasible))
+                                         iteration=k + 1, linearizations=lins))
         if stop_reason([it.cost for it in history]) is not None:
             break
     return history

@@ -16,7 +16,10 @@ become active. Finite termination
 and nonnegative multipliers are properties of the method; a final re-solve
 on the optimal active set, in sorted row order, polishes primal and dual
 values to linear-algebra precision, so they depend on that set and not on
-the path that reached it.
+the path that reached it. A warm start solves on its sorted start set with
+the polish's own operands, so when that set is kept whole and nothing is
+violated, its solution is returned as the polish would give it, bit for
+bit, with no re-solve.
 
 Infeasibility is reported through the solution status, not an exception,
 so model-predictive callers can degrade gracefully.
@@ -65,14 +68,18 @@ class QpProblem:
             raise ConfigurationError("the QP needs at least one variable")
         if self.P.shape != (n, n):
             raise ConfigurationError(f"P must be {n}x{n}, got {self.P.shape}")
-        if not np.isfinite(self.P).all():
+        magnitude = np.abs(self.P)
+        scale = magnitude.max()                 # NaN or inf if any entry is
+        if not math.isfinite(scale):
             raise ConfigurationError("P must be finite")
         # np.allclose(P, P.T, atol) spelled out: its default rtol, finite values only
-        atol = 1e-10 * max(1.0, np.abs(self.P).max())
-        if not (np.abs(self.P - self.P.T) <= atol + 1e-5 * np.abs(self.P.T)).all():
+        atol = 1e-10 * max(1.0, scale)
+        if not (np.abs(self.P - self.P.T) <= atol + 1e-5 * magnitude.T).all():
             raise ConfigurationError("P must be symmetric")
+        shifted = self.P.copy()                 # P - 1e-9 I, bit for bit
+        shifted.flat[::n + 1] -= _MIN_EIG
         try:
-            np.linalg.cholesky(self.P - _MIN_EIG * np.eye(n))
+            np.linalg.cholesky(shifted)
         except np.linalg.LinAlgError:
             raise ConfigurationError(
                 f"P must be positive definite with min eigenvalue > {_MIN_EIG}") from None
@@ -121,7 +128,11 @@ def _dual_active_set(solve, q, G, h, start=()):
     Returns (z, ineq_duals, active, status, iterations), active sorted;
     z and the duals are polished by a final KKT re-solve on the optimal
     active set, so they depend on that set, not on the path to it. The
-    status is "max_iter" after 25 + 10(m + 1) iterations without one.
+    polish is skipped when it would repeat the start: the start set is
+    solved in sorted order on the polish's operands (G's rows, their
+    columns `solve(G[S].T)`, the same Gram matrix and right-hand side), so
+    if no row is dropped and none is violated that solve is the polish's.
+    The status is "max_iter" after 25 + 10(m + 1) iterations without one.
     """
     n, m = q.shape[0], G.shape[0]
     max_iter = 25 + 10 * (m + 1)
@@ -130,15 +141,18 @@ def _dual_active_set(solve, q, G, h, start=()):
         return z_free, np.zeros(0), [], "optimal", 1
     pig = np.empty((n, m))             # P^{-1} g_i, formed only for rows used
     formed = np.zeros(m, dtype=bool)
-    active = list(start)
+    active = sorted(start)
     iters = 0
     z = z_free
     gram = np.zeros((0, 0))            # Gram block of the active normals
     lam_active: list[float] = []
     if active:
-        pig[:, active] = solve(G[active].T)
+        # The polish's operands: a start set kept whole needs no re-solve.
+        g_act = G[active]
+        cols = solve(g_act.T)
+        pig[:, active] = cols
         formed[active] = True
-        gram = G[active] @ pig[:, active]
+        gram = g_act @ cols
         try:
             while active:
                 factor = np.linalg.cholesky(gram)
@@ -147,16 +161,16 @@ def _dual_active_set(solve, q, G, h, start=()):
                 if np.any(np.diag(factor) ** 2
                           <= _STEP_TOL * np.maximum(1.0, np.diag(gram))):
                     raise np.linalg.LinAlgError("start rows are linearly dependent")
-                lam = np.linalg.solve(gram, G[active] @ z_free - h[active])
+                lam = np.linalg.solve(gram, g_act @ z_free - h[active])
                 k = int(lam.argmin())
                 if lam[k] >= 0.0:
-                    z = z_free - pig[:, active] @ lam
+                    z = z_free - cols @ lam
                     lam_active = list(lam)
                     break
                 iters += 1
                 keep = [i for i in range(len(active)) if i != k]
                 del active[k]
-                gram = gram[keep][:, keep]
+                gram, g_act, cols = gram[keep][:, keep], g_act[keep], cols[:, keep]
         except np.linalg.LinAlgError:
             active, gram = [], np.zeros((0, 0))
 
@@ -167,7 +181,11 @@ def _dual_active_set(solve, q, G, h, start=()):
             resid[active] = 0.0        # kept exactly active
         worst = int(resid.argmax())
         if resid[worst] <= _FEAS_TOL:
-            return _polish(G, h, z_free, solve, active, "optimal", iters)
+            if iters > 1 or not active:    # a drop or an add moved z off the start's solve
+                return _polish(G, h, z_free, solve, active, "optimal", iters)
+            lam = np.zeros(m)
+            lam[active] = lam_active
+            return z, lam, active, "optimal", iters
         if not formed[worst]:
             pig[:, worst] = solve(G[worst])
             formed[worst] = True

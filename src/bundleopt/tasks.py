@@ -34,6 +34,8 @@ class TaskSetup:
 
 def _box_bounds(limits) -> tuple[np.ndarray, np.ndarray]:
     """Stack per-input (low, high) pairs into C u <= d form: u_i <= high, -u_i <= -low."""
+    if any(np.isnan(v) for pair in limits for v in pair):
+        raise ConfigurationError(f"input bounds must not be NaN, got {limits}")
     if not all(lo <= hi for lo, hi in limits):
         raise ConfigurationError(f"input bounds must have low <= high, got {limits}")
     m = len(limits)

@@ -331,32 +331,26 @@ def riccati_tracking(A, B, c, Q, R, Q_terminal, x_desired, x0):
 # ---------------------------------------------------------------------------
 # stacked MPC window QP (dynamics kept as equality constraints)
 
-SLACK_WEIGHT = 1e6        # the planner's penalty on relaxed state-constraint slack
 HESSIAN_RIDGE = 1e-8
 
 
-def assemble_mpc_qp(mpc, linearizations, relax_state_constraints=False):
+def assemble_mpc_qp(mpc, linearizations):
     """Stacked QP over (x_j..x_T, u_j..u_{T-1}) for the MPC window.
 
     Dynamics enter as equality constraints x_{t+1} = A_t x_t + B_t u_t + c_t
     (one block per step of the window) along with the pinned initial state.
-    With relax_state_constraints, state inequalities get quadratically
-    penalized slack variables so an infeasible window still produces a
-    usable input. A tiny ridge keeps the stacked Hessian positive definite
-    when state costs are only PSD. Returns ((P, q, G, h, A_eq, b_eq), index
-    of u_j in z), the first element solve_eq_qp's arguments.
+    A tiny ridge keeps the stacked Hessian positive definite when state
+    costs are only PSD. Returns ((P, q, G, h, A_eq, b_eq), index of u_j in
+    z), the first element solve_eq_qp's arguments.
     """
     T, j = mpc.horizon, mpc.start_index
     n, m = mpc.state_dim, mpc.input_dim
     W = T - j
     nx, nu = (W + 1) * n, W * m
-    relax = relax_state_constraints and mpc.C_x is not None
-    n_sx = mpc.C_x.shape[0] * (W + 1) if relax else 0
-    nz = nx + nu + n_sx
+    nz = nx + nu
 
     blocks = [mpc.Q] * (T - j) + [mpc.Q_terminal] + [mpc.R] * (T - j)
     P = 2.0 * block_diag(*blocks)
-    P = block_diag(P, 2.0 * SLACK_WEIGHT * np.eye(n_sx)) if n_sx else P
     P[np.diag_indices_from(P)] += HESSIAN_RIDGE
     q = np.zeros(nz)
     for t in range(j, T):
@@ -374,30 +368,13 @@ def assemble_mpc_qp(mpc, linearizations, relax_state_constraints=False):
         A_eq[r:r + n, nx + (t - j) * m:nx + (t - j + 1) * m] = -linearizations.B[t]
         b_eq[r:r + n] = linearizations.c[t]
 
-    g_rows, h_vals = [], []
+    G = h = None
     if mpc.C_u is not None:
+        p = mpc.C_u.shape[0]
+        G = np.zeros((W * p, nz))
         for t in range(j, T):
-            row = np.zeros((mpc.C_u.shape[0], nz))
-            row[:, nx + (t - j) * m:nx + (t - j + 1) * m] = mpc.C_u
-            g_rows.append(row)
-            h_vals.append(mpc.d_u)
-    if mpc.C_x is not None:
-        px = mpc.C_x.shape[0]
-        for t in range(j, T + 1):
-            row = np.zeros((px, nz))
-            row[:, (t - j) * n:(t - j + 1) * n] = mpc.C_x
-            if n_sx:
-                s0 = nx + nu + (t - j) * px
-                row[:, s0:s0 + px] = -np.eye(px)
-            g_rows.append(row)
-            h_vals.append(mpc.d_x)
-        if n_sx:
-            nonneg = np.zeros((n_sx, nz))
-            nonneg[:, nx + nu:] = -np.eye(n_sx)
-            g_rows.append(nonneg)
-            h_vals.append(np.zeros(n_sx))
-    G = np.vstack(g_rows) if g_rows else None
-    h = np.concatenate(h_vals) if g_rows else None
+            G[(t - j) * p:(t - j + 1) * p, nx + (t - j) * m:nx + (t - j + 1) * m] = mpc.C_u
+        h = np.tile(mpc.d_u, W)
     return (P, q, G, h, A_eq, b_eq), nx
 
 

@@ -39,8 +39,8 @@ def _random_mpc(rng, T, n, m, **constraints):
                       initial_state=rng.standard_normal(n), **constraints)
 
 
-def _stacked_first_input(window, lins, relaxed=False):
-    problem, first = assemble_mpc_qp(window, lins, relax_state_constraints=relaxed)
+def _stacked_first_input(window, lins):
+    problem, first = assemble_mpc_qp(window, lins)
     sol = solve_eq_qp(*problem)
     assert sol.status == "optimal"
     return sol.z[first:first + window.input_dim]
@@ -98,98 +98,65 @@ class TestRiccatiPath:
         for t in range(setup.mpc.horizon):
             res = mpc_solve(setup.mpc.window(t, final.xs[t]), final.linearizations)
             np.testing.assert_array_equal(res.u, final.us[t])
-            assert not res.relaxed and res.duals.size == 0 and res.active == ()
+            assert res.duals.size == 0 and res.active == ()
         assert calls == []
 
 
 class TestCondensedPath:
-    @pytest.mark.parametrize("kind", ["C_u", "C_x", "both"])
+    @pytest.mark.parametrize("kind", ["C_u"])
     def test_mpc_solve_matches_stacked_oracle(self, kind):
         rng = np.random.default_rng(2)
         n, m, T = 3, 2, 8
         lins = _random_lins(rng, T, n, m)
-        constraints = {}
-        if kind in ("C_u", "both"):
-            constraints["C_u"], constraints["d_u"] = _box(0.3, m)
-        if kind in ("C_x", "both"):
-            constraints["C_x"], constraints["d_x"] = _box(1.0, n)
-        mpc = _random_mpc(rng, T, n, m, **constraints)
+        c_u, d_u = _box(0.3, m)
+        mpc = _random_mpc(rng, T, n, m, C_u=c_u, d_u=d_u)
         active = False
         for j in (0, 3, T - 1):
             x = rng.uniform(-0.8, 0.8, n)
             res = mpc_solve(mpc.window(j, x), lins)
-            assert not res.relaxed
             active |= bool(np.max(res.duals) > 1e-6)
             np.testing.assert_allclose(res.u, _stacked_first_input(mpc.window(j, x), lins),
                                        atol=STACKED_ATOL)
         assert active, "no inequality was active; the case tests nothing"
 
-    def test_infeasible_state_constraint_is_relaxed_and_counted(self):
-        n, m, T = 2, 1, 6
-        a = np.array([[1.0, 0.1], [0.0, 1.0]])
-        b = np.array([[0.0], [0.1]])
-        c_x = np.array([[1.0, 0.0]])
-        mpc = MpcProblem(horizon=T, Q=np.eye(n), R=np.eye(m), Q_terminal=np.eye(n),
-                         x_desired=np.zeros((T + 1, n)), C_x=c_x, d_x=np.array([0.5]),
-                         initial_state=np.array([2.0, 0.0]))
-        sys = LinearSystem(a, b)
-        x0, u0 = np.zeros((T, n)), np.zeros((T, m))
-        lins = irs_lqr.linearize_exact(sys, x0, u0, sys.step_batch(x0, u0))
-        # The start state already breaks x0 <= 0.5: no input can repair that.
-        res = mpc_solve(mpc, lins)
-        assert res.relaxed
-        np.testing.assert_allclose(res.u, _stacked_first_input(mpc, lins, relaxed=True),
-                                   atol=STACKED_ATOL)
-        history = irs_lqr_run(sys, mpc, GradientMode(), 0.0, max_iters=1)
-        final = history[1]
-        replay = [mpc_solve(mpc.window(t, final.xs[t]), lins).relaxed for t in range(T)]
-        assert final.infeasible_steps == sum(replay) >= 1
-
-    @pytest.mark.parametrize("task", ["dubins_parking", "push_2d", "lti_state_box"])
+    @pytest.mark.parametrize("task", ["dubins_parking", "push_2d"])
     def test_in_loop_inputs_equal_mpc_solve(self, task):
         # In-loop windows start from the previous window's active set,
         # mpc_solve from none: the final active set alone fixes the bits.
-        if task == "lti_state_box":
-            setup, max_iters = _lti_state_box(), 3
-        else:
-            setup, max_iters = build_task(task), 1
+        setup = build_task(task)
         history = irs_lqr_run(setup.system, setup.mpc, GradientMode(), 0.0,
-                              max_iters=max_iters, u_init=setup.u_init)
-        if task == "lti_state_box":
-            np.testing.assert_allclose([it.cost for it in history],
-                                       [37.0517, 21.2018, 21.2018, 21.2018], atol=1e-4)
+                              max_iters=1, u_init=setup.u_init)
         final = history[-1]
         for t in range(setup.mpc.horizon):
             res = mpc_solve(setup.mpc.window(t, final.xs[t]), final.linearizations)
             np.testing.assert_array_equal(res.u, final.us[t])
 
     def test_next_start_maps_rows_onto_the_same_constraints(self):
-        setup = _lti_state_box()
+        setup = build_task("dubins_parking")
         mpc, m = setup.mpc, setup.mpc.input_dim
         xs = irs_lqr.rollout(setup.system, mpc.initial_state, setup.u_init)
         lins = linearize_trajectory(setup.system, xs, setup.u_init, GradientMode(), 0.0, 0, 0)
         windows = irs_lqr._CondensedHorizon(mpc, lins)
         for j in (0, 5, mpc.horizon - 2):
-            _, _, g_j, _ = windows.window_qp(j, xs[j], relaxed=False)
-            _, _, g_next, _ = windows.window_qp(j + 1, xs[j + 1], relaxed=False)
+            _, _, g_j, h_j = windows.window_qp(j, xs[j])
+            _, _, g_next, h_next = windows.window_qp(j + 1, xs[j + 1])
             targets = []
             for i in range(g_j.shape[0]):
-                moved = windows.next_start(j, [i])
-                # Dropped exactly when no input of window j+1 moves the row.
+                moved = windows.next_start([i])
+                # Dropped exactly when the row bounds step j's input alone.
                 assert (not moved) == (not np.any(g_j[i, m:])), (j, i)
                 if moved:
                     np.testing.assert_array_equal(g_next[moved[0]], g_j[i, m:])
+                    assert h_next[moved[0]] == h_j[i]
                     targets.append(moved[0])
-            assert targets == sorted(set(targets))
-            assert len(targets) == np.count_nonzero(np.any(g_next, axis=1))
+            assert targets == list(range(g_next.shape[0]))
 
     def test_one_factor_serves_every_window(self, monkeypatch):
         rng = np.random.default_rng(4)
         n, m, T = 3, 2, 6
         lins = _random_lins(rng, T, n, m)
         c_u, d_u = _box(0.3, m)
-        c_x, d_x = _box(1.0, n)
-        mpc = _random_mpc(rng, T, n, m, C_u=c_u, d_u=d_u, C_x=c_x, d_x=d_x)
+        mpc = _random_mpc(rng, T, n, m, C_u=c_u, d_u=d_u)
         factors = []
 
         def spy(a, _original=np.linalg.cholesky, **kwargs):
@@ -201,18 +168,36 @@ class TestCondensedPath:
         assert factors == [(T * m, T * m)]
         for j in range(T):
             hessian = _window_hessian(mpc, lins, j)
-            n_sx = c_x.shape[0] * (T - j + 1)
-            relaxed = np.block([[hessian, np.zeros((hessian.shape[0], n_sx))],
-                                [np.zeros((n_sx, hessian.shape[0])),
-                                 2e6 * np.eye(n_sx)]])
             x = rng.uniform(-0.8, 0.8, n)
-            for form, expected in ((False, hessian), (True, relaxed)):
-                solve = windows.window_qp(j, x, relaxed=form)[0]
-                inverse = np.linalg.inv(expected)
-                error = np.linalg.norm(solve(np.eye(expected.shape[0])) - inverse)
-                assert error <= 1e-10 * np.linalg.norm(inverse), (j, form)
+            solve = windows.window_qp(j, x)[0]
+            inverse = np.linalg.inv(hessian)
+            error = np.linalg.norm(solve(np.eye(hessian.shape[0])) - inverse)
+            assert error <= 1e-10 * np.linalg.norm(inverse), j
             windows.solve(j, x)
         assert len(factors) == 1
+
+    def test_window_gradient_is_affine_in_the_start_state(self):
+        # q = QF_j'(g - x_desired[j:]) with g the free response from x_j,
+        # which the window reads off one map built per iteration.
+        rng = np.random.default_rng(5)
+        n, m, T = 3, 2, 8
+        lins = _random_lins(rng, T, n, m)
+        c_u, d_u = _box(0.3, m)
+        mpc = _random_mpc(rng, T, n, m, C_u=c_u, d_u=d_u)
+        windows = irs_lqr._CondensedHorizon(mpc, lins)
+        for j in range(T):
+            F = _input_response(lins, j, T)
+            weights = [mpc.Q] * (T - j) + [mpc.Q_terminal]
+            QF = np.concatenate([2.0 * w @ f for w, f in zip(weights, F)])
+            for _ in range(3):
+                x = rng.standard_normal(n)
+                g = np.empty((T - j + 1, n))
+                g[0] = x
+                for t in range(j, T):
+                    g[t - j + 1] = lins.A[t] @ g[t - j] + lins.c[t]
+                expected = QF.T @ (g - mpc.x_desired[j:]).ravel()
+                q = windows.window_qp(j, x)[1]
+                assert np.linalg.norm(q - expected) <= 1e-12 * np.linalg.norm(expected), j
 
     def test_window_0_starts_cold_every_iteration(self, monkeypatch):
         # The last iteration's window-0 set was found on another model.
@@ -254,36 +239,25 @@ class TestCondensedPath:
         assert warm <= cold / 3, (warm, cold)
 
 
-def _window_hessian(mpc, lins, j):
-    """Condensed Hessian of window j, from the inputs' unit responses."""
-    T, n, m = mpc.horizon, mpc.state_dim, mpc.input_dim
-    nu = (T - j) * m
-    F = np.zeros((T - j + 1, n, nu))        # F[i]: knot j + i's response to the inputs
+def _input_response(lins, j, T):
+    """F[i]: knot j + i's response to window j's stacked inputs."""
+    n, m = lins.B.shape[1:]
+    F = np.zeros((T - j + 1, n, (T - j) * m))
     for t in range(j, T):
         F[t - j + 1] = lins.A[t] @ F[t - j]
         F[t - j + 1, :, (t - j) * m:(t - j + 1) * m] += lins.B[t]
+    return F
+
+
+def _window_hessian(mpc, lins, j):
+    """Condensed Hessian of window j, from the inputs' unit responses."""
+    T = mpc.horizon
+    F = _input_response(lins, j, T)
     hessian = 2.0 * np.kron(np.eye(T - j), mpc.R)
     for i in range(T - j + 1):
         weight = mpc.Q_terminal if i == T - j else mpc.Q
         hessian += 2.0 * F[i].T @ weight @ F[i]
     return hessian
-
-
-def _lti_state_box():
-    """lti task with x0 held in [-0.3, 0.3] while its target sits at +1,
-    inputs boxed to +-2: state rows of many knots are active at once."""
-    setup = build_task("lti")
-    mpc = setup.mpc
-    m = mpc.input_dim
-    x_desired = mpc.x_desired.copy()
-    x_desired[:, 0] += 1.0
-    x0 = mpc.initial_state.copy()
-    x0[0] = 0.25
-    e0 = np.eye(mpc.state_dim)[:1]
-    mpc = dataclasses.replace(mpc, C_x=np.vstack([e0, -e0]), d_x=np.full(2, 0.3),
-                              C_u=np.vstack([np.eye(m), -np.eye(m)]), d_u=np.full(2 * m, 2.0),
-                              x_desired=x_desired, initial_state=x0)
-    return dataclasses.replace(setup, mpc=mpc)
 
 
 # Settings of demos/configs/plan_push_1d.json.
@@ -534,3 +508,37 @@ class TestMpcWindow:
             dataclasses.replace(mpc, start_index=j, initial_state=x)
         with pytest.raises(ConfigurationError, match=match):
             mpc.window(j, x)
+
+
+class TestInputConstraints:
+    """Malformed input rows are rejected when the problem is built, naming the field."""
+
+    @pytest.mark.parametrize("case, match", [
+        pytest.param("C_u_three_columns", "C_u must have 1 columns", id="C_u_three_columns"),
+        pytest.param("d_u_short", "d_u must have one entry per C_u row", id="d_u_short"),
+        pytest.param("C_u_nan", "C_u must be finite", id="C_u_nan"),
+        pytest.param("d_u_nan", "d_u must not hold NaN or -inf", id="d_u_nan"),
+    ])
+    def test_malformed_rows_are_configuration_errors(self, case, match):
+        mpc = build_task("push_1d").mpc                # m = 1, rows u <= 3, -u <= 3
+        c_u, d_u = mpc.C_u.copy(), mpc.d_u.copy()
+        if case == "C_u_three_columns":
+            c_u = np.ones((2, 3))
+        elif case == "d_u_short":
+            d_u = d_u[:1]
+        elif case == "C_u_nan":
+            c_u[0, 0] = np.nan
+        else:
+            d_u[1] = np.nan
+        with pytest.raises(ConfigurationError, match=match):
+            dataclasses.replace(mpc, C_u=c_u, d_u=d_u)
+
+    def test_box_bounds_report_nan_and_pass_infinity(self):
+        with pytest.raises(ConfigurationError, match="input bounds must not be NaN"):
+            build_task("push_1d", {"command_bound": np.nan})
+        # +inf is a row that never binds
+        setup = build_task("push_1d", {"command_bound": np.inf})
+        np.testing.assert_array_equal(setup.mpc.d_u, [np.inf, np.inf])
+        history = irs_lqr_run(setup.system, setup.mpc, GradientMode(), 0.0, max_iters=1,
+                              u_init=setup.u_init)
+        assert np.isfinite(history[-1].cost)

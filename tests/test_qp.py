@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from bundleopt import irs_lqr
+from bundleopt import irs_lqr, qp
 from bundleopt.errors import ConfigurationError
 from bundleopt.qp import QpProblem, _dual_active_set, solve_qp
 from bundleopt.systems import LinearizedDynamics
@@ -212,6 +212,45 @@ class TestWarmStart:
                 assert status == "optimal", kind
                 np.testing.assert_allclose(z, z0, rtol=0.0, atol=1e-10, err_msg=kind)
                 np.testing.assert_allclose(lam, lam0, rtol=0.0, atol=1e-10, err_msg=kind)
+                kinds[kind] += 1
+        assert min(kinds.values()) >= 10, kinds
+
+    def test_polish_runs_only_when_the_set_changes(self, monkeypatch):
+        # A start set kept whole is solved on the polish's own operands.
+        calls = []
+
+        def spy(*args, _original=qp._polish):
+            calls.append(args[4])
+            return _original(*args)
+
+        monkeypatch.setattr(qp, "_polish", spy)
+        rng = np.random.default_rng(12)
+        kinds = dict.fromkeys(["optimal", "subset", "superset", "cold"], 0)
+        for _ in range(40):
+            P, q, G, h = _box_and_general_qp(rng)
+            n = q.shape[0]
+            calls.clear()
+            z0, lam0, optimal, status, _ = _dual_active_set(_inverse(P), q, G, h)
+            assert status == "optimal" and len(calls) == 1
+            kinds["cold"] += 1
+            if not optimal:
+                continue
+            starts = {"optimal": optimal, "subset": optimal[:-1]}
+            for i in range(G.shape[0] - 1):
+                superset = sorted(optimal + [i])
+                if (i not in optimal and len(superset) <= n
+                        and np.linalg.matrix_rank(G[superset]) == len(superset)
+                        and np.min(_start_multipliers(P, q, G, h, superset)) < 0.0):
+                    starts["superset"] = superset
+                    break
+            for kind, start in starts.items():
+                calls.clear()
+                z, lam, active, status, _ = _dual_active_set(_inverse(P), q, G, h, start=start)
+                assert status == "optimal" and active == optimal, kind
+                assert len(calls) == (0 if kind == "optimal" else 1), kind
+                if kind == "optimal":
+                    np.testing.assert_array_equal(z, z0)
+                    np.testing.assert_array_equal(lam, lam0)
                 kinds[kind] += 1
         assert min(kinds.values()) >= 10, kinds
 
