@@ -24,17 +24,19 @@ follows a fixed mode order with tolerance 1e-9 and is reported in the
 diagnostics, which keeps stepping deterministic. One set of exact-model
 mode formulas serves floats and arrays: step_2d_exact and a one-row
 ContactPush2D step evaluate it on Python floats, a larger batch in one
-array pass. Only the Anitescu model loops its scalar stepper over rows.
+array pass. The Anitescu QP's four active sets have a closed form too: a
+ContactPush2D batch of more than one row evaluates it in one array pass.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigurationError, DivergedError
-from .qp import QpProblem, solve_qp
+from .qp import _FEAS_TOL, QpProblem, solve_qp
 from .systems import DynamicalSystem, _require_positive
 
 __all__ = [
@@ -154,6 +156,11 @@ def _exact_2d(xu, xa, cx, cy, params: Contact2DParams, maximum):
     return out
 
 
+def _where_max(a, b):
+    """Elementwise max(a, b) of arrays, as Python's max gives it, NaN included."""
+    return np.where(b > a, b, a)
+
+
 def _consistent_2d(modes) -> list[int]:
     """Indices of the consistent float modes in tie order, else of the least-violating one."""
     viol = [mode[4] for mode in modes]
@@ -194,41 +201,89 @@ def step_2d_anitescu(state: Contact2DState, command, params: Contact2DParams
     presses hk*mu*|slip| harder, and saturated friction carries the box up
     to mu^2*|slip|/c beyond the exact model, with c = m/(h^2 k). So a
     command short of the face but inside the cone still drags the box.
-    Like step_2d_exact, it returns Python floats.
+    Like step_2d_exact, it returns Python floats. P and G are built once
+    per Contact2DParams, so each step builds only q and h.
     """
     cx, cy = float(command[0]), float(command[1])
-    y_c = params.contact_height
+    P, G = _anitescu_qp(params)
     hk = params.h * params.k
-    mu = params.mu
-    gap0 = state.ya - y_c
-    P = np.array([[params.m / params.h, 0.0, 0.0],
-                  [0.0, hk, 0.0],
-                  [0.0, 0.0, hk]])
+    gap0 = state.ya - params.contact_height
     q = np.array([0.0, -hk * (cx - state.xa), -hk * (cy - state.ya)])
-    G = np.array([[mu, -mu, -1.0],
-                  [-mu, mu, -1.0]])
-    h_vec = np.array([gap0, gap0])
-    sol = solve_qp(QpProblem(P=P, q=q, G=G, h=h_vec))
+    sol = solve_qp(QpProblem(P=P, q=q, G=G, h=np.array([gap0, gap0])))
     if sol.status != "optimal":
         raise RuntimeError(
             f"contact QP unexpectedly {sol.status}; geometry guarantees feasibility")
     dq = sol.z.tolist()
     lam_plus, lam_minus = sol.ineq_duals.tolist()
-    lam_n = lam_plus + lam_minus
-    lam_t = mu * (lam_plus - lam_minus)
     nxt = Contact2DState(xu=state.xu + dq[0], xa=state.xa + dq[1], ya=state.ya + dq[2])
-    dual_tol = 1e-9 * max(1.0, lam_n)
-    active = (lam_plus > dual_tol, lam_minus > dual_tol)
-    if not any(active):
-        mode = MODE_SEPARATION
-    elif all(active):
-        mode = MODE_STICKING
-    elif active[1]:
-        mode = MODE_SLIDING_UP
-    else:
-        mode = MODE_SLIDING_DOWN
-    return nxt, StepDiagnostics(lambda_n=lam_n, gap=nxt.ya - y_c, mode=mode,
-                                lambda_t=lam_t)
+    return nxt, StepDiagnostics(
+        lambda_n=lam_plus + lam_minus, gap=nxt.ya - params.contact_height,
+        mode=_MODES_2D[_cone_mode(lam_plus, lam_minus, max)],
+        lambda_t=params.mu * (lam_plus - lam_minus))
+
+
+@functools.lru_cache(maxsize=32)
+def _anitescu_qp(params: Contact2DParams):
+    """step_2d_anitescu's P and G, read-only: they depend on the parameters alone."""
+    hk, mu = params.h * params.k, params.mu
+    P = np.diag([params.m / params.h, hk, hk])
+    G = np.array([[mu, -mu, -1.0], [-mu, mu, -1.0]])
+    P.flags.writeable = G.flags.writeable = False
+    return P, G
+
+
+def _cone_mode(lam_plus, lam_minus, maximum):
+    """_MODES_2D index the cone duals name: a row is active above 1e-9 max(1, lambda_n).
+
+    Neither row is separation, both sticking, minus alone sliding_up, plus alone sliding_down.
+    """
+    tol = 1e-9 * maximum(1.0, lam_plus + lam_minus)
+    plus, minus = lam_plus > tol, lam_minus > tol
+    return 2 * minus + 3 * plus - 4 * (plus & minus)     # 0, 1 both, 2 minus, 3 plus
+
+
+def _anitescu_2d(xu, xa, ya, cx, cy, params: Contact2DParams, maximum):
+    """step_2d_anitescu's QP solved on each of its four active sets, in _MODES_2D order.
+
+    The sets (no cone row, both, minus alone, plus alone) are each
+    (xu_next, xa_next, ya_next, lam_plus, lam_minus, valid), the duals from
+    the set's KKT system and the displacement dq_free - P^{-1} G'lam. Finite
+    input makes one set valid, the one the QP's dual active set ends on: no
+    row if neither exceeds its feasibility tolerance at dq_free, else the
+    most violated row (plus on a tie) alone if that leaves the other within
+    it, else both. The mode is _cone_mode of the valid set's duals. As in
+    _exact_2d, elementwise operations and `maximum` make floats and arrays
+    round alike.
+    """
+    hk, hm, mu = params.h * params.k, params.h / params.m, params.mu
+    dx, dy = cx - xa, cy - ya                   # the robot's free displacement
+    gap = ya - params.contact_height
+    res_p = -mu * dx - dy - gap                 # each row's violation g'dq_free - gap
+    res_m = mu * dx - dy - gap
+    worst = maximum(res_p, res_m)
+    contact = worst > _FEAS_TOL
+    # the QP adds the most violated row first, the plus row on a tie
+    plus_first, minus_first = res_p >= res_m, res_m > res_p
+    d = mu * mu * hm + (1.0 + mu * mu) / hk     # g'P^{-1}g of either row
+    e = 1.0 / hk - mu * mu * (hm + 1.0 / hk)    # g_plus'P^{-1}g_minus
+    lam_p, lam_m = res_p / d, res_m / d         # each row alone
+    after_p = res_m - e * lam_p                 # the other row's violation then
+    after_m = res_p - e * lam_m
+    lam_n = 0.5 * hk * (res_p + res_m)          # both rows: lam_plus + lam_minus
+    lam_d = 0.5 * (res_p - res_m) / (mu * mu * (hm + 1.0 / hk))   # and their difference
+    plus_alone = contact & plus_first & (after_p <= _FEAS_TOL)
+    minus_alone = contact & minus_first & (after_m <= _FEAS_TOL)
+    both = contact & (plus_first & (after_p > _FEAS_TOL) | minus_first & (after_m > _FEAS_TOL))
+
+    def solution(lam_plus, lam_minus, valid):
+        lam_t = mu * (lam_plus - lam_minus)     # tangential impulse on the robot
+        return (xu - hm * lam_t, xa + (dx + lam_t / hk),
+                ya + (dy + (lam_plus + lam_minus) / hk), lam_plus, lam_minus, valid)
+
+    return [solution(0.0, 0.0, worst <= _FEAS_TOL),
+            solution(0.5 * (lam_n + lam_d), 0.5 * (lam_n - lam_d), both),
+            solution(0.0, lam_m, minus_alone),
+            solution(lam_p, 0.0, plus_alone)]
 
 
 # ---------------------------------------------------------------------------
@@ -369,8 +424,11 @@ class ContactPush2D(DynamicalSystem):
     """2D frictional pusher as a (xu, xa, ya) system with command inputs.
 
     Each row gets its contact mode's constant Jacobians. An exact-model
-    batch is one array pass whose rows equal step_2d_exact bit for bit; the
-    Anitescu model runs step_2d_anitescu per row and reads its mode.
+    batch is one array pass whose rows equal step_2d_exact bit for bit. An
+    Anitescu batch evaluates the QP's closed form, _anitescu_2d: the mode of
+    step_2d_anitescu in every row, its state up to rounding. One row calls
+    step_2d_anitescu, whose QP calls the perfbench harness counts (until
+    ROADMAP item 2).
     """
 
     state_dim = 3
@@ -397,8 +455,7 @@ class ContactPush2D(DynamicalSystem):
             modes = _exact_2d(xu, xa, cx, cy, p, max)
             i = _consistent_2d(modes)[0]
             return [i], np.array([[modes[i][0], modes[i][1], cy if i == 0 else p.contact_height]])
-        modes = _exact_2d(xs[:, 0], xs[:, 1], us[:, 0], us[:, 1], p,
-                          lambda a, b: np.where(b > a, b, a))
+        modes = _exact_2d(xs[:, 0], xs[:, 1], us[:, 0], us[:, 1], p, _where_max)
         viol = np.stack([m[4] for m in modes], axis=1)
         ok = viol <= _TIE_TOL
         # viol is NaN in all columns or none, so argmin's first minimum is min()'s
@@ -408,11 +465,20 @@ class ContactPush2D(DynamicalSystem):
                               axis=1)
 
     def _anitescu_rows(self, xs, us):
-        """Mode indices and next states of the Anitescu model, one QP step per row."""
-        steps = [step_2d_anitescu(Contact2DState(*x), u, self.params)
-                 for x, u in zip(xs.tolist(), us.tolist())]
-        return ([_MODES_2D.index(diag.mode) for _, diag in steps],
-                np.array([(nxt.xu, nxt.xa, nxt.ya) for nxt, _ in steps]))
+        """Mode indices and next states of the Anitescu model: a QP for one row."""
+        if len(xs) == 1:
+            nxt, diag = step_2d_anitescu(Contact2DState(*xs[0].tolist()), us[0].tolist(),
+                                         self.params)
+            return [_MODES_2D.index(diag.mode)], np.array([[nxt.xu, nxt.xa, nxt.ya]])
+        sets = _anitescu_2d(*xs.T, *us.T, self.params, _where_max)
+        valid = np.stack([s[5] for s in sets], axis=1)
+        if not valid.any(axis=1).all():
+            raise RuntimeError("contact QP undefined: non-finite state or command")
+        pick = valid.argmax(axis=1)
+        nxt_u, nxt_a, nxt_y, lam_plus, lam_minus = (
+            np.choose(pick, [s[k] for s in sets]) for k in range(5))
+        return (_cone_mode(lam_plus, lam_minus, _where_max),
+                np.stack([nxt_u, nxt_a, nxt_y], axis=1))
 
     def step_batch(self, xs, us):
         return self._rows(xs, us)[1]

@@ -45,7 +45,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import qp as _qp
-from .errors import ConfigurationError
+from .errors import ConfigurationError, DivergedError
 from .smoothing import (SmoothingDistribution, jacobian_bundle_first_order,
                         jacobian_bundle_zero_order, variance_schedule)
 from .systems import DynamicalSystem, LinearizedDynamics, linearize_exact
@@ -407,7 +407,8 @@ def irs_lqr_run(sys: DynamicalSystem, mpc: MpcProblem, mode: GradientMode,
     and input coordinate (see linearize_trajectory); `schedule` a (policy,
     gamma) pair fed to variance_schedule. Stops after max_iters
     iterations, or as soon as stop_reason of the costs so far is
-    "diverged" or "converged".
+    "diverged" or "converged". A singular Riccati pass raises
+    DivergedError naming its iteration.
     """
     if mpc.initial_state is None:
         raise ConfigurationError("MpcProblem.initial_state must hold the start state")
@@ -435,7 +436,11 @@ def irs_lqr_run(sys: DynamicalSystem, mpc: MpcProblem, mode: GradientMode,
         new_us = np.empty_like(us)
         new_xs[0] = xs[0]
         if unconstrained:
-            K, k_ff = _riccati_gains(mpc, lins)
+            try:
+                K, k_ff = _riccati_gains(mpc, lins)
+            except np.linalg.LinAlgError as exc:
+                raise DivergedError(
+                    f"Riccati pass failed in iteration {k + 1}: {exc}") from exc
         else:
             windows = _CondensedHorizon(mpc, lins)
         start = ()

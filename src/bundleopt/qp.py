@@ -26,11 +26,14 @@ so model-predictive callers can degrade gracefully.
 
 Every factorization is numpy's: solve_qp passes the active set P's
 inverse, and the planner's windows an operator on one Cholesky factor per
-iteration (irs_lqr).
+iteration (irs_lqr). The checks of P and its inverse are memoized on P's
+bytes, which are all they read, for callers such as the Anitescu contact
+step that solve many QPs with one P: a hit returns fresh work's bits.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -68,21 +71,7 @@ class QpProblem:
             raise ConfigurationError("the QP needs at least one variable")
         if self.P.shape != (n, n):
             raise ConfigurationError(f"P must be {n}x{n}, got {self.P.shape}")
-        magnitude = np.abs(self.P)
-        scale = magnitude.max()                 # NaN or inf if any entry is
-        if not math.isfinite(scale):
-            raise ConfigurationError("P must be finite")
-        # np.allclose(P, P.T, atol) spelled out: its default rtol, finite values only
-        atol = 1e-10 * max(1.0, scale)
-        if not (np.abs(self.P - self.P.T) <= atol + 1e-5 * magnitude.T).all():
-            raise ConfigurationError("P must be symmetric")
-        shifted = self.P.copy()                 # P - 1e-9 I, bit for bit
-        shifted.flat[::n + 1] -= _MIN_EIG
-        try:
-            np.linalg.cholesky(shifted)
-        except np.linalg.LinAlgError:
-            raise ConfigurationError(
-                f"P must be positive definite with min eigenvalue > {_MIN_EIG}") from None
+        _inverse(n, self.P.tobytes())
         if (self.G is None) != (self.h is None):
             raise ConfigurationError("G and h must be given together")
         if self.G is None:
@@ -96,6 +85,33 @@ class QpProblem:
                     f"G/h shapes {self.G.shape}/{self.h.shape} inconsistent with n={n}")
 
 
+@functools.lru_cache(maxsize=32)
+def _inverse(n: int, data: bytes) -> np.ndarray:
+    """Read-only P^{-1} of the n x n P with these C-order bytes, once P passes QpProblem's checks.
+
+    A P that fails raises ConfigurationError on every call: lru_cache keeps no exceptions.
+    """
+    P = np.frombuffer(data).reshape(n, n)
+    magnitude = np.abs(P)
+    scale = magnitude.max()                 # NaN or inf if any entry is
+    if not math.isfinite(scale):
+        raise ConfigurationError("P must be finite")
+    # np.allclose(P, P.T, atol) spelled out: its default rtol, finite values only
+    atol = 1e-10 * max(1.0, scale)
+    if not (np.abs(P - P.T) <= atol + 1e-5 * magnitude.T).all():
+        raise ConfigurationError("P must be symmetric")
+    shifted = P.copy()                      # P - 1e-9 I, bit for bit
+    shifted.flat[::n + 1] -= _MIN_EIG
+    try:
+        np.linalg.cholesky(shifted)
+    except np.linalg.LinAlgError:
+        raise ConfigurationError(
+            f"P must be positive definite with min eigenvalue > {_MIN_EIG}") from None
+    inverse = np.linalg.inv(P)
+    inverse.flags.writeable = False
+    return inverse
+
+
 @dataclass
 class QpSolution:
     z: np.ndarray
@@ -104,9 +120,13 @@ class QpSolution:
 
 
 def solve_qp(problem: QpProblem) -> QpSolution:
-    """Solve the QP; never raises on infeasibility (reported via status, NaN values)."""
+    """Solve the QP; never raises on infeasibility (reported via status, NaN values).
+
+    P^{-1} comes from the memo of P's current bytes: the P written last is solved.
+    """
     z, lam, _, status, _ = _dual_active_set(
-        np.linalg.inv(problem.P).__matmul__, problem.q, problem.G, problem.h)
+        _inverse(problem.P.shape[0], problem.P.tobytes()).__matmul__,
+        problem.q, problem.G, problem.h)
     if status == "infeasible":
         return QpSolution(np.full(problem.q.shape, np.nan),
                           np.full(problem.h.shape, np.nan), status)

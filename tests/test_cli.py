@@ -268,10 +268,13 @@ def test_help_exits_0(capsys):
 
 
 def test_contact_probe_bundles_equal_per_node_steps():
-    # both bundled columns step all quadrature nodes in one batch; each must
-    # equal stepping them one by one through its scalar model, bit for bit
+    # both bundled columns step all quadrature nodes in one batch. The exact
+    # column must equal stepping them one by one through step_2d_exact, bit
+    # for bit. The Anitescu batch is the QP's closed form: it must equal that
+    # closed form on each node's floats bit for bit, and the per-node QP
+    # steps to rounding.
     from bundleopt.contact import (Contact2DParams, Contact2DState, ContactPush2D,
-                                   step_2d_anitescu, step_2d_exact)
+                                   _anitescu_2d, step_2d_anitescu, step_2d_exact)
     from bundleopt.oracle import gauss_hermite_expectation
     from bundleopt.smoothing import SmoothingDistribution
 
@@ -279,10 +282,37 @@ def test_contact_probe_bundles_equal_per_node_steps():
     state, params = Contact2DState(*config["state"]), Contact2DParams()
     dist = SmoothingDistribution.isotropic(2, config["sigma"])
     systems = (ContactPush2D(params, "exact"), ContactPush2D(params, "anitescu"))
+
+    def closed_form(state, command, params):
+        (chosen,) = [s for s in _anitescu_2d(state.xu, state.xa, state.ya, *command, params,
+                                             max) if s[5]]
+        return Contact2DState(*chosen[:3]), None
+
     for cx, cy in ((-0.4, 0.45), (0.1, 0.6), (0.35, 0.8)):
         row = cli._probe_point((config, systems, cx, cy))
-        for column, step in ((4, step_2d_exact), (5, step_2d_anitescu)):
-            expected = gauss_hermite_expectation(
+        expected = {}
+        for name, step in (("exact", step_2d_exact), ("closed_form", closed_form),
+                           ("qp", step_2d_anitescu)):
+            expected[name] = gauss_hermite_expectation(
                 lambda c, step=step: step(state, (float(c[0]), float(c[1])), params)[0].xu,
                 np.array([cx, cy]), dist, 15)
-            assert row[column] == expected
+        assert row[4] == expected["exact"]
+        assert row[5] == expected["closed_form"]
+        assert row[5] == pytest.approx(expected["qp"], rel=1e-12, abs=1e-12)
+        # the Anitescu column's one-row step is the QP's
+        assert row[3] == step_2d_anitescu(state, (cx, cy), params)[0].xu
+
+
+def test_contact_probe_outputs_do_not_depend_on_jobs(tmp_path):
+    config = {**PROBE, "quadrature_points": 5,
+              "grid": {"x": {"start": -0.4, "stop": 0.6, "count": 3},
+                       "y": {"start": 0.45, "stop": 0.85, "count": 3}}}
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    outputs = {}
+    for jobs in (1, 2):
+        out = tmp_path / f"jobs{jobs}"
+        assert cli.main(["contact-probe", "--config", str(path), "--out", str(out),
+                         "--jobs", str(jobs)]) == 0
+        outputs[jobs] = (out / "contact_probe.csv").read_bytes()
+    assert outputs[1] == outputs[2]

@@ -1,17 +1,16 @@
 """Tests for the contact models."""
 
-import functools
 import itertools
 import math
 
 import numpy as np
 import pytest
 
-from bundleopt import contact
+from bundleopt import contact, qp
 from bundleopt.contact import (Contact1DParams, Contact2DParams, Contact2DState,
                                ContactPush1D, ContactPush2D, PenaltyParams, PenaltyPush1D,
-                               _mode_jacobians, penalty_forces, step_2d_anitescu,
-                               step_2d_exact)
+                               _anitescu_2d, _cone_mode, _mode_jacobians, penalty_forces,
+                               step_2d_anitescu, step_2d_exact)
 from bundleopt.errors import ConfigurationError, DivergedError
 from bundleopt.irs_lqr import GradientMode, linearize_trajectory, rollout
 from bundleopt.oracle import gauss_hermite_expectation
@@ -279,29 +278,22 @@ class TestBundledContactSimilarity:
         probes = [(cx, cy) for cx in np.linspace(-0.4, 0.6, 5)
                   for cy in np.linspace(y_c - 0.15, y_c + 0.1, 5)]
 
-        def bundled(stepper, cmd):
-            def box_next(c):
-                nxt, _ = stepper(state, (float(c[0]), float(c[1])), P2)
-                return nxt.xu
-            return gauss_hermite_expectation(box_next, np.array(cmd), dist, 41)
+        def bundled(model, cmd, read=lambda nxt: nxt.xu):
+            # every quadrature node in one batch, as contact-probe steps them
+            system = ContactPush2D(P2, model=model)
 
-        # one relaxed step per node gives both its box position and how
-        # far that may lie beyond the exact model's: the bound's expectation
-        # visits the same nodes and reads the steps the position's made
-        @functools.cache
-        def relaxed_box_and_bound(cx, cy):
-            nxt, _ = step_2d_anitescu(state, (cx, cy), P2)
-            return nxt.xu, _boundary_layer_bound(state, nxt)
+            def f(cmds):
+                xs = np.tile([state.xu, state.xa, state.ya], (len(cmds), 1))
+                return read(Contact2DState(*system.step_batch(xs, cmds).T))
+            f.vectorized = True
+            return gauss_hermite_expectation(f, np.array(cmd), dist, 41)
 
-        def relaxed(i):
-            return lambda c: relaxed_box_and_bound(float(c[0]), float(c[1]))[i]
-
-        vals_exact = np.array([bundled(step_2d_exact, c) for c in probes])
-        vals_relax, bounds = [
-            np.array([gauss_hermite_expectation(relaxed(i), np.array(c), dist, 41)
-                      for c in probes])
-            for i in (0, 1)]
-        assert relaxed_box_and_bound.cache_info().misses <= len(probes) * 41**2
+        vals_exact = np.array([bundled("exact", c) for c in probes])
+        vals_relax = np.array([bundled("anitescu", c) for c in probes])
+        # the pointwise bound on how far a relaxed box may lie beyond the exact one
+        bounds = np.array([bundled("anitescu", c,
+                                   lambda nxt: _boundary_layer_bound(state, nxt))
+                           for c in probes])
         dynamic_range = vals_exact.max() - vals_exact.min()
         assert dynamic_range > 0.01
         # positive quadrature weights carry the pointwise bound over
@@ -321,9 +313,9 @@ class TestBundledContactSimilarity:
                                             np.array([probe]))
         assert b[0, 1] == 0.0
         delta = sigma / 10.0
-        for stepper in (step_2d_exact, step_2d_anitescu):
-            up = bundled(stepper, (probe[0], probe[1] + delta))
-            dn = bundled(stepper, (probe[0], probe[1] - delta))
+        for model in ("exact", "anitescu"):
+            up = bundled(model, (probe[0], probe[1] + delta))
+            dn = bundled(model, (probe[0], probe[1] - delta))
             assert (up - dn) / (2 * delta) < -1e-3
 
 
@@ -559,20 +551,26 @@ class TestAdapters:
         np.testing.assert_allclose(a, a_fd, atol=1e-6)
         np.testing.assert_allclose(b, b_fd, atol=1e-6)
 
-    def test_anitescu_jacobians_make_one_step_per_row(self, monkeypatch):
+    def test_anitescu_qp_runs_for_one_row_only(self, monkeypatch):
+        # A one-row step solves the QP once; a batch uses the closed form.
+        assert contact.solve_qp is qp.solve_qp
         calls = []
 
-        def spy(*args, _original=step_2d_anitescu):
+        def spy(*args, _original=qp.solve_qp):
             calls.append(args)
             return _original(*args)
 
-        monkeypatch.setattr(contact, "step_2d_anitescu", spy)
+        monkeypatch.setattr(contact, "solve_qp", spy)
+        sys = ContactPush2D(P2, model="anitescu")
+        sys.step(np.array([0.0, 0.0, 0.7]), np.array([0.3, 0.5]))
+        assert len(calls) == 1
         rng = np.random.default_rng(5)
-        xs = np.column_stack([rng.uniform(-0.2, 0.2, 9), rng.uniform(-0.2, 0.2, 9),
-                              rng.uniform(0.55, 0.8, 9)])
-        us = np.column_stack([rng.uniform(-0.6, 0.6, 9), rng.uniform(0.4, 0.9, 9)])
-        ContactPush2D(P2, model="anitescu").jacobians_batch(xs, us)
-        assert len(calls) == 9
+        xs = np.column_stack([rng.uniform(-0.2, 0.2, 50), rng.uniform(-0.2, 0.2, 50),
+                              rng.uniform(0.55, 0.8, 50)])
+        us = np.column_stack([rng.uniform(-0.6, 0.6, 50), rng.uniform(0.4, 0.9, 50)])
+        sys.step_batch(xs, us)
+        sys.jacobians_batch(xs, us)
+        assert len(calls) == 1
 
     def test_unknown_model_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -603,7 +601,20 @@ class TestAdapters:
         lead = min(rows, 4)
         xs[:lead] = [0.0, 0.0, 0.7]
         us[:lead] = [[0.3, 0.9], [0.02, 0.5], [0.4, 0.5], [-0.4, 0.5]][:lead]
-        assert_batch_rows_match(sys, xs, us)
+        if model == "exact":
+            assert_batch_rows_match(sys, xs, us)
+        else:
+            # A batch evaluates the QP's closed form, a batch of one solves
+            # the QP: the same mode, so the same Jacobians, and the same
+            # state up to rounding.
+            nxt = sys.step_batch(xs, us)
+            a, b = sys.jacobians_batch(xs, us)
+            for i in range(rows):
+                np.testing.assert_allclose(nxt[i], sys.step(xs[i], us[i]), rtol=1e-12,
+                                           atol=1e-12)
+                (a_i,), (b_i,) = sys.jacobians_batch(xs[i:i + 1], us[i:i + 1])
+                np.testing.assert_array_equal(a[i], a_i)
+                np.testing.assert_array_equal(b[i], b_i)
         stepper = step_2d_exact if model == "exact" else step_2d_anitescu
         modes = [stepper(Contact2DState(*x), u, P2)[1].mode for x, u in zip(xs, us)]
         assert modes[:lead] == ["separation", "sticking", "sliding_up", "sliding_down"][:lead]
@@ -668,3 +679,67 @@ class TestExactBatchMatchesScalar:
         assert set(modes) == {"separation", "sticking", "sliding_up", "sliding_down"}
         assert all(ties[:1000]) and all(ties[3000:3500])
         assert sum(ties[1000:3000]) > 1000
+
+
+class TestAnitescuClosedForm:
+    """ContactPush2D's Anitescu batch, the QP's closed form, against step_2d_anitescu row by row."""
+
+    def _rows(self):
+        rng = np.random.default_rng(11)
+        n = 10_000
+        xs = np.column_stack([rng.uniform(-1, 1, n), rng.uniform(-1, 1, n),
+                              rng.uniform(0.3, 1.2, n)])
+        us = np.column_stack([rng.uniform(-1.5, 1.5, n), rng.uniform(0.0, 1.2, n)])
+        y_c, c, mu = P2.contact_height, P2.c_ratio, P2.mu
+        reach = np.abs(us[:, 0] - xs[:, 1])
+        cone = y_c + mu * reach                    # no cone row violated beyond here
+        stick = y_c - reach / (mu * (1.0 + 1.0 / c))   # a sticking dual vanishes here
+        offsets = rng.choice([-1.0, 1.0], 2000) * 10.0 ** rng.uniform(-16, -9, 2000)
+        us[:1000, 1] = cone[:1000]
+        us[1000:2000, 1] = stick[1000:2000]
+        us[2000:3000, 1] = cone[2000:3000] + offsets[:1000]
+        us[3000:4000, 1] = stick[3000:4000] + offsets[1000:]
+        # both rows equally violated, barely past the QP's feasibility
+        # tolerance: the plus row alone is active
+        us[4000:4100, 0] = xs[4000:4100, 1]
+        us[4000:4100, 1] = y_c - rng.uniform(1.05e-10, 1.45e-10, 100)
+        return xs, us
+
+    def test_batch_rows_match_qp_steps(self):
+        xs, us = self._rows()
+        sys = ContactPush2D(P2, model="anitescu")
+        nxt = sys.step_batch(xs, us)
+        a, b = sys.jacobians_batch(xs, us)
+        steps = [step_2d_anitescu(Contact2DState(*x), u, P2)
+                 for x, u in zip(xs.tolist(), us.tolist())]
+        modes = [diag.mode for _, diag in steps]
+        expected = np.array([(ref.xu, ref.xa, ref.ya) for ref, _ in steps])
+        worst = np.max(np.abs(nxt - expected) / np.maximum(1.0, np.abs(expected)))
+        assert worst <= 1e-12
+        tables = {mode: _mode_jacobians(mode, P2, "anitescu") for mode in set(modes)}
+        np.testing.assert_array_equal(a, [tables[mode][0] for mode in modes])
+        np.testing.assert_array_equal(b, [tables[mode][1] for mode in modes])
+        # one formula for floats and arrays: the same set, mode and bits
+        floats, float_modes = [], []
+        for x, u in zip(xs.tolist(), us.tolist()):
+            (chosen,) = [s for s in _anitescu_2d(*x, *u, P2, max) if s[5]]
+            floats.append(chosen[:3])
+            float_modes.append(contact._MODES_2D[_cone_mode(chosen[3], chosen[4], max)])
+        np.testing.assert_array_equal(np.array(floats).view(np.int64), nxt.view(np.int64))
+        assert float_modes == modes
+        assert set(modes) == {"separation", "sticking", "sliding_up", "sliding_down"}
+        # both sides of each boundary are reached
+        assert {"separation", "sliding_up", "sliding_down"} <= set(modes[2000:3000])
+        assert {"sticking", "sliding_up", "sliding_down"} <= set(modes[3000:4000])
+        # the plus row moved the box, but its dual is below the 1e-9
+        # activity threshold, so the mode reads separation
+        assert np.all(nxt[4000:4100, 0] < xs[4000:4100, 0])
+        assert set(modes[4000:4100]) == {"separation"}
+
+    def test_non_finite_rows_raise_as_the_qp_does(self):
+        sys = ContactPush2D(P2, model="anitescu")
+        xs = np.tile([0.0, 0.0, 0.7], (3, 1))
+        us = np.array([[0.3, 0.5], [np.nan, 0.5], [0.0, 0.9]])
+        for rows in (slice(1, 2), slice(None)):
+            with pytest.raises(RuntimeError):
+                sys.step_batch(xs[rows], us[rows])

@@ -9,7 +9,7 @@ from bundleopt import irs_lqr, qp
 from bundleopt.irs_lqr import (GradientMode, MpcProblem, irs_lqr_run, linearize_trajectory,
                                mpc_solve, stop_reason)
 from bundleopt.contact import PenaltyPush1D
-from bundleopt.errors import ConfigurationError
+from bundleopt.errors import ConfigurationError, DivergedError
 from bundleopt.systems import LinearizedDynamics, LinearSystem
 from bundleopt.tasks import TaskSetup, build_task
 
@@ -80,6 +80,16 @@ class TestRiccatiPath:
             np.testing.assert_allclose(K[j] @ x + k[j],
                                        _stacked_first_input(mpc.window(j, x), lins),
                                        atol=STACKED_ATOL)
+
+    def test_singular_riccati_pass_raises_diverged_error(self):
+        # This first-order plan rolls out to states whose bundle has max|A|
+        # about 2.5e14, and the Riccati pass meets a singular Q_uu there.
+        setup = build_task("quadrotor_hover")
+        with pytest.raises(DivergedError, match="iteration 4"):
+            irs_lqr_run(setup.system, setup.mpc,
+                        GradientMode(kind="first_order_bundle", samples=100), 0.25,
+                        schedule=("geometric", 0.8), max_iters=6,
+                        seed=1023293998204598338, u_init=setup.u_init)
 
     @pytest.mark.parametrize("task", ["lti", "quadrotor_hover"])
     def test_rollout_inputs_equal_mpc_solve(self, task, monkeypatch):

@@ -105,6 +105,66 @@ class TestSolve:
                 assert np.min(sol.ineq_duals) >= -1e-8
 
 
+class TestInverseMemo:
+    """P's checks and inverse are memoized on P's bytes: hits must equal fresh work."""
+
+    def test_operator_is_the_read_only_inverse(self, monkeypatch):
+        operators = []
+
+        def spy(solve, *args, _original=qp._dual_active_set):
+            operators.append(solve.__self__)
+            return _original(solve, *args)
+
+        monkeypatch.setattr(qp, "_dual_active_set", spy)
+        P = np.array([[4.0, 1.0, 0.5], [1.0, 3.0, 0.2], [0.5, 0.2, 2.0]])
+        for _ in range(2):                 # a miss, then a hit
+            solve_qp(QpProblem(P=P, q=np.ones(3)))
+        for inverse in operators:
+            assert not inverse.flags.writeable
+            np.testing.assert_array_equal(inverse.view(np.int64),
+                                          np.linalg.inv(P).view(np.int64))
+
+    def test_writing_into_p_after_a_solve_solves_the_new_p(self):
+        prob = QpProblem(P=np.diag([2.0, 4.0]), q=np.array([-2.0, -4.0]))
+        np.testing.assert_array_equal(solve_qp(prob).z, [1.0, 1.0])
+        prob.P[0, 0] = 4.0
+        np.testing.assert_array_equal(solve_qp(prob).z, [0.5, 1.0])
+
+    def test_an_invalid_p_raises_every_time(self):
+        good, bad = np.eye(2), np.diag([1.0, -1.0])
+        for _ in range(3):
+            QpProblem(P=good, q=np.zeros(2))
+            with pytest.raises(ConfigurationError, match="positive definite"):
+                QpProblem(P=bad, q=np.zeros(2))
+            with pytest.raises(ConfigurationError, match="symmetric"):
+                QpProblem(P=np.array([[1.0, 0.5], [0.0, 1.0]]), q=np.zeros(2))
+
+    def test_contact_probe_factors_p_once(self, monkeypatch):
+        # The benchmark's contact probe: 81 commands, 13 x 13 nodes each,
+        # every node a QP with the same P.
+        from bundleopt import contact
+        from bundleopt.oracle import gauss_hermite_expectation
+        from bundleopt.smoothing import SmoothingDistribution
+
+        calls = {"inv": 0, "cholesky": 0}
+        for name in calls:
+            def spy(*args, _name=name, _original=getattr(np.linalg, name)):
+                calls[_name] += 1
+                return _original(*args)
+            monkeypatch.setattr(np.linalg, name, spy)
+        qp._inverse.cache_clear()
+        params, state = contact.Contact2DParams(), contact.Contact2DState(0.0, 0.0, 0.7)
+        dist = SmoothingDistribution.isotropic(2, 0.06)
+
+        def box_next(c):
+            return contact.step_2d_anitescu(state, (float(c[0]), float(c[1])), params)[0].xu
+
+        for cx in np.linspace(-0.4, 0.6, 9):
+            for cy in np.linspace(0.45, 0.85, 9):
+                gauss_hermite_expectation(box_next, np.array([cx, cy]), dist, 13)
+        assert calls == {"inv": 1, "cholesky": 1}
+
+
 class TestKktResidual:
     def test_exact_optimum_is_tiny(self):
         prob = QpProblem(P=np.array([[1.0]]), q=np.array([-2.0]),
