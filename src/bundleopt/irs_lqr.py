@@ -214,7 +214,7 @@ class MpcResult:
 
 
 def trajectory_cost(trajectory, mpc: MpcProblem) -> float:
-    """Terminal plus running quadratic cost of an (xs, us) trajectory."""
+    """Terminal plus running quadratic cost of an (xs, us) trajectory, stacked over knots."""
     xs, us = trajectory
     xs = np.asarray(xs, dtype=float)
     us = np.asarray(us, dtype=float)
@@ -222,10 +222,9 @@ def trajectory_cost(trajectory, mpc: MpcProblem) -> float:
     if xs.shape[0] != T + 1 or us.shape[0] != T:
         raise ConfigurationError("trajectory length does not match the horizon")
     err = xs - mpc.x_desired
-    total = float(err[T] @ mpc.Q_terminal @ err[T])
-    for t in range(T):
-        total += float(err[t] @ mpc.Q @ err[t]) + float(us[t] @ mpc.R @ us[t])
-    return total
+    return float(err[T] @ mpc.Q_terminal @ err[T]
+                 + np.einsum("ti,ij,tj->", err[:T], mpc.Q, err[:T])
+                 + np.einsum("ti,ij,tj->", us, mpc.R, us))
 
 
 def rollout(sys: DynamicalSystem, x0, us) -> np.ndarray:
@@ -351,24 +350,30 @@ def _riccati_gains(mpc: MpcProblem, lins: LinearizedDynamics
 
     One backward affine-Riccati pass over the knots, with value functions
     V_t(x) = x'S_t x + 2 s_t'x + const. By Bellman's principle the window
-    starting at knot t from state x has first input K_t x + k_t.
+    starting at knot t from state x has first input K_t x + k_t. With each
+    knot's model stacked as Z = [A, c, B] and v = S c + s, one product
+    Z'[SA, v, SB] holds every term and one solve gives [-K, -k]. Non-finite
+    gains (an overflowed value function) raise LinAlgError, as a singular solve does.
     """
     T, n, m = mpc.horizon, mpc.state_dim, mpc.input_dim
+    Z = np.concatenate([lins.A, lins.c[..., None], lins.B], axis=2)     # (T, n, n+1+m)
+    Qx = mpc.x_desired @ mpc.Q.T
     K = np.empty((T, m, n))
     k = np.empty((T, m))
     S = mpc.Q_terminal
     s = -mpc.Q_terminal @ mpc.x_desired[T]
     for t in reversed(range(T)):
-        A, B = lins.A[t], lins.B[t]
-        SA = S @ A
-        v = S @ lins.c[t] + s
-        Q_uu = mpc.R + B.T @ S @ B
-        Q_ux = B.T @ SA
-        sol = np.linalg.solve(Q_uu, np.column_stack([Q_ux, B.T @ v]))
+        Sz = S @ Z[t]
+        Sz[:, n] += s                                   # [SA, v, SB]
+        M = Z[t].T @ Sz
+        sol = np.linalg.solve(mpc.R + M[n + 1:, n + 1:], M[n + 1:, :n + 1])
         K[t], k[t] = -sol[:, :n], -sol[:, n]
-        S = mpc.Q + A.T @ SA + Q_ux.T @ K[t]
+        top = M[:n, :n + 1] - M[n + 1:, :n].T @ sol     # [A'SA + K'B'SA, A'v + K'B'v]
+        S = mpc.Q + top[:, :n]
         S = 0.5 * (S + S.T)
-        s = -mpc.Q @ mpc.x_desired[t] + A.T @ v + Q_ux.T @ k[t]
+        s = top[:, n] - Qx[t]
+    if not (np.isfinite(K).all() and np.isfinite(k).all()):
+        raise np.linalg.LinAlgError("non-finite gains")
     return K, k
 
 
@@ -407,8 +412,8 @@ def irs_lqr_run(sys: DynamicalSystem, mpc: MpcProblem, mode: GradientMode,
     and input coordinate (see linearize_trajectory); `schedule` a (policy,
     gamma) pair fed to variance_schedule. Stops after max_iters
     iterations, or as soon as stop_reason of the costs so far is
-    "diverged" or "converged". A singular Riccati pass raises
-    DivergedError naming its iteration.
+    "diverged" or "converged". A Riccati pass that is singular or yields
+    non-finite gains raises DivergedError naming its iteration.
     """
     if mpc.initial_state is None:
         raise ConfigurationError("MpcProblem.initial_state must hold the start state")

@@ -15,6 +15,7 @@ closed forms.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -51,15 +52,19 @@ def convolution_oracle(f, x, dist: SmoothingDistribution,
 
 
 def gauss_hermite_expectation(f, x, dist: SmoothingDistribution, points: int) -> float:
-    """Tensor Gauss-Hermite approximation of E_w[f(x+w)] for a scalar f."""
+    """Tensor Gauss-Hermite approximation of E_w[f(x+w)] for a scalar f, its rule memoized."""
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    d = x.shape[0]
-    nodes, weights = np.polynomial.hermite.hermgauss(points)
-    grids = np.meshgrid(*([nodes] * d), indexing="ij")
-    xi = np.stack([g.ravel() for g in grids], axis=-1)      # (points**d, d)
-    wgt = np.ones(xi.shape[0])
-    for g in np.meshgrid(*([weights] * d), indexing="ij"):
-        wgt = wgt * g.ravel()
-    wgt = wgt / math.pi ** (d / 2.0)
+    xi, wgt = _hermite_rule(points, x.shape[0])
     pts = x[None, :] + math.sqrt(2.0) * xi * dist.stddevs
     return float(wgt @ _eval_batch(f, pts))
+
+
+@functools.lru_cache(maxsize=16)
+def _hermite_rule(points: int, d: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only nodes (points**d, d) and weights of the tensor rule for exp(-|xi|^2)."""
+    nodes, weights = np.polynomial.hermite.hermgauss(points)
+    xi = np.stack(np.meshgrid(*([nodes] * d), indexing="ij"), axis=-1).reshape(-1, d)
+    wgt = np.prod(np.meshgrid(*([weights] * d), indexing="ij"), axis=0).ravel()
+    wgt = wgt / math.pi ** (d / 2.0)
+    xi.flags.writeable = wgt.flags.writeable = False
+    return xi, wgt

@@ -5,11 +5,12 @@ Gaussian-smoothing identities, Gaussian smoothing by adaptive and
 Gauss-Hermite quadrature, the QP problem's acceptance rule,
 brute-force active-set enumeration for QPs, a QP's KKT residual, equality
 elimination on top of the inequality QP solver, an affine Riccati
-recursion for finite-horizon tracking LQR, the stacked (uncondensed) MPC
-window QP, a complementarity-enumeration solver for the 1D contact step
-and the residuals of its defining equations, central-difference
-Jacobians of a batched step, the per-knot trajectory linearization, and
-the identities behind linear models and the pendulum's energy.
+recursion for finite-horizon tracking LQR, a per-step trajectory cost,
+the stacked (uncondensed) MPC window QP, a complementarity-enumeration
+solver for the 1D contact step and the residuals of its defining
+equations, central-difference Jacobians of a batched step, the per-knot
+trajectory linearization, and the identities behind linear models and the
+pendulum's energy.
 """
 
 import itertools
@@ -326,6 +327,17 @@ def riccati_tracking(A, B, c, Q, R, Q_terminal, x_desired, x0):
             first_u = -np.linalg.solve(M, B.T @ (S @ (A @ x0 + c) + s))
         S, s, k = S_new, s_new, k_new
     return float(x0 @ S @ x0 + 2 * s @ x0 + k), first_u
+
+
+def trajectory_cost_loop(xs, us, mpc) -> float:
+    """Tracking cost summed one step at a time: running terms, then terminal."""
+    T = mpc.horizon
+    total = 0.0
+    for t in range(T):
+        e = xs[t] - mpc.x_desired[t]
+        total += float(e @ mpc.Q @ e) + float(us[t] @ mpc.R @ us[t])
+    e = xs[T] - mpc.x_desired[T]
+    return total + float(e @ mpc.Q_terminal @ e)
 
 
 # ---------------------------------------------------------------------------

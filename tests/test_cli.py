@@ -172,9 +172,11 @@ def test_planner_runtime_error_exits_3(tmp_path, monkeypatch, capsys):
     assert not (out / "manifest.json").exists()
 
 
-def test_plan_outputs_do_not_depend_on_jobs(tmp_path):
-    # Warm-started MPC windows carry state within a run, never across runs.
-    config = {"task": "dubins_parking", "modes": ["exact", "first_order_bundle"],
+@pytest.mark.parametrize("task", ["dubins_parking", "pendulum_swingup"])
+def test_plan_outputs_do_not_depend_on_jobs(tmp_path, task):
+    # Warm-started MPC windows (dubins_parking, constrained) and Riccati
+    # passes (pendulum_swingup) carry state within a run, never across runs.
+    config = {"task": task, "modes": ["exact", "first_order_bundle"],
               "sigma0": 0.25, "seeds": [0, 1], "max_iters": 2}
     path = tmp_path / "config.json"
     path.write_text(json.dumps(config))

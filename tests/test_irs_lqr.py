@@ -7,13 +7,14 @@ import pytest
 
 from bundleopt import irs_lqr, qp
 from bundleopt.irs_lqr import (GradientMode, MpcProblem, irs_lqr_run, linearize_trajectory,
-                               mpc_solve, stop_reason)
+                               mpc_solve, stop_reason, trajectory_cost)
 from bundleopt.contact import PenaltyPush1D
 from bundleopt.errors import ConfigurationError, DivergedError
 from bundleopt.systems import LinearizedDynamics, LinearSystem
 from bundleopt.tasks import TaskSetup, build_task
 
-from oracles import assemble_mpc_qp, per_knot_linearization, riccati_tracking, solve_eq_qp
+from oracles import (assemble_mpc_qp, per_knot_linearization, riccati_tracking, solve_eq_qp,
+                     trajectory_cost_loop)
 
 # Inputs from the stacked oracle carry its 1e-8 Hessian ridge.
 STACKED_ATOL = 1e-6
@@ -69,9 +70,11 @@ class TestRiccatiPath:
                                           mpc.x_desired[t:], xs[t])
             np.testing.assert_allclose(us[t], first_u, rtol=1e-9, atol=1e-10)
 
-    def test_gains_match_stacked_oracle_on_time_varying_model(self):
+    # (2, 1) and (12, 4) are the pendulum's and the quadrotor's shapes.
+    @pytest.mark.parametrize("n, m", [(1, 1), (2, 1), (3, 2), (12, 4)])
+    def test_gains_match_stacked_oracle_on_time_varying_model(self, n, m):
         rng = np.random.default_rng(1)
-        n, m, T = 3, 2, 10
+        T = 10
         lins = _random_lins(rng, T, n, m)
         mpc = _random_mpc(rng, T, n, m)
         K, k = irs_lqr._riccati_gains(mpc, lins)
@@ -83,13 +86,25 @@ class TestRiccatiPath:
 
     def test_singular_riccati_pass_raises_diverged_error(self):
         # This first-order plan rolls out to states whose bundle has max|A|
-        # about 2.5e14, and the Riccati pass meets a singular Q_uu there.
+        # about 2.5e14; iterate 3 costs about 2e37, iterate 4's rollout
+        # overflows, and the Riccati pass on its model meets non-finite gains.
         setup = build_task("quadrotor_hover")
-        with pytest.raises(DivergedError, match="iteration 4"):
+        with pytest.raises(DivergedError, match="iteration 5"):
             irs_lqr_run(setup.system, setup.mpc,
                         GradientMode(kind="first_order_bundle", samples=100), 0.25,
                         schedule=("geometric", 0.8), max_iters=6,
                         seed=1023293998204598338, u_init=setup.u_init)
+
+    def test_overflowing_gains_raise_diverged_error(self):
+        # S grows by 1e24 a step until it overflows; the rollout from the
+        # origin stays finite, so only the gains can flag the failure.
+        T = 30
+        mpc = MpcProblem(horizon=T, Q=np.eye(2), R=np.eye(1), Q_terminal=np.eye(2),
+                         x_desired=np.zeros((T + 1, 2)), initial_state=np.zeros(2))
+        system = LinearSystem(np.diag([1e12, 1e12]), [[1.0], [0.0]])
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(DivergedError, match="iteration 1: non-finite gains"):
+            irs_lqr_run(system, mpc, GradientMode(), 0.0, max_iters=5)
 
     @pytest.mark.parametrize("task", ["lti", "quadrotor_hover"])
     def test_rollout_inputs_equal_mpc_solve(self, task, monkeypatch):
@@ -485,6 +500,20 @@ class TestTasks:
             assert got.dtype == np.float64
             np.testing.assert_array_equal(got, want)
             np.testing.assert_array_equal(np.signbit(got), np.signbit(want))
+
+
+class TestTrajectoryCost:
+    @pytest.mark.parametrize("asymmetry", [0.0, 1e-11])
+    def test_matches_the_per_step_oracle(self, asymmetry):
+        # MpcProblem checks symmetry only to allclose, so Q may be off by 1e-11.
+        rng = np.random.default_rng(5)
+        T, n, m = 20, 3, 2
+        mpc = _random_mpc(rng, T, n, m)
+        mpc.Q[1, 2] += asymmetry
+        mpc = dataclasses.replace(mpc)                  # re-checks Q
+        xs, us = rng.standard_normal((T + 1, n)), rng.standard_normal((T, m))
+        assert trajectory_cost((xs, us), mpc) == pytest.approx(
+            trajectory_cost_loop(xs, us, mpc), rel=1e-13)
 
 
 class TestOneCostForm:
