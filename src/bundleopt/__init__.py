@@ -15,7 +15,7 @@ from .contact import (Contact1DParams, Contact2DParams, Contact2DState,
                       StepDiagnostics, penalty_forces, step_2d_anitescu, step_2d_exact)
 from .errors import ConfigurationError, DivergedError, SingularRegressionError
 from .functions import TEST_FUNCTION_IDS, TestFunction, get_test_function
-from .irs_lqr import (GradientMode, MpcProblem, MpcResult, TrajectoryIterate,
+from .irs_lqr import (GradientMode, MpcProblem, TrajectoryIterate,
                       irs_lqr_run, linearize_trajectory, mpc_solve, rollout,
                       stop_reason, trajectory_cost)
 from .oracle import convolution_oracle, gauss_hermite_expectation

@@ -10,8 +10,8 @@ also take --seed:
 * plan: run the trajectory optimizer on a catalog task for every
   (gradient mode, seed) pair, writing per-iteration costs and the final
   trajectories. The `diverged` column is 1 on every row of a run whose
-  costs end in 5 consecutive rises, the "diverged" of
-  irs_lqr.stop_reason that stopped the planner, and 0 otherwise.
+  costs end in 5 consecutive rises or in a NaN or infinite cost, the
+  "diverged" of irs_lqr.stop_reason that stopped the planner, else 0.
 * contact-probe: sweep 2D contact commands on a grid, writing the next
   box position under the exact and relaxed models and their smoothed
   (quadrature-bundled) versions.

@@ -6,8 +6,9 @@ the first/zero-order Jacobian bundle at the scheduled sampling variance),
 then roll the true system forward, choosing each input as the first input
 of the shrinking-horizon MPC problem on the linearized model from the
 state actually reached. The linear model is one LinearizedDynamics
-stacking every knot's A, B and c. Each problem shape has one solver, used
-both in the loop and by mpc_solve:
+stacking every knot's A, B and c. _policy is the one place that picks
+the solver for the problem's shape; the loop and mpc_solve both take
+their inputs from it:
 
 * No inequalities (C_u None): one backward affine-Riccati pass gives the
   time-varying policy u_t = K_t x_t + k_t, which by Bellman's principle
@@ -20,17 +21,19 @@ both in the loop and by mpc_solve:
   window 0's Hessian serves every window, and the gradient is one affine
   map of the window's start state, so a window costs two views and one
   matrix-vector product. The windows of one iteration share one linear
-  model, so their optimal active sets barely move: each window starts
-  from the previous window's active set, renumbered, and when that set is
-  already optimal the active set returns its start solve as is. Window 0
+  model, so their optimal active sets barely move: a window solved right
+  after the one before it starts from that window's active set,
+  renumbered, and when that set is already optimal the active set
+  returns its start solve as is. Any other window, window 0 included,
   starts empty: a set carried over from the previous iteration's model
   cost more than it saved.
 
 There is no line search or trust region; smoothing itself is the
 stabilizer, the variance schedule anneals it away, and divergence is
-detected and reported rather than patched. stop_reason is the one rule
-for why a run stops: the planner loop and the CLI's `diverged` column
-both read it.
+detected and reported rather than patched: a pass whose linear algebra
+fails raises DivergedError, and otherwise stop_reason is the one rule
+for why a run stops, read by the planner loop and the CLI's `diverged`
+column.
 
 An iteration's samples are one random stream seeded by (run seed,
 iteration), knot t taking the t-th block of draws. The knots share a few
@@ -40,7 +43,7 @@ samples nor any knot's model, so results are bit-identical for a seed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -54,7 +57,6 @@ __all__ = [
     "MpcProblem",
     "GradientMode",
     "TrajectoryIterate",
-    "MpcResult",
     "trajectory_cost",
     "rollout",
     "linearize_trajectory",
@@ -188,29 +190,12 @@ class TrajectoryIterate:
     """One optimizer iterate: the rolled-out trajectory and its cost.
 
     xs has T+1 rows (knots satisfy the true dynamics exactly), us has T.
-    `linearizations` is the stacked model the pass that produced this
-    iterate planned on (None for the initial rollout).
     """
 
     xs: np.ndarray
     us: np.ndarray
     cost: float
     iteration: int
-    linearizations: LinearizedDynamics | None = field(default=None, repr=False)
-
-
-@dataclass(frozen=True)
-class MpcResult:
-    """First input of an MPC window, with the window QP's multipliers.
-
-    `duals` are the multipliers of the window QP's inequality rows, and
-    `active` lists its final active rows, sorted. A problem with no
-    inequalities has no window QP: both are empty.
-    """
-
-    u: np.ndarray
-    duals: np.ndarray
-    active: tuple[int, ...] = ()
 
 
 def trajectory_cost(trajectory, mpc: MpcProblem) -> float:
@@ -321,6 +306,7 @@ class _CondensedHorizon:
             qf = QF[j * n:, j * m:]
             self.M[j] = qf.T @ phi[j * n:]
             self.v[j] = qf.T @ (gamma[j * n:] - target[j * n:])
+        self._last, self._carry = None, ()
 
     def window_qp(self, j: int, x_j):
         """(solve, q, G, h) of the reduced QP for the window starting at knot j.
@@ -332,16 +318,16 @@ class _CondensedHorizon:
         return (lambda b: W.T @ (W @ b), self.M[j] @ x_j + self.v[j],
                 self.G[j * p:, j * m:], self.h[j * p:])
 
-    def solve(self, j: int, x_j, start=()) -> MpcResult:
-        """First optimal input of window j, its QP started from the active set `start`."""
-        y, lam, active, status, _ = _qp._dual_active_set(*self.window_qp(j, x_j), start=start)
+    def first_input(self, j: int, x_j) -> np.ndarray:
+        """First optimal input of window j, warm-started from window j - 1's active set if that
+        was the last window solved; a QP that does not end "optimal" raises LinAlgError."""
+        start = self._carry if self._last == j - 1 else ()
+        y, _, active, status, _ = _qp._dual_active_set(*self.window_qp(j, x_j), start=start)
         if status != "optimal":
-            raise RuntimeError(f"MPC subproblem failed with status {status!r}")
-        return MpcResult(u=y[:self.m], duals=lam, active=tuple(active))
-
-    def next_start(self, active) -> tuple[int, ...]:
-        """A window's active rows renumbered for the next, which loses its first step's rows."""
-        return tuple(i - self.p for i in active if i >= self.p)
+            raise np.linalg.LinAlgError(f"window {j} QP ended {status!r}")
+        # renumbered for window j + 1, which loses the rows bounding u_j
+        self._last, self._carry = j, tuple(i - self.p for i in active if i >= self.p)
+        return y[:self.m]
 
 
 def _riccati_gains(mpc: MpcProblem, lins: LinearizedDynamics
@@ -377,25 +363,28 @@ def _riccati_gains(mpc: MpcProblem, lins: LinearizedDynamics
     return K, k
 
 
-def mpc_solve(mpc: MpcProblem, linearizations: LinearizedDynamics) -> MpcResult:
-    """First optimal input of the shrinking-horizon MPC window.
+def _policy(mpc: MpcProblem, lins: LinearizedDynamics):
+    """first_input(t, x): the first optimal input of window t from state x on this model.
 
-    Solves the window starting at `mpc.start_index` from
-    `mpc.initial_state` on the stacked model with irs_lqr_run's solver for
-    the problem's shape, so the input is the one the rollout applies: with
-    no inequalities the Riccati policy K_j x + k_j (no QP), otherwise the
-    window's condensed QP.
+    The one place that picks a solver: with no inequalities the Riccati
+    policy K_t x + k_t (no QP), otherwise window t's condensed QP. Failed
+    linear algebra raises LinAlgError, here or from first_input.
     """
+    if mpc.C_u is None:
+        K, k = _riccati_gains(mpc, lins)
+        return lambda t, x: K[t] @ x + k[t]
+    return _CondensedHorizon(mpc, lins).first_input
+
+
+def mpc_solve(mpc: MpcProblem, linearizations: LinearizedDynamics) -> np.ndarray:
+    """First optimal input of the MPC window starting at `mpc.start_index` from
+    `mpc.initial_state`: irs_lqr_run's _policy, so the input the rollout applies."""
     if mpc.initial_state is None:
         raise ConfigurationError("MpcProblem.initial_state must be set for an MPC solve")
     knots = linearizations.A.shape[0]
     if knots != mpc.horizon:
         raise ConfigurationError(f"need {mpc.horizon} knot linearizations, got {knots}")
-    j, x = mpc.start_index, mpc.initial_state
-    if mpc.C_u is None:
-        K, k = _riccati_gains(mpc, linearizations)
-        return MpcResult(u=K[j] @ x + k[j], duals=np.zeros(0))
-    return _CondensedHorizon(mpc, linearizations).solve(j, x)
+    return _policy(mpc, linearizations)(mpc.start_index, mpc.initial_state)
 
 
 def irs_lqr_run(sys: DynamicalSystem, mpc: MpcProblem, mode: GradientMode,
@@ -404,16 +393,17 @@ def irs_lqr_run(sys: DynamicalSystem, mpc: MpcProblem, mode: GradientMode,
     """Iterate bundle-linearization and MPC rollouts; returns all iterates.
 
     Each iteration linearizes around the current trajectory and rolls the
-    true system out under the linear model's MPC inputs: from one Riccati
-    pass when the problem has no inequalities, otherwise from a condensed
-    QP per window (see the module docstring).
+    true system out under the linear model's MPC inputs, taken from
+    _policy (see the module docstring).
 
     `cov0` is the initial sampling variance, one scalar for every state
     and input coordinate (see linearize_trajectory); `schedule` a (policy,
     gamma) pair fed to variance_schedule. Stops after max_iters
     iterations, or as soon as stop_reason of the costs so far is
-    "diverged" or "converged". A Riccati pass that is singular or yields
-    non-finite gains raises DivergedError naming its iteration.
+    "diverged" or "converged". Any LinAlgError of a pass (a singular or
+    non-finite Riccati pass, a window Hessian that is not positive
+    definite, a window QP that does not end "optimal") raises
+    DivergedError naming its iteration.
     """
     if mpc.initial_state is None:
         raise ConfigurationError("MpcProblem.initial_state must hold the start state")
@@ -429,7 +419,6 @@ def irs_lqr_run(sys: DynamicalSystem, mpc: MpcProblem, mode: GradientMode,
     if cov0.ndim != 0:
         raise ConfigurationError(f"cov0 must be a scalar variance, got shape {cov0.shape}")
     policy, gamma = schedule
-    unconstrained = mpc.C_u is None
 
     xs = rollout(sys, mpc.initial_state, us)
     history = [TrajectoryIterate(xs=xs, us=us, cost=trajectory_cost((xs, us), mpc),
@@ -440,26 +429,16 @@ def irs_lqr_run(sys: DynamicalSystem, mpc: MpcProblem, mode: GradientMode,
         new_xs = np.empty_like(xs)
         new_us = np.empty_like(us)
         new_xs[0] = xs[0]
-        if unconstrained:
-            try:
-                K, k_ff = _riccati_gains(mpc, lins)
-            except np.linalg.LinAlgError as exc:
-                raise DivergedError(
-                    f"Riccati pass failed in iteration {k + 1}: {exc}") from exc
-        else:
-            windows = _CondensedHorizon(mpc, lins)
-        start = ()
-        for t in range(T):
-            if unconstrained:
-                new_us[t] = K[t] @ new_xs[t] + k_ff[t]
-            else:
-                res = windows.solve(t, new_xs[t], start)
-                new_us[t] = res.u
-                start = windows.next_start(res.active)
-            new_xs[t + 1] = sys.step(new_xs[t], new_us[t])
+        try:
+            first_input = _policy(mpc, lins)
+            for t in range(T):
+                new_us[t] = first_input(t, new_xs[t])
+                new_xs[t + 1] = sys.step(new_xs[t], new_us[t])
+        except np.linalg.LinAlgError as exc:
+            raise DivergedError(f"MPC pass failed in iteration {k + 1}: {exc}") from exc
         xs, us = new_xs, new_us
         history.append(TrajectoryIterate(xs=xs, us=us, cost=trajectory_cost((xs, us), mpc),
-                                         iteration=k + 1, linearizations=lins))
+                                         iteration=k + 1))
         if stop_reason([it.cost for it in history]) is not None:
             break
     return history
@@ -468,11 +447,15 @@ def irs_lqr_run(sys: DynamicalSystem, mpc: MpcProblem, mode: GradientMode,
 def stop_reason(costs) -> str | None:
     """Why a run with this cost sequence stops: "diverged", "converged" or None.
 
-    "diverged": the cost rose in each of the last 5 steps (reported, not
-    patched, since the algorithm has no line search). "converged": in
-    each of the last 3 steps the cost changed by less than 1e-6 relative
-    to max(|previous cost|, 1e-12). Divergence is checked first.
+    "diverged": the last cost is NaN or infinite, or the cost rose in each
+    of the last 5 steps (reported, not patched, since the algorithm has no
+    line search). "converged": in each of the last 3 steps the cost
+    changed by less than 1e-6 relative to max(|previous cost|, 1e-12).
+    Divergence is checked first. A pass whose linear algebra fails never
+    reaches this rule: irs_lqr_run raises DivergedError.
     """
+    if not np.isfinite(costs[-1:]).all():
+        return "diverged"
     steps = list(zip(costs[:-1], costs[1:]))
     rises = steps[-_DIVERGENCE_STREAK:]
     if len(rises) == _DIVERGENCE_STREAK and all(b > a for a, b in rises):

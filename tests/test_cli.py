@@ -210,6 +210,21 @@ def test_diverged_column_is_the_planner_stop_rule(tmp_path, monkeypatch, costs, 
     assert [row["diverged"] for row in rows] == [diverged] * len(costs)
 
 
+def test_plan_ending_on_a_nan_cost_reports_diverged(tmp_path):
+    # The quadrotor plan's iterate 4 overflows to a NaN cost: the run stops
+    # there as diverged and the CLI still writes its results.
+    config = {"task": "quadrotor_hover", "modes": ["first_order_bundle"], "sigma0": 0.25,
+              "schedule": {"policy": "geometric", "gamma": 0.8},
+              "seeds": [1023293998204598338], "max_iters": 6}
+    code, out = _plan(tmp_path, config)
+    assert code == 0
+    with open(out / "results.csv", encoding="utf-8") as fh:
+        next(fh)                                     # schema comment row
+        rows = list(csv.DictReader(fh))
+    assert [row["cost"] for row in rows][-1] == "nan"
+    assert [row["diverged"] for row in rows] == ["1"] * 5
+
+
 def test_contact_probe_has_no_seed(tmp_path, capsys):
     # the probe is deterministic quadrature, so it takes no --seed
     config = tmp_path / "config.json"

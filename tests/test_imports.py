@@ -211,8 +211,10 @@ for task in ("push_1d", "dubins_parking"):
     for kind in ("exact", "first_order_bundle", "zero_order_bundle"):
         history = bundleopt.irs_lqr_run(setup.system, setup.mpc, bundleopt.GradientMode(kind),
                                         0.25, max_iters=2, u_init=setup.u_init)
-window = setup.mpc.window(1, history[-1].xs[1])
-bundleopt.mpc_solve(window, history[-1].linearizations)
+final = history[-1]
+lins = bundleopt.linearize_trajectory(setup.system, final.xs, final.us, bundleopt.GradientMode(),
+                                      0.0, 0, 0)
+bundleopt.mpc_solve(setup.mpc.window(1, final.xs[1]), lins)
 report["constrained_plan"] = loaded()
 problem = bundleopt.QpProblem(np.eye(2), np.ones(2), np.ones((1, 2)), [0.0])
 report["qp_problem"] = loaded()

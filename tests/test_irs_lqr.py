@@ -51,6 +51,25 @@ def _box(bound, dim):
     return np.vstack([np.eye(dim), -np.eye(dim)]), np.full(2 * dim, bound)
 
 
+def _first_model(setup, history):
+    """The exact model the first pass planned on, rebuilt bit for bit."""
+    return linearize_trajectory(setup.system, history[0].xs, history[0].us, GradientMode(),
+                                0.0, 0, 0)
+
+
+def _spy_active_set(monkeypatch):
+    """Record (window size, start set, final active set) of every active-set call."""
+    calls = []
+
+    def spy(solve, q, G, h, start=(), _original=qp._dual_active_set):
+        out = _original(solve, q, G, h, start=start)
+        calls.append((q.shape[0], tuple(start), tuple(out[2])))
+        return out
+
+    monkeypatch.setattr(qp, "_dual_active_set", spy)
+    return calls
+
+
 class TestRiccatiPath:
     def test_one_iteration_on_affine_system_matches_riccati_oracle(self):
         rng = np.random.default_rng(0)
@@ -84,16 +103,20 @@ class TestRiccatiPath:
                                        _stacked_first_input(mpc.window(j, x), lins),
                                        atol=STACKED_ATOL)
 
-    def test_singular_riccati_pass_raises_diverged_error(self):
+    def test_non_finite_cost_stops_the_run_as_diverged(self):
         # This first-order plan rolls out to states whose bundle has max|A|
-        # about 2.5e14; iterate 3 costs about 2e37, iterate 4's rollout
-        # overflows, and the Riccati pass on its model meets non-finite gains.
+        # about 2.5e14; iterate 3 costs about 2e37 and iterate 4's rollout
+        # overflows to a NaN cost, where the run stops instead of planning
+        # on the overflowed trajectory.
         setup = build_task("quadrotor_hover")
-        with pytest.raises(DivergedError, match="iteration 5"):
-            irs_lqr_run(setup.system, setup.mpc,
-                        GradientMode(kind="first_order_bundle", samples=100), 0.25,
-                        schedule=("geometric", 0.8), max_iters=6,
-                        seed=1023293998204598338, u_init=setup.u_init)
+        history = irs_lqr_run(setup.system, setup.mpc,
+                              GradientMode(kind="first_order_bundle", samples=100), 0.25,
+                              schedule=("geometric", 0.8), max_iters=6,
+                              seed=1023293998204598338, u_init=setup.u_init)
+        costs = [it.cost for it in history]
+        assert len(history) == 5 and np.isfinite(costs[:4]).all() and np.isnan(costs[4])
+        assert costs[3] > 1e37
+        assert stop_reason(costs) == "diverged"
 
     def test_overflowing_gains_raise_diverged_error(self):
         # S grows by 1e24 a step until it overflows; the rollout from the
@@ -109,21 +132,14 @@ class TestRiccatiPath:
     @pytest.mark.parametrize("task", ["lti", "quadrotor_hover"])
     def test_rollout_inputs_equal_mpc_solve(self, task, monkeypatch):
         # Both take the Riccati policy: no window makes an active-set call.
-        calls = []
-
-        def spy(*args, _original=qp._dual_active_set, **kwargs):
-            calls.append(args)
-            return _original(*args, **kwargs)
-
-        monkeypatch.setattr(qp, "_dual_active_set", spy)
+        calls = _spy_active_set(monkeypatch)
         setup = build_task(task)
         history = irs_lqr_run(setup.system, setup.mpc, GradientMode(), 0.0, max_iters=1,
                               u_init=setup.u_init)
-        final = history[1]
+        lins, final = _first_model(setup, history), history[1]
         for t in range(setup.mpc.horizon):
-            res = mpc_solve(setup.mpc.window(t, final.xs[t]), final.linearizations)
-            np.testing.assert_array_equal(res.u, final.us[t])
-            assert res.duals.size == 0 and res.active == ()
+            u = mpc_solve(setup.mpc.window(t, final.xs[t]), lins)
+            np.testing.assert_array_equal(u, final.us[t])
         assert calls == []
 
 
@@ -138,9 +154,12 @@ class TestCondensedPath:
         active = False
         for j in (0, 3, T - 1):
             x = rng.uniform(-0.8, 0.8, n)
-            res = mpc_solve(mpc.window(j, x), lins)
-            active |= bool(np.max(res.duals) > 1e-6)
-            np.testing.assert_allclose(res.u, _stacked_first_input(mpc.window(j, x), lins),
+            window = mpc.window(j, x)
+            problem, first = assemble_mpc_qp(window, lins)
+            sol = solve_eq_qp(*problem)
+            assert sol.status == "optimal"
+            active |= bool(np.max(sol.ineq_duals) > 1e-6)
+            np.testing.assert_allclose(mpc_solve(window, lins), sol.z[first:first + m],
                                        atol=STACKED_ATOL)
         assert active, "no inequality was active; the case tests nothing"
 
@@ -151,30 +170,64 @@ class TestCondensedPath:
         setup = build_task(task)
         history = irs_lqr_run(setup.system, setup.mpc, GradientMode(), 0.0,
                               max_iters=1, u_init=setup.u_init)
-        final = history[-1]
+        lins, final = _first_model(setup, history), history[1]
         for t in range(setup.mpc.horizon):
-            res = mpc_solve(setup.mpc.window(t, final.xs[t]), final.linearizations)
-            np.testing.assert_array_equal(res.u, final.us[t])
+            u = mpc_solve(setup.mpc.window(t, final.xs[t]), lins)
+            np.testing.assert_array_equal(u, final.us[t])
 
-    def test_next_start_maps_rows_onto_the_same_constraints(self):
-        setup = build_task("dubins_parking")
-        mpc, m = setup.mpc, setup.mpc.input_dim
-        xs = irs_lqr.rollout(setup.system, mpc.initial_state, setup.u_init)
-        lins = linearize_trajectory(setup.system, xs, setup.u_init, GradientMode(), 0.0, 0, 0)
-        windows = irs_lqr._CondensedHorizon(mpc, lins)
-        for j in (0, 5, mpc.horizon - 2):
+    def test_failed_window_factor_raises_diverged_error(self):
+        # test_overflowing_gains_raise_diverged_error's system under an input
+        # box: window 0's Hessian overflows and its factor fails in the pass.
+        T = 30
+        mpc = MpcProblem(horizon=T, Q=np.eye(2), R=np.eye(1), Q_terminal=np.eye(2),
+                         x_desired=np.zeros((T + 1, 2)), C_u=[[1.0], [-1.0]],
+                         d_u=[1.0, 1.0], initial_state=np.zeros(2))
+        system = LinearSystem(np.diag([1e12, 1e12]), [[1.0], [0.0]])
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(DivergedError, match="iteration 1"):
+            irs_lqr_run(system, mpc, GradientMode(), 0.0, max_iters=5)
+
+    @staticmethod
+    def _box_windows(seed, n=3, m=2, T=8):
+        """Windows of a random model under an input box, and a start state for each."""
+        rng = np.random.default_rng(seed)
+        lins = _random_lins(rng, T, n, m)
+        c_u, d_u = _box(0.3, m)
+        mpc = _random_mpc(rng, T, n, m, C_u=c_u, d_u=d_u)
+        return irs_lqr._CondensedHorizon(mpc, lins), rng.uniform(-0.8, 0.8, (T, n))
+
+    def test_in_order_windows_start_from_the_renumbered_set(self, monkeypatch):
+        # Window j + 1 starts from the rows window j ended on, less those
+        # bounding u_j alone, each renumbered onto the same constraint.
+        windows, xs = self._box_windows(6)
+        m, p = windows.m, windows.p
+        calls = _spy_active_set(monkeypatch)
+        for j, x in enumerate(xs):
+            windows.first_input(j, x)
+        assert calls[0][1] == ()
+        carried = 0
+        for j in range(len(xs) - 1):
             _, _, g_j, h_j = windows.window_qp(j, xs[j])
             _, _, g_next, h_next = windows.window_qp(j + 1, xs[j + 1])
-            targets = []
-            for i in range(g_j.shape[0]):
-                moved = windows.next_start([i])
-                # Dropped exactly when the row bounds step j's input alone.
-                assert (not moved) == (not np.any(g_j[i, m:])), (j, i)
-                if moved:
-                    np.testing.assert_array_equal(g_next[moved[0]], g_j[i, m:])
-                    assert h_next[moved[0]] == h_j[i]
-                    targets.append(moved[0])
-            assert targets == list(range(g_next.shape[0]))
+            kept = [i for i in calls[j][2] if i >= p]
+            assert not np.any(g_j[:p, m:]) and all(np.any(g_j[i, m:]) for i in kept), j
+            start = calls[j + 1][1]
+            assert len(start) == len(kept), j
+            np.testing.assert_array_equal(g_next[list(start)], g_j[kept, m:])
+            np.testing.assert_array_equal(h_next[list(start)], h_j[kept])
+            carried += len(start)
+        assert carried, "no window carried a row; the case tests nothing"
+
+    def test_window_solved_out_of_order_starts_cold(self, monkeypatch):
+        windows, xs = self._box_windows(7)
+        calls = _spy_active_set(monkeypatch)
+        windows.first_input(3, xs[3])
+        windows.first_input(1, xs[1])
+        windows.first_input(2, xs[2])
+        assert [i for i in calls[0][2] if i >= windows.p], \
+            "window 3 carries no row; the case tests nothing"
+        assert [start for _, start, _ in calls[:2]] == [(), ()]
+        assert calls[2][1], "window 2 after window 1 should start warm"
 
     def test_one_factor_serves_every_window(self, monkeypatch):
         rng = np.random.default_rng(4)
@@ -182,13 +235,22 @@ class TestCondensedPath:
         lins = _random_lins(rng, T, n, m)
         c_u, d_u = _box(0.3, m)
         mpc = _random_mpc(rng, T, n, m, C_u=c_u, d_u=d_u)
-        factors = []
+        factors, solving = [], []
 
         def spy(a, _original=np.linalg.cholesky, **kwargs):
-            factors.append(a.shape)
+            if not solving:                 # the active set's own factors are of Gram blocks
+                factors.append(a.shape)
             return _original(a, **kwargs)
 
+        def active_set(*args, _original=qp._dual_active_set, **kwargs):
+            solving.append(True)
+            try:
+                return _original(*args, **kwargs)
+            finally:
+                solving.pop()
+
         monkeypatch.setattr(np.linalg, "cholesky", spy)
+        monkeypatch.setattr(qp, "_dual_active_set", active_set)
         windows = irs_lqr._CondensedHorizon(mpc, lins)
         assert factors == [(T * m, T * m)]
         for j in range(T):
@@ -198,7 +260,7 @@ class TestCondensedPath:
             inverse = np.linalg.inv(hessian)
             error = np.linalg.norm(solve(np.eye(hessian.shape[0])) - inverse)
             assert error <= 1e-10 * np.linalg.norm(inverse), j
-            windows.solve(j, x)
+            windows.first_input(j, x)
         assert len(factors) == 1
 
     def test_window_gradient_is_affine_in_the_start_state(self):
@@ -227,19 +289,14 @@ class TestCondensedPath:
     def test_window_0_starts_cold_every_iteration(self, monkeypatch):
         # The last iteration's window-0 set was found on another model.
         setup = build_task("dubins_parking")
-        calls = []
-
-        def spy(self, j, x_j, start=(), _original=irs_lqr._CondensedHorizon.solve):
-            res = _original(self, j, x_j, start)
-            if j == 0:
-                calls.append((tuple(start), res.active))
-            return res
-
-        monkeypatch.setattr(irs_lqr._CondensedHorizon, "solve", spy)
-        irs_lqr_run(setup.system, setup.mpc, GradientMode(kind="first_order_bundle"), 0.25,
+        mpc = setup.mpc
+        calls = _spy_active_set(monkeypatch)
+        irs_lqr_run(setup.system, mpc, GradientMode(kind="first_order_bundle"), 0.25,
                     ("geometric", 0.8), max_iters=3, seed=0, u_init=setup.u_init)
-        assert [start for start, _ in calls] == [(), (), ()]
-        assert all(active for _, active in calls[:-1]), "an empty window-0 set tests nothing"
+        window_0 = [(start, active) for size, start, active in calls
+                    if size == mpc.horizon * mpc.input_dim]
+        assert [start for start, _ in window_0] == [(), (), ()]
+        assert all(active for _, active in window_0[:-1]), "an empty window-0 set tests nothing"
 
     def test_warm_start_cuts_active_set_iterations(self, monkeypatch):
         setup = build_task("dubins_parking")
@@ -437,6 +494,11 @@ class TestStopReason:
         ([1.0, 2.0, 3.0, 3.0 * (1 + 1e-8), 3.0 * (1 + 2e-8), 3.0 * (1 + 3e-8)],
          "diverged"),                  # 3 flat steps that are also the end of 5 rises
         ([5.0], None),
+        ([9.0, 1.0, np.nan], "diverged"),                        # non-finite last cost
+        ([9.0, 1.0, np.inf], "diverged"),
+        ([9.0, 1.0, -np.inf], "diverged"),
+        ([np.nan], "diverged"),
+        ([9.0, np.nan, 1.0, 2.0], None),                         # only the last cost counts
     ])
     def test_hand_built_costs(self, costs, reason):
         assert stop_reason(costs) == reason
