@@ -15,18 +15,19 @@ their inputs from it:
   is the first input of every window; the rollout applies it with no
   per-window QP (iterative LQR).
 * Input inequalities: each window is a condensed QP in its stacked
-  inputs, solved by the dual active-set method. The condensed data are
-  assembled once per iteration: by causality window j's Hessian and
-  constraint rows are trailing slices of window 0's, one numpy factor of
-  window 0's Hessian serves every window, and the gradient is one affine
-  map of the window's start state, so a window costs two views and one
-  matrix-vector product. The windows of one iteration share one linear
-  model, so their optimal active sets barely move: a window solved right
-  after the one before it starts from that window's active set,
-  renumbered, and when that set is already optimal the active set
-  returns its start solve as is. Any other window, window 0 included,
-  starts empty: a set carried over from the previous iteration's model
-  cost more than it saved.
+  inputs, solved by the dual active-set method in the coordinates of its
+  Hessian's Cholesky factor, where that Hessian is the identity. The
+  condensed data are assembled once per iteration: by causality one
+  factor of window 0's Hessian serves every window, window j's
+  constraint rows in those coordinates are a view of one blockwise
+  product, and the gradient is one affine map of the window's start
+  state, so a window costs two views and one matrix-vector product. The
+  windows of one iteration share one linear model, so their optimal
+  active sets barely move: a window solved right after the one before it
+  starts from that window's active set, renumbered, and when that set is
+  already optimal the active set returns its start solve as is. Any
+  other window, window 0 included, starts empty: a set carried over from
+  the previous iteration's model cost more than it saved.
 
 There is no line search or trust region; smoothing itself is the
 stabilizer, the variance schedule anneals it away, and divergence is
@@ -263,18 +264,21 @@ class _CondensedHorizon:
     alone. Its Hessian is F'QF + R with Q and R the block-diagonal running
     and terminal costs (times 2); R being positive definite makes it
     positive definite with no ridge. By causality, window j's F, Hessian
-    and input rows are trailing slices of window 0's, so they are built
-    once and each window's G and h are views. P = U U' with U upper
+    and input rows are trailing slices of window 0's. P = U U' with U upper
     triangular (P's Cholesky factor in reversed order), so window j's
     Hessian is U_j U_j' for U's trailing block U_j, whose inverse is the
-    trailing block W_j of W = U^{-1}: one factor serves every window.
+    trailing block W_j of W = U^{-1}, upper triangular too: one factor
+    serves every window. Window j is solved in y = U_j' z, where its
+    Hessian is I and its rows are G_j W_j': G is block-diagonal in C_u, so
+    G W' is one product of C_u with W's block columns, and G_j W_j' is its
+    trailing block. The first input, (W_j' y)[:m], reads W_j's leading block.
 
     Only the gradient depends on the window's start state, and affinely:
     the free response from x_j is g = Phi_j x_j + gamma_j, so the gradient
-    is M_j x_j + v_j with M_j = QF_j' Phi_j and v_j = QF_j'(gamma_j - x_d),
-    QF_j being QF's trailing block. One backward pass builds every M_j and
-    v_j from Phi_T = I, gamma_T = 0, Phi_j = [I; Phi_{j+1} A_j] and
-    gamma_j = [0; Phi_{j+1} c_j + gamma_{j+1}].
+    in y is M_j x_j + v_j with M_j = N_j' Phi_j and v_j = N_j'(gamma_j -
+    x_d), N_j = QF_j W_j' being the trailing block of QF W'. One backward
+    pass builds every M_j and v_j from Phi_T = I, gamma_T = 0, Phi_j =
+    [I; Phi_{j+1} A_j] and gamma_j = [0; Phi_{j+1} c_j + gamma_{j+1}].
     """
 
     def __init__(self, mpc: MpcProblem, lins: LinearizedDynamics):
@@ -287,36 +291,31 @@ class _CondensedHorizon:
         q_bar = 2.0 * np.concatenate([np.broadcast_to(mpc.Q, (T, n, n)), mpc.Q_terminal[None]])
         QF = (q_bar @ F).reshape((T + 1) * n, T * m)
         P = F.reshape((T + 1) * n, T * m).T @ QF
-        for t in range(T):
-            P[t * m:(t + 1) * m, t * m:(t + 1) * m] += 2.0 * mpc.R
+        steps = np.arange(T)
+        P.reshape(T, m, T, m)[steps, :, steps] += 2.0 * mpc.R     # on P's diagonal blocks
         U = np.linalg.cholesky(0.5 * (P + P.T)[::-1, ::-1])[::-1, ::-1]    # P = U U'
-        self.W = np.linalg.inv(U)
-        self.G = np.kron(np.eye(T), mpc.C_u)
+        self.W = W = np.linalg.inv(U)                   # upper triangular, like U
+        # G W' for G = diag(C_u, ..., C_u), one block row per step
+        self.G = (mpc.C_u @ W.T.reshape(T, m, T * m)).reshape(T * self.p, T * m)
         self.h = np.tile(mpc.d_u, T)
-        eye = np.eye(n)
-        phi = np.empty(((T + 1) * n, n))        # rows j*n: hold Phi_j
-        phi[T * n:] = eye
-        gamma = np.zeros((T + 1) * n)           # entries j*n: hold gamma_j
-        target = mpc.x_desired.ravel()
+        QF = QF @ W.T                           # trailing blocks N_j = QF_j W_j'
+        # S = [Phi_j, gamma_j - x_d] from row j*n on, stepped by Z_j = [[A_j, c_j], [0, 1]]
+        Z = np.zeros((T, n + 1, n + 1))
+        Z[:, :n, :n], Z[:, :n, n], Z[:, n, n] = lins.A, lins.c, 1.0
+        S = np.empty(((T + 1) * n, n + 1))
+        S[:, :n] = np.tile(np.eye(n), (T + 1, 1))      # row block j: [I, -x_d[j]] until stepped
+        S[:, n] = -mpc.x_desired.ravel()
         self.M, self.v = [None] * T, [None] * T
         for j in reversed(range(T)):
-            gamma[(j + 1) * n:] += phi[(j + 1) * n:] @ lins.c[j]
-            phi[(j + 1) * n:] = phi[(j + 1) * n:] @ lins.A[j]
-            phi[j * n:(j + 1) * n] = eye
-            qf = QF[j * n:, j * m:]
-            self.M[j] = qf.T @ phi[j * n:]
-            self.v[j] = qf.T @ (gamma[j * n:] - target[j * n:])
+            S[(j + 1) * n:] = S[(j + 1) * n:] @ Z[j]
+            mv = QF[j * n:, j * m:].T @ S[j * n:]
+            self.M[j], self.v[j] = mv[:, :n], mv[:, n]
         self._last, self._carry = None, ()
 
     def window_qp(self, j: int, x_j):
-        """(solve, q, G, h) of the reduced QP for the window starting at knot j.
-
-        `solve(b)` is W'(W b), the window's inverse Hessian.
-        """
+        """(q, G, h) of the least-distance QP in y = U_j' z for the window starting at knot j."""
         m, p = self.m, self.p
-        W = self.W[j * m:, j * m:]
-        return (lambda b: W.T @ (W @ b), self.M[j] @ x_j + self.v[j],
-                self.G[j * p:, j * m:], self.h[j * p:])
+        return self.M[j] @ x_j + self.v[j], self.G[j * p:, j * m:], self.h[j * p:]
 
     def first_input(self, j: int, x_j) -> np.ndarray:
         """First optimal input of window j, warm-started from window j - 1's active set if that
@@ -327,7 +326,8 @@ class _CondensedHorizon:
             raise np.linalg.LinAlgError(f"window {j} QP ended {status!r}")
         # renumbered for window j + 1, which loses the rows bounding u_j
         self._last, self._carry = j, tuple(i - self.p for i in active if i >= self.p)
-        return y[:self.m]
+        m = self.m
+        return self.W[j * m:(j + 1) * m, j * m:(j + 1) * m].T @ y[:m]     # (W_j' y)[:m]
 
 
 def _riccati_gains(mpc: MpcProblem, lins: LinearizedDynamics

@@ -61,8 +61,8 @@ def _spy_active_set(monkeypatch):
     """Record (window size, start set, final active set) of every active-set call."""
     calls = []
 
-    def spy(solve, q, G, h, start=(), _original=qp._dual_active_set):
-        out = _original(solve, q, G, h, start=start)
+    def spy(q, G, h, start=(), _original=qp._dual_active_set):
+        out = _original(q, G, h, start=start)
         calls.append((q.shape[0], tuple(start), tuple(out[2])))
         return out
 
@@ -207,8 +207,8 @@ class TestCondensedPath:
         assert calls[0][1] == ()
         carried = 0
         for j in range(len(xs) - 1):
-            _, _, g_j, h_j = windows.window_qp(j, xs[j])
-            _, _, g_next, h_next = windows.window_qp(j + 1, xs[j + 1])
+            _, g_j, h_j = windows.window_qp(j, xs[j])
+            _, g_next, h_next = windows.window_qp(j + 1, xs[j + 1])
             kept = [i for i in calls[j][2] if i >= p]
             assert not np.any(g_j[:p, m:]) and all(np.any(g_j[i, m:]) for i in kept), j
             start = calls[j + 1][1]
@@ -255,12 +255,11 @@ class TestCondensedPath:
         assert factors == [(T * m, T * m)]
         for j in range(T):
             hessian = _window_hessian(mpc, lins, j)
-            x = rng.uniform(-0.8, 0.8, n)
-            solve = windows.window_qp(j, x)[0]
+            W_j = windows.W[j * m:, j * m:]
             inverse = np.linalg.inv(hessian)
-            error = np.linalg.norm(solve(np.eye(hessian.shape[0])) - inverse)
+            error = np.linalg.norm(W_j.T @ W_j - inverse)
             assert error <= 1e-10 * np.linalg.norm(inverse), j
-            windows.first_input(j, x)
+            windows.first_input(j, rng.uniform(-0.8, 0.8, n))
         assert len(factors) == 1
 
     def test_window_gradient_is_affine_in_the_start_state(self):
@@ -282,9 +281,47 @@ class TestCondensedPath:
                 g[0] = x
                 for t in range(j, T):
                     g[t - j + 1] = lins.A[t] @ g[t - j] + lins.c[t]
-                expected = QF.T @ (g - mpc.x_desired[j:]).ravel()
-                q = windows.window_qp(j, x)[1]
+                # in the factor's coordinates y = W_j^{-T} z
+                expected = windows.W[j * m:, j * m:] @ QF.T @ (g - mpc.x_desired[j:]).ravel()
+                q = windows.window_qp(j, x)[0]
                 assert np.linalg.norm(q - expected) <= 1e-12 * np.linalg.norm(expected), j
+
+    def test_windows_solve_in_the_factor_coordinates(self, monkeypatch):
+        # A general C_u: window j's rows are G_j W_j', views of one blockwise
+        # product, and its first input maps the solution y back by W_j'.
+        rng = np.random.default_rng(9)
+        n, m, T, p = 3, 2, 7, 3
+        lins = _random_lins(rng, T, n, m)
+        c_u, d_u = rng.standard_normal((p, m)), rng.uniform(0.05, 0.3, p)
+        mpc = _random_mpc(rng, T, n, m, C_u=c_u, d_u=d_u)
+        windows = irs_lqr._CondensedHorizon(mpc, lins)
+        W = windows.W
+        assert not np.tril(W, -1).any()
+        G = np.kron(np.eye(T), c_u)
+        solutions = []
+
+        def spy(*args, _original=qp._dual_active_set, **kwargs):
+            solutions.append(_original(*args, **kwargs))
+            return solutions[-1]
+
+        monkeypatch.setattr(qp, "_dual_active_set", spy)
+        for j in range(T):
+            W_j = W[j * m:, j * m:]
+            x = rng.uniform(-0.8, 0.8, n)
+            _, g_j, h_j = windows.window_qp(j, x)
+            expected = G[j * p:, j * m:] @ W_j.T
+            assert np.linalg.norm(g_j - expected) <= 1e-12 * np.linalg.norm(expected), j
+            np.testing.assert_array_equal(h_j, np.tile(d_u, T - j))
+            # W_j is upper triangular, so (W_j' y)[:m] needs only W_j's leading
+            # block; the full product adds exact zeros but may round the
+            # nonzero terms in another order, hence a bound of a few ulps
+            u = windows.first_input(j, x)
+            y = solutions[-1][0]
+            full = (W_j.T @ y)[:m]
+            bound = 4.0 * np.finfo(float).eps * (np.abs(W_j.T) @ np.abs(y))[:m]
+            assert (np.abs(u - full) <= bound).all(), j
+        assert all(active for _, _, active, _, _ in solutions[:-1]), \
+            "a window with no active row tests nothing"
 
     def test_window_0_starts_cold_every_iteration(self, monkeypatch):
         # The last iteration's window-0 set was found on another model.
@@ -306,9 +343,9 @@ class TestCondensedPath:
         def total_iterations(cold):
             total = 0
 
-            def spy(solve, q, G, h, start=()):
+            def spy(q, G, h, start=()):
                 nonlocal total
-                out = original(solve, q, G, h, start=() if cold else start)
+                out = original(q, G, h, start=() if cold else start)
                 total += out[4]
                 return out
 

@@ -106,29 +106,32 @@ class TestSolve:
 
 
 class TestInverseMemo:
-    """P's checks and inverse are memoized on P's bytes: hits must equal fresh work."""
+    """P's checks and factor W = L^{-1} are memoized on P's bytes: hits must equal fresh work."""
 
-    def test_operator_is_the_read_only_inverse(self, monkeypatch):
-        operators = []
+    def test_factor_is_the_read_only_inverse_of_cholesky(self, monkeypatch):
+        factors = []
 
-        def spy(solve, *args, _original=qp._dual_active_set):
-            operators.append(solve.__self__)
-            return _original(solve, *args)
+        def spy(*args, _original=qp._factor):
+            factors.append(_original(*args))
+            return factors[-1]
 
-        monkeypatch.setattr(qp, "_dual_active_set", spy)
+        qp._factor.cache_clear()
+        monkeypatch.setattr(qp, "_factor", spy)
         P = np.array([[4.0, 1.0, 0.5], [1.0, 3.0, 0.2], [0.5, 0.2, 2.0]])
         for _ in range(2):                 # a miss, then a hit
             solve_qp(QpProblem(P=P, q=np.ones(3)))
-        for inverse in operators:
-            assert not inverse.flags.writeable
-            np.testing.assert_array_equal(inverse.view(np.int64),
-                                          np.linalg.inv(P).view(np.int64))
+        assert len(factors) == 4           # QpProblem's check and solve_qp, twice
+        for factor in factors:
+            assert not factor.flags.writeable
+            np.testing.assert_array_equal(factor.view(np.int64),
+                                          np.linalg.inv(np.linalg.cholesky(P)).view(np.int64))
 
     def test_writing_into_p_after_a_solve_solves_the_new_p(self):
-        prob = QpProblem(P=np.diag([2.0, 4.0]), q=np.array([-2.0, -4.0]))
+        # Square diagonals keep the factor, and so the solution, exact.
+        prob = QpProblem(P=np.diag([4.0, 16.0]), q=np.array([-4.0, -16.0]))
         np.testing.assert_array_equal(solve_qp(prob).z, [1.0, 1.0])
-        prob.P[0, 0] = 4.0
-        np.testing.assert_array_equal(solve_qp(prob).z, [0.5, 1.0])
+        prob.P[0, 0] = 16.0
+        np.testing.assert_array_equal(solve_qp(prob).z, [0.25, 1.0])
 
     def test_an_invalid_p_raises_every_time(self):
         good, bad = np.eye(2), np.diag([1.0, -1.0])
@@ -152,7 +155,7 @@ class TestInverseMemo:
                 calls[_name] += 1
                 return _original(*args)
             monkeypatch.setattr(np.linalg, name, spy)
-        qp._inverse.cache_clear()
+        qp._factor.cache_clear()
         params, state = contact.Contact2DParams(), contact.Contact2DState(0.0, 0.0, 0.7)
         dist = SmoothingDistribution.isotropic(2, 0.06)
 
@@ -162,7 +165,8 @@ class TestInverseMemo:
         for cx in np.linspace(-0.4, 0.6, 9):
             for cy in np.linspace(0.45, 0.85, 9):
                 gauss_hermite_expectation(box_next, np.array([cx, cy]), dist, 13)
-        assert calls == {"inv": 1, "cholesky": 1}
+        # one Cholesky checks P - 1e-9 I, one factors P, and one inverse gives W
+        assert calls == {"inv": 1, "cholesky": 2}
 
 
 class TestKktResidual:
@@ -221,15 +225,16 @@ def _box_and_general_qp(rng):
     return P, q, G, h
 
 
-def _inverse(P):
-    """The operator solve_qp passes the active set: b -> P^{-1} b."""
-    return np.linalg.inv(P).__matmul__
+def _least_distance(P, q, G):
+    """(Wq, GW', W) of the QP with Hessian P = (W'W)^{-1}: the active set's own form."""
+    W = np.linalg.inv(np.linalg.cholesky(P))
+    return W @ q, G @ W.T, W
 
 
-def _start_multipliers(P, q, G, h, rows):
-    """Multipliers of the QP with `rows` held as equalities."""
-    pig = np.linalg.solve(P, G[rows].T)
-    return np.linalg.solve(G[rows] @ pig, G[rows] @ np.linalg.solve(P, -q) - h[rows])
+def _start_multipliers(q, G, h, rows):
+    """Multipliers of the least-distance QP with `rows` held as equalities."""
+    g = G[rows]
+    return np.linalg.solve(g @ g.T, -g @ q - h[rows])
 
 
 class TestWarmStart:
@@ -241,14 +246,15 @@ class TestWarmStart:
         for _ in range(60):
             P, q, G, h = _box_and_general_qp(rng)
             n, m = q.shape[0], G.shape[0]
-            z0, lam0, optimal, status, _ = _dual_active_set(_inverse(P), q, G, h)
+            qy, Gy, W = _least_distance(P, q, G)
+            y0, lam0, optimal, status, _ = _dual_active_set(qy, Gy, h)
             assert status == "optimal"
             ref = solve_qp(QpProblem(P=P, q=q, G=G, h=h))
-            np.testing.assert_allclose(z0, ref.z, rtol=0.0, atol=1e-10)
+            np.testing.assert_allclose(W.T @ y0, ref.z, rtol=0.0, atol=1e-10)
             np.testing.assert_allclose(lam0, ref.ineq_duals, rtol=0.0, atol=1e-10)
             # The polish re-solves on the sorted final set: same set, same bits.
-            z, lam, _, _, _ = _dual_active_set(_inverse(P), q, G, h, start=optimal)
-            np.testing.assert_array_equal(z, z0)
+            y, lam, _, _, _ = _dual_active_set(qy, Gy, h, start=optimal)
+            np.testing.assert_array_equal(y, y0)
             np.testing.assert_array_equal(lam, lam0)
             starts = {"optimal": optimal, "empty": []}
             # Add inactive rows other than the duplicate, never both sides
@@ -261,16 +267,16 @@ class TestWarmStart:
                 superset.append(i)
                 if i < 2 * n:
                     boxed.add(i % n)
-                if np.min(_start_multipliers(P, q, G, h, sorted(superset))) < 0.0:
+                if np.min(_start_multipliers(qy, Gy, h, sorted(superset))) < 0.0:
                     starts["superset"] = superset
                     break
             if optimal:
                 starts["subset"] = optimal[:-1]
             starts["singular"] = [2 * n, m - 1]          # a row and its duplicate
             for kind, start in starts.items():
-                z, lam, active, status, _ = _dual_active_set(_inverse(P), q, G, h, start=start)
+                y, lam, active, status, _ = _dual_active_set(qy, Gy, h, start=start)
                 assert status == "optimal", kind
-                np.testing.assert_allclose(z, z0, rtol=0.0, atol=1e-10, err_msg=kind)
+                np.testing.assert_allclose(y, y0, rtol=0.0, atol=1e-10, err_msg=kind)
                 np.testing.assert_allclose(lam, lam0, rtol=0.0, atol=1e-10, err_msg=kind)
                 kinds[kind] += 1
         assert min(kinds.values()) >= 10, kinds
@@ -280,7 +286,7 @@ class TestWarmStart:
         calls = []
 
         def spy(*args, _original=qp._polish):
-            calls.append(args[4])
+            calls.append(args[3])
             return _original(*args)
 
         monkeypatch.setattr(qp, "_polish", spy)
@@ -289,8 +295,9 @@ class TestWarmStart:
         for _ in range(40):
             P, q, G, h = _box_and_general_qp(rng)
             n = q.shape[0]
+            qy, Gy, _ = _least_distance(P, q, G)
             calls.clear()
-            z0, lam0, optimal, status, _ = _dual_active_set(_inverse(P), q, G, h)
+            y0, lam0, optimal, status, _ = _dual_active_set(qy, Gy, h)
             assert status == "optimal" and len(calls) == 1
             kinds["cold"] += 1
             if not optimal:
@@ -300,16 +307,16 @@ class TestWarmStart:
                 superset = sorted(optimal + [i])
                 if (i not in optimal and len(superset) <= n
                         and np.linalg.matrix_rank(G[superset]) == len(superset)
-                        and np.min(_start_multipliers(P, q, G, h, superset)) < 0.0):
+                        and np.min(_start_multipliers(qy, Gy, h, superset)) < 0.0):
                     starts["superset"] = superset
                     break
             for kind, start in starts.items():
                 calls.clear()
-                z, lam, active, status, _ = _dual_active_set(_inverse(P), q, G, h, start=start)
+                y, lam, active, status, _ = _dual_active_set(qy, Gy, h, start=start)
                 assert status == "optimal" and active == optimal, kind
                 assert len(calls) == (0 if kind == "optimal" else 1), kind
                 if kind == "optimal":
-                    np.testing.assert_array_equal(z, z0)
+                    np.testing.assert_array_equal(y, y0)
                     np.testing.assert_array_equal(lam, lam0)
                 kinds[kind] += 1
         assert min(kinds.values()) >= 10, kinds
