@@ -71,8 +71,10 @@ GRADIENT_MODES = ("exact", "first_order_bundle", "zero_order_bundle")
 _CONVERGENCE_RTOL = 1e-6
 _CONVERGENCE_STREAK = 3
 _DIVERGENCE_STREAK = 5
-# Bytes of Jacobians (rows x n x (n+m) floats) per bundle call; its peak is about twice that.
-_BATCH_BYTES = 128 * 1024
+# Bytes of Jacobians (rows x n x (n+m) floats) per bundle call. A quadrotor call is
+# dispatch-bound below about 300 rows, which 512 KiB (3 knots of 100 samples) clears;
+# at 100 samples one linearization's traced peak stays <= 0.9 MB on every catalog task.
+_BATCH_BYTES = 512 * 1024
 
 
 @dataclass
@@ -234,8 +236,10 @@ def linearize_trajectory(sys: DynamicalSystem, xs, us, mode: GradientMode,
     mode never reads it and makes one jacobians_batch call. The bundle
     modes make one bundle call per group of knots, sized by _BATCH_BYTES,
     all drawing in knot order from one generator seeded by (run_seed,
-    iteration). A zero variance makes every mode take the exact path, so
-    degenerate-variance runs of all modes are bit-identical.
+    iteration). A first-order group's peak memory is 1.3-2.4x its Jacobian
+    bytes (3.2x on push_1d, whose samples weigh as much); zero-order fits
+    never hold per-sample Jacobians. A zero variance makes every mode take
+    the exact path, so degenerate-variance runs of all modes are bit-identical.
     """
     xs = np.asarray(xs, dtype=float)
     us = np.asarray(us, dtype=float)

@@ -273,14 +273,17 @@ class Quadrotor(DynamicalSystem):
 
     def jacobians_batch(self, xs, us):
         h = self.h
-        rows = xs.shape[0]
+        i0, i1, i2 = self.inertia
+        # the state-independent entries, built per call so that a reassigned h is read
+        a0, b0 = np.eye(12), np.zeros((12, 4))
+        a0[[0, 1, 2, 3], [6, 7, 8, 9]] = h
+        b0[9:12] = h * self._mixing_matrix() / np.asarray(self.inertia)[:, None]
+        a, b = np.empty((xs.shape[0], 12, 12)), np.empty((xs.shape[0], 12, 4))
+        a[:], b[:] = a0, b0
         trig = _euler_trig(*xs[:, 3:6].T)
         sr, cr, sp, cp, sy, cy = trig
         tp = sp / cp
-        w0, w1, w2 = xs[:, 9], xs[:, 10], xs[:, 11]
-        a = np.tile(np.eye(12), (rows, 1, 1))
-        b = np.zeros((rows, 12, 4))
-        a[:, 0:3, 6:9] = h * np.eye(3)
+        w1, w2 = xs[:, 10], xs[:, 11]
 
         # Euler kinematics block: e+ = e + h E(roll, pitch) omega
         pitch_rate = sr * w1 + cr * w2
@@ -290,25 +293,27 @@ class Quadrotor(DynamicalSystem):
         a[:, 5, 3] = h * roll_rate / cp
         a[:, 3, 4] = h * pitch_rate / cp**2
         a[:, 5, 4] = h * sp * pitch_rate / cp**2
-        a[:, 3, 9:12] = h * np.stack([np.ones(rows), sr * tp, cr * tp], axis=1)
-        a[:, 4, 10:12] = h * np.stack([cr, -sr], axis=1)
-        a[:, 5, 10:12] = h * np.stack([sr / cp, cr / cp], axis=1)
+        a[:, 3, 10], a[:, 3, 11] = h * (sr * tp), h * (cr * tp)
+        a[:, 4, 10], a[:, 4, 11] = h * cr, h * -sr
+        a[:, 5, 10], a[:, 5, 11] = h * (sr / cp), h * (cr / cp)
 
         # translational block: v+ = v + h (thrust/m) z_world(e) - h g z
-        scale = (h * (us[:, 0] + us[:, 1] + us[:, 2] + us[:, 3]) / self.mass)[:, None]
-        a[:, 6:9, 3] = scale * np.stack([-sr * sp * cy + cr * sy, -sr * sp * sy - cr * cy,
-                                         -sr * cp], axis=1)
-        a[:, 6:9, 4] = scale * np.stack([cr * cp * cy, cr * cp * sy, -cr * sp], axis=1)
-        a[:, 6:8, 5] = scale * np.stack([-cr * sp * sy + sr * cy, cr * sp * cy + sr * sy],
-                                        axis=1)
-        b[:, 6:9, :] = (h / self.mass) * np.stack(_body_z_in_world(*trig), axis=1)[:, :, None]
+        scale = h * (us[:, 0] + us[:, 1] + us[:, 2] + us[:, 3]) / self.mass
+        a[:, 6, 3] = scale * (-sr * sp * cy + cr * sy)
+        a[:, 7, 3] = scale * (-sr * sp * sy - cr * cy)
+        a[:, 8, 3] = scale * (-sr * cp)
+        a[:, 6, 4] = scale * (cr * cp * cy)
+        a[:, 7, 4] = scale * (cr * cp * sy)
+        a[:, 8, 4] = scale * (-cr * sp)
+        a[:, 6, 5] = scale * (-cr * sp * sy + sr * cy)
+        a[:, 7, 5] = scale * (cr * sp * cy + sr * sy)
+        for row, z in enumerate(_body_z_in_world(*trig), start=6):
+            b[:, row, :] = (h / self.mass * z)[:, None]
 
         # rotational block: w+ = w + h I^{-1} (tau(u) - w x (I w))
-        i0, i1, i2 = self.inertia
-        a[:, 9, 10:12] = -h * (i2 - i1) / i0 * np.stack([w2, w1], axis=1)
-        a[:, 10, [9, 11]] = -h * (i0 - i2) / i1 * np.stack([w2, w0], axis=1)
-        a[:, 11, 9:11] = -h * (i1 - i0) / i2 * np.stack([w1, w0], axis=1)
-        b[:, 9:12, :] = h * self._mixing_matrix() / np.asarray(self.inertia)[:, None]
+        a[:, 9, 10:12] = -h * (i2 - i1) / i0 * xs[:, [11, 10]]
+        a[:, 10, [9, 11]] = -h * (i0 - i2) / i1 * xs[:, [11, 9]]
+        a[:, 11, 9:11] = -h * (i1 - i0) / i2 * xs[:, [10, 9]]
         return a, b
 
 

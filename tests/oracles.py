@@ -8,9 +8,10 @@ elimination on top of the inequality QP solver, an affine Riccati
 recursion for finite-horizon tracking LQR, a per-step trajectory cost,
 the stacked (uncondensed) MPC window QP, a complementarity-enumeration
 solver for the 1D contact step and the residuals of its defining
-equations, central-difference Jacobians of a batched step, the per-knot
-trajectory linearization, and the identities behind linear models and the
-pendulum's energy.
+equations, central-difference Jacobians of a batched step, the
+quadrotor's stacked-array Jacobians, the per-knot trajectory
+linearization, and the identities behind linear models and the pendulum's
+energy.
 """
 
 import itertools
@@ -487,6 +488,65 @@ def finite_difference_jacobians(step_batch, xs, us):
     f = f.reshape(rows, 2, d, -1)
     jac = ((f[:, 0] - f[:, 1]) / (2 * FD_STEP)).transpose(0, 2, 1)
     return jac[:, :, :n], jac[:, :, n:]
+
+
+# ---------------------------------------------------------------------------
+# the quadrotor's Jacobians assembled from stacked per-row arrays
+
+
+def _euler_trig(roll, pitch, yaw):
+    """sin and cos of roll, pitch and yaw."""
+    return np.sin(roll), np.cos(roll), np.sin(pitch), np.cos(pitch), np.sin(yaw), np.cos(yaw)
+
+
+def _body_z_in_world(sr, cr, sp, cp, sy, cy):
+    return cr * sp * cy + sr * sy, cr * sp * sy - sr * cy, cr * cp
+
+
+def quadrotor_jacobians_batch(self, xs, us):
+    """Quadrotor.jacobians_batch as tiled, stacked arrays; `self` is a Quadrotor.
+
+    Every entry is the same floating-point expression, in the same operand
+    order, as the in-place fill of the package, so the two agree bit for bit.
+    """
+    h = self.h
+    rows = xs.shape[0]
+    trig = _euler_trig(*xs[:, 3:6].T)
+    sr, cr, sp, cp, sy, cy = trig
+    tp = sp / cp
+    w0, w1, w2 = xs[:, 9], xs[:, 10], xs[:, 11]
+    a = np.tile(np.eye(12), (rows, 1, 1))
+    b = np.zeros((rows, 12, 4))
+    a[:, 0:3, 6:9] = h * np.eye(3)
+
+    # Euler kinematics block: e+ = e + h E(roll, pitch) omega
+    pitch_rate = sr * w1 + cr * w2
+    roll_rate = cr * w1 - sr * w2
+    a[:, 3, 3] += h * tp * roll_rate
+    a[:, 4, 3] = -h * pitch_rate
+    a[:, 5, 3] = h * roll_rate / cp
+    a[:, 3, 4] = h * pitch_rate / cp**2
+    a[:, 5, 4] = h * sp * pitch_rate / cp**2
+    a[:, 3, 9:12] = h * np.stack([np.ones(rows), sr * tp, cr * tp], axis=1)
+    a[:, 4, 10:12] = h * np.stack([cr, -sr], axis=1)
+    a[:, 5, 10:12] = h * np.stack([sr / cp, cr / cp], axis=1)
+
+    # translational block: v+ = v + h (thrust/m) z_world(e) - h g z
+    scale = (h * (us[:, 0] + us[:, 1] + us[:, 2] + us[:, 3]) / self.mass)[:, None]
+    a[:, 6:9, 3] = scale * np.stack([-sr * sp * cy + cr * sy, -sr * sp * sy - cr * cy,
+                                     -sr * cp], axis=1)
+    a[:, 6:9, 4] = scale * np.stack([cr * cp * cy, cr * cp * sy, -cr * sp], axis=1)
+    a[:, 6:8, 5] = scale * np.stack([-cr * sp * sy + sr * cy, cr * sp * cy + sr * sy],
+                                    axis=1)
+    b[:, 6:9, :] = (h / self.mass) * np.stack(_body_z_in_world(*trig), axis=1)[:, :, None]
+
+    # rotational block: w+ = w + h I^{-1} (tau(u) - w x (I w))
+    i0, i1, i2 = self.inertia
+    a[:, 9, 10:12] = -h * (i2 - i1) / i0 * np.stack([w2, w1], axis=1)
+    a[:, 10, [9, 11]] = -h * (i0 - i2) / i1 * np.stack([w2, w0], axis=1)
+    a[:, 11, 9:11] = -h * (i1 - i0) / i2 * np.stack([w1, w0], axis=1)
+    b[:, 9:12, :] = h * self._mixing_matrix() / np.asarray(self.inertia)[:, None]
+    return a, b
 
 
 # ---------------------------------------------------------------------------

@@ -502,10 +502,11 @@ class TestBatchedLinearization:
             np.testing.assert_array_equal(got.c, default.c)
 
     @pytest.mark.parametrize("kind", ["first_order_bundle", "zero_order_bundle"])
-    @pytest.mark.parametrize("task", ["quadrotor_hover", "pendulum_swingup", "lti"])
+    @pytest.mark.parametrize("task", ["quadrotor_hover", "pendulum_swingup", "lti",
+                                      "dubins_parking", "push_2d"])
     def test_peak_memory_of_one_linearization(self, task, kind):
         # Each batched call is capped; stacking all 100-sample knots at once
-        # reached 5 MB on the quadrotor.
+        # reached 5 MB on the quadrotor. All but the quadrotor fit one call.
         import tracemalloc
 
         setup, xs, us = self._trajectory(task, {})

@@ -415,7 +415,8 @@ class TestOneBatchedCallPerGroup:
         # A group's Jacobian entries fill at most the budget, or it is one knot.
         group = max(1, irs_lqr._BATCH_BYTES // (100 * n * (n + m) * 8))
         knots = [min(group, T - start) for start in range(0, T, group)]
-        assert len(knots) > 1 and (group > 1) == (task == "pendulum_swingup")
+        # 512 KiB: the quadrotor's 25 knots in groups of 3, the pendulum's 60 in one
+        assert knots == {"quadrotor_hover": [3] * 8 + [1], "pendulum_swingup": [60]}[task]
         assert calls["step"] == []
         if kind == "first_order_bundle":
             assert calls["step_batch"] == []       # offsets come from the stored rollout

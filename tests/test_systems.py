@@ -7,7 +7,7 @@ from bundleopt.contact import PenaltyPush1D
 from bundleopt.systems import DubinsCar, LinearSystem, Pendulum, Quadrotor, linearize_exact
 
 from oracles import (finite_difference_jacobians, linear_prediction, linearization_residual,
-                     pendulum_energy)
+                     pendulum_energy, quadrotor_jacobians_batch)
 
 
 def assert_batch_rows_match(sys, xs, us):
@@ -93,6 +93,30 @@ class TestQuadrotor:
         # only the body yaw rate responds in the first step
         assert abs(nxt[11]) > 1e-6
         np.testing.assert_allclose(np.delete(nxt, 11), 0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("h", [0.01, 0.037])
+    @pytest.mark.parametrize("rows", [1, 7, 10_000])
+    def test_jacobians_equal_the_stacked_reference(self, h, rows):
+        # the in-place fill evaluates every entry as the stacked arrays did
+        sys = Quadrotor(h=h)
+        rng = np.random.default_rng(rows)
+        xs = rng.uniform(-1.0, 1.0, (rows, 12))
+        xs[:, 3:6] *= 1.2                                   # angles in rad
+        xs[:, 9:12] *= 5.0                                  # body rates
+        us = sys.hover_thrusts() * rng.uniform(0.5, 1.5, (rows, 4))
+        a, b = sys.jacobians_batch(xs, us)
+        a_ref, b_ref = quadrotor_jacobians_batch(sys, xs, us)
+        np.testing.assert_array_equal(a, a_ref)
+        np.testing.assert_array_equal(b, b_ref)
+
+    def test_jacobians_follow_a_reassigned_step(self):
+        sys = Quadrotor(h=0.01)
+        xs, us = np.full((2, 12), 0.3), np.tile(sys.hover_thrusts(), (2, 1))
+        sys.jacobians_batch(xs, us)
+        sys.h = 0.02
+        for got, expected in zip(sys.jacobians_batch(xs, us),
+                                 quadrotor_jacobians_batch(Quadrotor(h=0.02), xs, us)):
+            np.testing.assert_array_equal(got, expected)
 
 
 class TestLinearization:
