@@ -23,8 +23,7 @@ from .qp import QpProblem, QpSolution, solve_qp
 from .smoothing import (BundleEstimate, SmoothingDistribution,
                         bundled_objective_estimate, first_order_gradient_bundle,
                         jacobian_bundle_first_order, jacobian_bundle_zero_order,
-                        sample_perturbations, variance_schedule,
-                        zero_order_gradient_bundle)
+                        sample_perturbations, zero_order_gradient_bundle)
 from .systems import (DubinsCar, DynamicalSystem, LinearizedDynamics, LinearSystem,
                       Pendulum, Quadrotor, linearize_exact)
 from .tasks import TASK_BUILDERS, TaskSetup, build_task

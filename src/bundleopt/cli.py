@@ -9,12 +9,16 @@ also take --seed:
   three estimators at grid point i all draw from the seed (seed, i).
 * plan: run the trajectory optimizer on a catalog task for every
   (gradient mode, seed) pair, writing per-iteration costs and the final
-  trajectories. The `diverged` column is 1 on every row of a run whose
-  costs end in 5 consecutive rises or in a NaN or infinite cost, the
-  "diverged" of irs_lqr.stop_reason that stopped the planner, else 0.
+  trajectories. Keys left out take the planner's defaults. The `diverged`
+  column is 1 on every row of a run whose costs end in 5 consecutive
+  rises or in a NaN or infinite cost, the "diverged" of
+  irs_lqr.stop_reason that stopped the planner, else 0.
 * contact-probe: sweep 2D contact commands on a grid, writing the next
   box position under the exact and relaxed models and their smoothed
   (quadrature-bundled) versions.
+
+plan's `sigma0` is the initial sampling variance, irs_lqr_run's `cov0`;
+the `sigma` of bundle-eval and contact-probe is a standard deviation.
 
 Configs are JSON, schema-validated with unknown keys rejected. Every run
 writes result CSVs (schema version stamped in a leading comment row) and
@@ -44,7 +48,8 @@ from . import __version__
 from .contact import Contact2DParams, ContactPush2D
 from .errors import ConfigurationError, DivergedError, SingularRegressionError
 from .functions import TEST_FUNCTION_IDS, get_test_function
-from .irs_lqr import GRADIENT_MODES, GradientMode, irs_lqr_run, stop_reason
+from .irs_lqr import (DEFAULT_SCHEDULE, GRADIENT_MODES, GradientMode, irs_lqr_run,
+                      stop_reason)
 from .oracle import convolution_oracle, gauss_hermite_expectation
 from .smoothing import (SmoothingDistribution, bundled_objective_estimate,
                         first_order_gradient_bundle, zero_order_gradient_bundle)
@@ -288,13 +293,14 @@ def _run_bundle_eval(config: dict, jobs: int):
 
 def _plan_run(item):
     config, task, mode_kind, seed = item
-    schedule_cfg = config.get("schedule", {"policy": "geometric", "gamma": 0.8})
-    schedule = (schedule_cfg["policy"], schedule_cfg.get("gamma", 0.8))
-    mode = GradientMode(kind=mode_kind, samples=config.get("samples", 100))
+    # keys the config leaves out take the planner's defaults
+    policy, gamma = DEFAULT_SCHEDULE
+    schedule = {"policy": policy, "gamma": gamma, **config.get("schedule", {})}
+    mode = GradientMode(kind=mode_kind, samples=config.get("samples", GradientMode.samples))
     started = time.perf_counter()
-    history = irs_lqr_run(task.system, task.mpc, mode,
-                          cov0=config["sigma0"], schedule=schedule,
-                          max_iters=config.get("max_iters", 20),
+    history = irs_lqr_run(task.system, task.mpc, mode, cov0=config["sigma0"],
+                          schedule=(schedule["policy"], schedule["gamma"]),
+                          **({"max_iters": config["max_iters"]} if "max_iters" in config else {}),
                           seed=seed, u_init=task.u_init)
     elapsed = time.perf_counter() - started
     diverged = stop_reason([it.cost for it in history]) == "diverged"

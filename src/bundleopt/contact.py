@@ -210,9 +210,8 @@ def step_2d_anitescu(state: Contact2DState, command, params: Contact2DParams
     gap0 = state.ya - params.contact_height
     q = np.array([0.0, -hk * (cx - state.xa), -hk * (cy - state.ya)])
     sol = solve_qp(QpProblem(P=P, q=q, G=G, h=np.array([gap0, gap0])))
-    if sol.status != "optimal":
-        raise RuntimeError(
-            f"contact QP unexpectedly {sol.status}; geometry guarantees feasibility")
+    if sol.status != "optimal":            # geometry guarantees feasibility for finite data
+        raise RuntimeError("contact QP undefined: non-finite state or command")
     dq = sol.z.tolist()
     lam_plus, lam_minus = sol.ineq_duals.tolist()
     nxt = Contact2DState(xu=state.xu + dq[0], xa=state.xa + dq[1], ya=state.ya + dq[2])

@@ -51,7 +51,7 @@ import numpy as np
 from . import qp as _qp
 from .errors import ConfigurationError, DivergedError
 from .smoothing import (SmoothingDistribution, jacobian_bundle_first_order,
-                        jacobian_bundle_zero_order, variance_schedule)
+                        jacobian_bundle_zero_order)
 from .systems import DynamicalSystem, LinearizedDynamics, linearize_exact
 
 __all__ = [
@@ -67,6 +67,7 @@ __all__ = [
 ]
 
 GRADIENT_MODES = ("exact", "first_order_bundle", "zero_order_bundle")
+DEFAULT_SCHEDULE = ("geometric", 0.8)
 
 _CONVERGENCE_RTOL = 1e-6
 _CONVERGENCE_STREAK = 3
@@ -87,7 +88,7 @@ class MpcProblem:
     apply at every step t < T: C_u is finite with input_dim columns, and
     d_u has one entry per row, none NaN or -inf (+inf never binds).
     start_index/initial_state select the MPC window: the subproblem starts
-    at knot j from the given state.
+    at knot j from the given state, which must be finite.
     """
 
     horizon: int
@@ -152,7 +153,7 @@ class MpcProblem:
         return clone
 
     def _anchor(self, start_index: int, initial_state):
-        """Set the window start: 0 <= start_index < T and a state of shape (n,)."""
+        """Set the window start: 0 <= start_index < T and a finite state of shape (n,)."""
         T, n = self.horizon, self.state_dim
         if not 0 <= start_index < T:
             raise ConfigurationError(f"start_index must be in [0, {T - 1}], got {start_index}")
@@ -161,6 +162,7 @@ class MpcProblem:
             if initial_state.shape != (n,):
                 raise ConfigurationError(
                     f"initial_state must have shape {(n,)}, got {initial_state.shape}")
+            _check_finite(initial_state, "initial_state")
         self.start_index = int(start_index)
         self.initial_state = initial_state
 
@@ -245,9 +247,9 @@ def linearize_trajectory(sys: DynamicalSystem, xs, us, mode: GradientMode,
     us = np.asarray(us, dtype=float)
     (T, m), n = us.shape, xs.shape[1]
     knots, nexts = xs[:T], xs[1:]
-    dist = None if mode.kind == "exact" else SmoothingDistribution(np.full(n + m, variance))
-    if dist is None or dist.is_zero:
+    if mode.kind == "exact" or variance == 0:
         return linearize_exact(sys, knots, us, nexts)
+    dist = SmoothingDistribution(np.full(n + m, variance))
     bundle = (jacobian_bundle_first_order if mode.kind == "first_order_bundle"
               else jacobian_bundle_zero_order)
     rng = np.random.default_rng((int(run_seed), int(iteration)))
@@ -392,7 +394,7 @@ def mpc_solve(mpc: MpcProblem, linearizations: LinearizedDynamics) -> np.ndarray
 
 
 def irs_lqr_run(sys: DynamicalSystem, mpc: MpcProblem, mode: GradientMode,
-                cov0, schedule=("geometric", 0.7), max_iters: int = 20,
+                cov0, schedule=DEFAULT_SCHEDULE, max_iters: int = 20,
                 seed: int = 0, u_init=None) -> list[TrajectoryIterate]:
     """Iterate bundle-linearization and MPC rollouts; returns all iterates.
 
@@ -400,14 +402,16 @@ def irs_lqr_run(sys: DynamicalSystem, mpc: MpcProblem, mode: GradientMode,
     true system out under the linear model's MPC inputs, taken from
     _policy (see the module docstring).
 
-    `cov0` is the initial sampling variance, one scalar for every state
-    and input coordinate (see linearize_trajectory); `schedule` a (policy,
-    gamma) pair fed to variance_schedule. Stops after max_iters
-    iterations, or as soon as stop_reason of the costs so far is
-    "diverged" or "converged". Any LinAlgError of a pass (a singular or
-    non-finite Riccati pass, a window Hessian that is not positive
-    definite, a window QP that does not end "optimal") raises
-    DivergedError naming its iteration.
+    `cov0` is the initial sampling variance, one finite scalar >= 0 for
+    every state and input coordinate (see linearize_trajectory); iteration
+    k samples at gamma**k * cov0 under `schedule` ("geometric", gamma),
+    0 < gamma < 1 (square-summable; the default, gamma 0.8), or at cov0
+    under ("constant", any). All arguments are checked before the first
+    rollout. Stops after max_iters iterations, or as soon as stop_reason
+    of the costs so far is "diverged" or "converged". Any LinAlgError of a
+    pass (a singular or non-finite Riccati pass, a window Hessian that is
+    not positive definite, a window QP that does not end "optimal")
+    raises DivergedError naming its iteration.
     """
     if mpc.initial_state is None:
         raise ConfigurationError("MpcProblem.initial_state must hold the start state")
@@ -420,16 +424,19 @@ def irs_lqr_run(sys: DynamicalSystem, mpc: MpcProblem, mode: GradientMode,
         raise ConfigurationError(
             f"zero-order mode needs at least dim(x)+dim(u)={n + m} samples")
     cov0 = np.asarray(cov0, dtype=float)
-    if cov0.ndim != 0:
-        raise ConfigurationError(f"cov0 must be a scalar variance, got shape {cov0.shape}")
+    if cov0.ndim != 0 or not 0.0 <= cov0 < np.inf:
+        raise ConfigurationError(f"cov0 must be a finite scalar variance >= 0, got {cov0.tolist()}")
     policy, gamma = schedule
+    if not (policy == "constant" or policy == "geometric" and 0.0 < gamma < 1.0):
+        raise ConfigurationError(f"schedule must be ('geometric', gamma) with 0 < gamma < 1 "
+                                 f"or ('constant', any), got {schedule!r}")
+    decay = gamma if policy == "geometric" else 1.0
 
     xs = rollout(sys, mpc.initial_state, us)
     history = [TrajectoryIterate(xs=xs, us=us, cost=trajectory_cost((xs, us), mpc),
                                  iteration=0)]
     for k in range(max_iters):
-        var_k = variance_schedule(cov0, k, policy, gamma)
-        lins = linearize_trajectory(sys, xs, us, mode, var_k, seed, k)
+        lins = linearize_trajectory(sys, xs, us, mode, decay**k * cov0, seed, k)
         new_xs = np.empty_like(xs)
         new_us = np.empty_like(us)
         new_xs[0] = xs[0]

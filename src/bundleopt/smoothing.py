@@ -4,8 +4,7 @@ Monte-Carlo estimators of smoothed ("bundled") objectives and dynamics:
 the sample mean of an objective under perturbations, the first-order
 gradient bundle (mean of sampled gradients), the zero-order gradient
 bundle (least-squares regression on sampled function deviations), and the
-analogous Jacobian bundles for discrete-time dynamics. Also provides the
-variance schedule used by the iterative optimizer.
+analogous Jacobian bundles for discrete-time dynamics.
 
 Every perturbation density is a zero-mean Gaussian with independent
 coordinates, given by one variance per coordinate; a sample is a standard
@@ -45,7 +44,6 @@ __all__ = [
     "zero_order_gradient_bundle",
     "jacobian_bundle_first_order",
     "jacobian_bundle_zero_order",
-    "variance_schedule",
 ]
 
 class SmoothingDistribution:
@@ -212,26 +210,6 @@ def jacobian_bundle_zero_order(dynamics, x_nom, u_nom, dist: SmoothingDistributi
     # coef[k] is the transpose of knot k's solve output, as a view
     coef = np.linalg.solve(gram, zt @ dev).transpose(0, 2, 1)
     return coef[:, :, :nx], coef[:, :, nx:]
-
-
-def variance_schedule(var0, k: int, policy: str = "geometric",
-                      gamma: float = 0.5) -> np.ndarray:
-    """Variances at iteration k under the given decay policy.
-
-    "geometric": gamma**k * var0 with 0 < gamma < 1 (square-summable, so the
-    iterative optimizer converges to a stationary point of the original
-    problem). "constant": var0 at every iteration. var0 may have any shape.
-    """
-    if k < 0:
-        raise ConfigurationError(f"iteration index must be >= 0, got {k}")
-    var0 = np.asarray(var0, dtype=float)
-    if policy == "constant":
-        return var0.copy()
-    if policy == "geometric":
-        if not 0.0 < gamma < 1.0:
-            raise ConfigurationError(f"geometric decay rate must be in (0, 1), got {gamma}")
-        return gamma**k * var0
-    raise ConfigurationError(f"unknown variance schedule policy {policy!r}")
 
 
 def _eval_batch(f, points: np.ndarray, dim: int | None = None) -> np.ndarray:

@@ -143,6 +143,10 @@ class Pendulum(DynamicalSystem):
         self.damping = damping
         self.h = h
         _require_positive(self, "mass", "length", "h")
+        for name in ("gravity", "damping"):
+            value = getattr(self, name)
+            if not np.isfinite(value):
+                raise ConfigurationError(f"Pendulum.{name} must be finite, got {value}")
 
     def _next(self, theta, omega, torque):
         inertia = self.mass * self.length**2

@@ -49,6 +49,8 @@ def make_lti(seed=0, state_dim=4, input_dim=2, horizon=20, spectral_radius=0.95)
     """Random controllable linear system with identity tracking costs."""
     if min(state_dim, input_dim) < 1:
         raise ConfigurationError(f"lti dimensions must be >= 1, got {state_dim}, {input_dim}")
+    if seed < 0:
+        raise ConfigurationError(f"lti.seed must be >= 0, got {seed}")
     if not 0.0 < spectral_radius < np.inf:
         raise ConfigurationError(
             f"lti.spectral_radius must be finite and positive, got {spectral_radius}")

@@ -2,13 +2,15 @@
 
 import csv
 import json
+import pathlib
 
 import numpy as np
 import pytest
 
 import bundleopt
 from bundleopt import cli
-from bundleopt.irs_lqr import TrajectoryIterate
+from bundleopt.irs_lqr import GradientMode, TrajectoryIterate, irs_lqr_run
+from bundleopt.tasks import build_task
 
 PLAN = {"task": "push_1d", "modes": ["exact"], "sigma0": 0.25, "seeds": [0],
         "max_iters": 2}
@@ -29,7 +31,26 @@ NON_FINITE = {
                               {**PROBE, "grid": {**PROBE["grid"],
                                                  "x": {**PROBE["grid"]["x"], "stop": np.nan}}},
                               "grid.x.stop"),
+    "pendulum_gravity_nan": ("plan", {**PLAN, "task": "pendulum_swingup",
+                                      "params": {"gravity": np.nan}}, "Pendulum.gravity"),
+    "pendulum_damping_inf": ("plan", {**PLAN, "task": "pendulum_swingup",
+                                      "params": {"damping": np.inf}}, "Pendulum.damping"),
 }
+# Other values the schema passes and the task builders or the planner
+# reject: case name -> (config, the start of the one error line)
+LATE_ERRORS = {
+    "lti_seed_negative": ({**PLAN, "task": "lti", "params": {"seed": -1}},
+                          "lti.seed must be >= 0, got -1"),
+    "push_1d_box_start_nan": ({**PLAN, "params": {"box_start": np.nan}},
+                              "initial_state must be finite"),
+    "push_1d_robot_start_inf": ({**PLAN, "params": {"robot_start": -np.inf}},
+                                "initial_state must be finite"),
+    "sigma0_nan": ({**PLAN, "sigma0": np.nan},
+                   "cov0 must be a finite scalar variance >= 0, got nan"),
+    "sigma0_inf": ({**PLAN, "sigma0": np.inf},
+                   "cov0 must be a finite scalar variance >= 0, got inf"),
+}
+DEMO_CONFIGS = pathlib.Path(__file__).resolve().parents[1] / "demos" / "configs"
 # contact-probe "system" values the schema rejects, by case name
 BAD_SYSTEMS = {"system_unknown_key": {"bogus": 1}, "system_k_string": {"k": "x"},
                "system_k_bool": {"k": True}}
@@ -259,10 +280,12 @@ def test_contact_probe_names_a_non_finite_parameter(tmp_path, capsys, k):
     ("plan", {**PLAN, "task": "pendulum_swingup", "params": {"h": -0.05}}),
     ("plan", {**PLAN, "task": "dubins_parking", "params": {"v_max": -1.0}}),
     *[pytest.param(verb, config, id=case) for case, (verb, config, _) in NON_FINITE.items()],
+    *[pytest.param("plan", config, id=case) for case, (config, _) in LATE_ERRORS.items()],
 ])
 def test_constructor_config_error_leaves_no_out(tmp_path, capsys, request, verb, config):
     # the schema passes these; Contact2DParams, MpcProblem, the task
-    # builders and systems, and the CLI's own grid and state checks reject them
+    # builders and systems, irs_lqr_run's cov0 check, and the CLI's own
+    # grid and state checks reject them
     path, out = tmp_path / "config.json", tmp_path / "out"
     path.write_text(json.dumps(config))
     code = cli.main([verb, "--config", str(path), "--out", str(out)])
@@ -274,7 +297,30 @@ def test_constructor_config_error_leaves_no_out(tmp_path, capsys, request, verb,
     if request.node.callspec.id in NON_FINITE:
         key = NON_FINITE[request.node.callspec.id][2]
         assert err.startswith(f"config error: {key} must be finite, got ")
+    if request.node.callspec.id in LATE_ERRORS:
+        assert err.startswith(f"config error: {LATE_ERRORS[request.node.callspec.id][1]}")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("path", sorted(DEMO_CONFIGS.glob("*.json")), ids=lambda p: p.name)
+def test_demo_config_passes_its_verb_schema(path):
+    # each demo is named after its verb: bundle_eval_*, contact_probe*, plan_*
+    (verb,) = [verb for verb in ("bundle-eval", "contact-probe", "plan")
+               if path.name.startswith(verb.replace("-", "_"))]
+    assert cli._load_config(str(path), verb) == json.loads(path.read_text())
+
+
+def test_plan_leaves_unset_keys_to_the_planner_defaults(tmp_path):
+    # no schedule, samples or max_iters: the costs of irs_lqr_run's own defaults
+    config = {"task": "push_1d", "modes": ["first_order_bundle"], "sigma0": 0.25, "seeds": [3]}
+    code, out = _plan(tmp_path, config)
+    assert code == 0
+    setup = build_task("push_1d")
+    history = irs_lqr_run(setup.system, setup.mpc, GradientMode("first_order_bundle"), 0.25,
+                          seed=3, u_init=setup.u_init)
+    with open(out / "results.csv", encoding="utf-8") as fh:
+        next(fh)                                     # schema comment row
+        assert [row["cost"] for row in csv.DictReader(fh)] == [repr(it.cost) for it in history]
 
 
 def test_help_exits_0(capsys):

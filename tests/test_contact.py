@@ -737,9 +737,14 @@ class TestAnitescuClosedForm:
         assert set(modes[4000:4100]) == {"separation"}
 
     def test_non_finite_rows_raise_as_the_qp_does(self):
+        # one message from the one-row QP step and from the closed-form batch;
+        # the box position xu enters no QP, so a NaN there only carries over
         sys = ContactPush2D(P2, model="anitescu")
-        xs = np.tile([0.0, 0.0, 0.7], (3, 1))
-        us = np.array([[0.3, 0.5], [np.nan, 0.5], [0.0, 0.9]])
-        for rows in (slice(1, 2), slice(None)):
-            with pytest.raises(RuntimeError):
-                sys.step_batch(xs[rows], us[rows])
+        for column in range(1, 5):                        # xa, ya, cx, cy
+            rows = np.array([[0.0, 0.0, 0.7, 0.3, 0.5], [0.0, 0.0, 0.7, 0.3, 0.5],
+                             [0.0, 0.0, 0.7, 0.0, 0.9]])
+            rows[1, column] = np.nan
+            for part in (rows[1:2], rows):
+                with pytest.raises(RuntimeError, match="^contact QP undefined: non-finite "
+                                                       "state or command$"):
+                    sys.step_batch(part[:, :3], part[:, 3:])

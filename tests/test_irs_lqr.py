@@ -1,6 +1,9 @@
 """Tests for the bundle-linearized iterative LQR/MPC planner."""
 
 import dataclasses
+import json
+import pathlib
+import re
 
 import numpy as np
 import pytest
@@ -379,13 +382,18 @@ def _window_hessian(mpc, lins, j):
     return hessian
 
 
-# Settings of demos/configs/plan_push_1d.json.
-PUSH_SETTINGS = {"cov0": 0.25, "schedule": ("geometric", 0.8), "max_iters": 20}
+# The headline gates run the plan demo's own settings.
+PLAN_DEMO = json.loads((pathlib.Path(__file__).resolve().parents[1]
+                        / "demos" / "configs" / "plan_push_1d.json").read_text())
+PUSH_SETTINGS = {"cov0": PLAN_DEMO["sigma0"],
+                 "schedule": (PLAN_DEMO["schedule"]["policy"], PLAN_DEMO["schedule"]["gamma"]),
+                 "max_iters": PLAN_DEMO["max_iters"]}
 BUNDLES = ("first_order_bundle", "zero_order_bundle")
 
 
 def _costs(setup, kind, seed, max_iters=PUSH_SETTINGS["max_iters"]):
-    history = irs_lqr_run(setup.system, setup.mpc, GradientMode(kind=kind, samples=100),
+    history = irs_lqr_run(setup.system, setup.mpc,
+                          GradientMode(kind=kind, samples=PLAN_DEMO["samples"]),
                           seed=seed, u_init=setup.u_init,
                           **{**PUSH_SETTINGS, "max_iters": max_iters})
     return [it.cost for it in history]
@@ -631,6 +639,49 @@ class TestOneCostForm:
         with pytest.raises(ConfigurationError, match="scalar variance"):
             irs_lqr_run(setup.system, setup.mpc, GradientMode("first_order_bundle"),
                         0.1 * np.eye(5), max_iters=1)
+
+
+class TestVarianceSchedule:
+    """irs_lqr_run anneals cov0 by its schedule, and checks both before it rolls out."""
+
+    @pytest.mark.parametrize("schedule, decay", [
+        ({}, 0.8), ({"schedule": ("geometric", 0.3)}, 0.3),
+        ({"schedule": ("constant", None)}, 1.0)], ids=["default", "geometric", "constant"])
+    def test_iteration_k_samples_at_decay_to_the_k_times_cov0(self, monkeypatch,
+                                                              schedule, decay):
+        seen = []
+
+        def spy(sys, xs, us, mode, variance, *args, _original=linearize_trajectory):
+            seen.append(variance)
+            return _original(sys, xs, us, mode, variance, *args)
+
+        monkeypatch.setattr(irs_lqr, "linearize_trajectory", spy)
+        setup, cov0 = build_task("pendulum_swingup"), 0.37
+        irs_lqr_run(setup.system, setup.mpc, GradientMode("first_order_bundle", samples=10),
+                    cov0, max_iters=6, u_init=setup.u_init, **schedule)
+        # bit for bit; the geometric variances are square-summable by this formula
+        assert seen == [decay**k * cov0 for k in range(6)]
+
+    @pytest.mark.parametrize("cov0, schedule, bad", [
+        (np.nan, ("geometric", 0.8), "cov0"), (np.inf, ("geometric", 0.8), "cov0"),
+        (-0.1, ("constant", None), "cov0"), (0.25, ("geometric", 0.0), "schedule"),
+        (0.25, ("geometric", 1.0), "schedule"), (0.25, ("geometric", np.nan), "schedule"),
+        (0.25, ("linear", 0.8), "schedule"),
+    ], ids=["cov0_nan", "cov0_inf", "cov0_negative", "gamma_0", "gamma_1", "gamma_nan",
+            "unknown_policy"])
+    @pytest.mark.parametrize("kind", ["exact", "first_order_bundle"])
+    @pytest.mark.parametrize("max_iters", [0, 3])
+    def test_rejected_before_the_first_rollout(self, monkeypatch, cov0, schedule, bad, kind,
+                                               max_iters):
+        def rollout(*args):
+            raise AssertionError("rolled out before checking the schedule")
+
+        monkeypatch.setattr(irs_lqr, "rollout", rollout)
+        setup = build_task("push_1d")
+        got = re.escape(repr(cov0 if bad == "cov0" else schedule))
+        with pytest.raises(ConfigurationError, match=f"^{bad} must be .*, got {got}$"):
+            irs_lqr_run(setup.system, setup.mpc, GradientMode(kind), cov0, schedule,
+                        max_iters=max_iters, u_init=setup.u_init)
 
 
 class TestMpcWindow:

@@ -11,7 +11,7 @@ from bundleopt.smoothing import (SmoothingDistribution, bundled_objective_estima
                                  first_order_gradient_bundle,
                                  jacobian_bundle_first_order,
                                  jacobian_bundle_zero_order, sample_perturbations,
-                                 variance_schedule, zero_order_gradient_bundle)
+                                 zero_order_gradient_bundle)
 from bundleopt.irs_lqr import GradientMode, linearize_trajectory, rollout
 from bundleopt.systems import LinearSystem, Pendulum
 from bundleopt.tasks import build_task
@@ -297,32 +297,6 @@ class TestJacobianBundles:
         tol = 3.0 * np.sqrt(0.25 / n) * 3.0
         assert np.max(np.abs(a1 - a0)) < tol
         assert np.max(np.abs(b1 - b0)) < tol
-
-
-class TestVarianceSchedule:
-    def test_geometric_identity_at_zero(self):
-        cov = np.diag([2.0, 3.0])
-        np.testing.assert_array_equal(variance_schedule(cov, 0, "geometric", 0.5), cov)
-
-    def test_geometric_decay(self):
-        cov = 4.0 * np.eye(2)
-        out = variance_schedule(cov, 3, "geometric", 0.5)
-        np.testing.assert_allclose(out, 0.5 * np.eye(2))
-
-    def test_constant(self):
-        cov = np.diag([1.0, 2.0])
-        np.testing.assert_array_equal(variance_schedule(cov, 17, "constant"), cov)
-
-    def test_bad_gamma(self):
-        with pytest.raises(ConfigurationError):
-            variance_schedule(np.eye(1), 1, "geometric", 1.5)
-
-    def test_square_summability_of_geometric(self):
-        gamma = 0.8
-        partial = sum(np.linalg.norm(variance_schedule(np.eye(1), k, "geometric", gamma))**2
-                      for k in range(1000))
-        closed_form = 1.0 / (1.0 - gamma**2)   # sum over k of (gamma^k)^2
-        assert partial == pytest.approx(closed_form, rel=1e-9)
 
 
 class TestStatisticalInvariants:
